@@ -19,8 +19,8 @@ from .lyapunov import (
 )
 from .synthesis import (
     NormalFormPlant, SynthesisSpec, ClosedLoopSystem, GeneralForm,
-    synthesize, alpha, storage_value, synthesize_feedback,
-    uncertain_feedback, closed_loop_rhs, reduce_general_form, default_v2,
+    synthesize, alpha, storage_value, closed_loop_rhs, reduce_general_form,
+    default_v2,
 )
 from .uncertainty import (
     OsniUncertainty, Interconnection, interconnection_rhs, composite_storage,

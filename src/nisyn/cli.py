@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from .lyapunov import (
 from .scenario import (
     Scenario, ScenarioError, build_general_form, build_plant,
     build_uncertainty, input_catalog, load_scenario, resolve_synthesis_spec,
-    sampling_box, scenario_from_dict, scenario_to_dict,
+    sampling_box,
 )
 from .sim import (
     IntegrationError, check_dissipation, check_w_decrease,
@@ -73,11 +75,120 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     return scn
 
 
+# --- pipeline -------------------------------------------------------------------
+
+class Pipeline:
+    """One scenario's chain, built on first use and shared by every stage:
+    plant -> stability verdict -> spec -> closed loop -> uncertainty ->
+    interconnection.  Of the trajectories it keeps only the two that more
+    than one stage reads: the interconnection run and the closed-loop run
+    under ``simulation.input``."""
+
+    def __init__(self, scn: Scenario):
+        self.scn = scn
+
+    @cached_property
+    def plant(self):
+        return build_plant(self.scn)
+
+    @cached_property
+    def verdict(self):
+        return classify_stability(self.plant.a11)
+
+    @cached_property
+    def spec(self):
+        return resolve_synthesis_spec(self.scn, self.plant)
+
+    @cached_property
+    def closed_loop(self):
+        return synthesize(self.plant, self.spec)
+
+    @cached_property
+    def uncertainty(self):
+        return build_uncertainty(self.scn)
+
+    @cached_property
+    def interconnection(self):
+        return Interconnection(self.closed_loop, self.uncertainty)
+
+    @cached_property
+    def general_form(self):
+        return build_general_form(self.scn, self.plant)
+
+    @cached_property
+    def signals(self) -> list:
+        return input_catalog(self.scn, self.plant.n_outputs)
+
+    @cached_property
+    def x0(self) -> np.ndarray:
+        x0 = np.asarray(self.scn.simulation.x0, dtype=float)
+        if x0.shape != (self.plant.n_states,):
+            raise ScenarioError(
+                f"x0 must have {self.plant.n_states} entries, got {x0.size}")
+        return x0
+
+    @cached_property
+    def interconnection_run(self):
+        sim = self.scn.simulation
+        return simulate_interconnection(self.interconnection, self.x0,
+                                        self.scn.uncertainty.x_sigma0,
+                                        sim.t_end, sim.dt)
+
+    @cached_property
+    def input_run(self):
+        return self._closed_loop_run(self.scn.simulation.input)
+
+    def _closed_loop_run(self, signal_spec: dict):
+        sim = self.scn.simulation
+        signal = signal_from_spec(signal_spec, self.plant.n_outputs, sim.seed)
+        return simulate_closed_loop(self.closed_loop, self.x0, sim.t_end,
+                                    sim.dt, signal=signal)
+
+    def signal_check(self, block: str, spec: dict) -> dict:
+        """Dissipation report of the synthesized loop (``block`` is
+        "closed_loop") or of the uncertainty ("uncertainty") under one
+        catalog signal.  The loop passes on the inequality of its target, the
+        uncertainty on OSNI; a run that diverges gives a failed entry."""
+        sim = self.scn.simulation
+        tol = self.scn.verification.dissipation_tol
+        try:
+            if block == "closed_loop":
+                cl = self.closed_loop
+                traj = (self.input_run if spec == sim.input
+                        else self._closed_loop_run(spec))
+                rep = check_dissipation(traj, lambda s: storage_value(s, cl),
+                                        cl.epsilon, tol)
+                passed = (rep.osni_pass if self.scn.spec.target == "OSNI"
+                          else rep.ni_pass)
+            else:
+                unc = self.uncertainty
+                signal = signal_from_spec(spec, unc.n_outputs, sim.seed)
+                traj = simulate_uncertainty(unc, self.scn.uncertainty.x_sigma0,
+                                            sim.t_end, sim.dt, signal=signal)
+                rep = check_dissipation(traj, unc.storage, unc.epsilon_sigma,
+                                        tol)
+                passed = rep.osni_pass
+        except IntegrationError as err:
+            return _diverged(err)
+        return {**rep.as_dict(), "passed": passed}
+
+
+def _diverged(err: IntegrationError) -> dict:
+    """Report fields of a run that diverged or reached a non-finite state."""
+    return {"passed": False, "error": str(err), "diverged_at_step": err.step,
+            "last_state": [float(v) for v in err.last_state]}
+
+
+def _positivity(check) -> dict:
+    return {"passed": check.passed, "points_checked": check.points_checked,
+            "witness": check.witness}
+
+
 # --- analyze ------------------------------------------------------------------
 
-def run_analyze(scn: Scenario) -> dict:
-    plant = build_plant(scn)
-    verdict = classify_stability(plant.a11)
+def run_analyze(scn: Scenario | Pipeline) -> dict:
+    pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
+    verdict = pipe.verdict
     equivalent = bool(verdict.det_nonzero and verdict.lyapunov_stable)
     return _report(
         "analyze",
@@ -121,19 +232,17 @@ def _check_law_regression(closed_loop, regression: dict, seed: int) -> dict:
     return {"max_relative_error": max_rel, "passed": bool(max_rel <= 1e-9)}
 
 
-def run_synthesize(scn: Scenario) -> dict:
-    analyze = run_analyze(scn)
+def run_synthesize(scn: Scenario | Pipeline) -> dict:
+    pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
+    analyze = run_analyze(pipe)
     if not analyze["equivalent"]:
         return _report("synthesize", equivalent=False, analyze=analyze,
                        passed=False)
-    plant = build_plant(scn)
-    spec = resolve_synthesis_spec(scn, plant)
-    closed_loop = synthesize(plant, spec)
-    ver = scn.verification
+    scn, plant, spec = pipe.scn, pipe.plant, pipe.spec
+    closed_loop, ver = pipe.closed_loop, scn.verification
 
     # V2 positivity on the output slice of the sampling box
-    n_plant = plant.n_states
-    y_box = sampling_box(scn, n_plant)[plant.m:plant.m + plant.n_outputs]
+    y_box = sampling_box(scn, plant.n_states)[plant.m:plant.m + plant.n_outputs]
     v2_fn = compile_exprs([spec.v2], plant.y_names)
     v2_check = sampled_positive_definite(
         lambda y: float(v2_fn(y)[0]), y_box, ver.samples, ver.pd_seed)
@@ -146,11 +255,7 @@ def run_synthesize(scn: Scenario) -> dict:
         epsilon=closed_loop.epsilon,
         **{"lambda": closed_loop.spec.lam},
         p_matrix=[list(map(float, row)) for row in spec.p_matrix],
-        v2_positive_definite={
-            "passed": v2_check.passed,
-            "points_checked": v2_check.points_checked,
-            "witness": v2_check.witness,
-        },
+        v2_positive_definite=_positivity(v2_check),
     )
     passed = v2_check.passed
     if scn.regression is not None:
@@ -164,31 +269,17 @@ def run_synthesize(scn: Scenario) -> dict:
 
 # --- simulate -------------------------------------------------------------------
 
-def run_simulate(scn: Scenario, out_dir: Path) -> dict:
-    plant = build_plant(scn)
-    spec = resolve_synthesis_spec(scn, plant)
-    closed_loop = synthesize(plant, spec)
-    unc = build_uncertainty(scn)
-    sim = scn.simulation
-    ver = scn.verification
-    x0 = np.asarray(sim.x0, dtype=float)
-    if x0.shape != (plant.n_states,):
-        raise ScenarioError(
-            f"x0 must have {plant.n_states} entries, got {x0.shape[0]}")
+def run_simulate(scn: Scenario | Pipeline, out_dir: Path) -> dict:
+    pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
+    plant, closed_loop, unc = pipe.plant, pipe.closed_loop, pipe.uncertainty
+    sim, ver = pipe.scn.simulation, pipe.scn.verification
     try:
-        if unc is not None:
-            ic = Interconnection(closed_loop, unc)
-            traj = simulate_interconnection(
-                ic, x0, scn.uncertainty.x_sigma0, sim.t_end, sim.dt)
-        else:
-            signal = signal_from_spec(sim.input, plant.n_outputs, sim.seed)
-            traj = simulate_closed_loop(closed_loop, x0, sim.t_end, sim.dt,
-                                        signal=signal)
+        traj = pipe.interconnection_run if unc is not None else pipe.input_run
     except IntegrationError as err:
-        return _report("simulate", passed=False, error=str(err),
-                       diverged_at_step=err.step,
-                       last_state=[float(v) for v in err.last_state])
-    csv_path = _write_trajectory(traj, out_dir, "trajectory.csv")
+        return _report("simulate", **_diverged(err))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / "trajectory.csv"
+    write_trajectory_csv(traj, csv_path)
     metrics = convergence_metrics(traj, ver.convergence_threshold,
                                   ver.settle_window)
     report = _report(
@@ -202,10 +293,9 @@ def run_simulate(scn: Scenario, out_dir: Path) -> dict:
         passed=True,
     )
     if unc is not None:
-        n_plant = plant.n_states
-        nominal_norm = float(np.linalg.norm(traj.states[-1, :n_plant]))
-        report["final_nominal_norm"] = nominal_norm
-    gform = build_general_form(scn, plant)
+        report["final_nominal_norm"] = float(
+            np.linalg.norm(traj.states[-1, :plant.n_states]))
+    gform = pipe.general_form
     if gform is not None and unc is None:
         report["applied_inputs_csv"] = str(
             _write_applied_inputs(gform, plant, closed_loop, traj, out_dir))
@@ -234,154 +324,85 @@ def _write_applied_inputs(gform, plant, closed_loop, traj, out_dir: Path) -> Pat
     return path
 
 
-def _write_trajectory(traj, out_dir: Path, name: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    write_trajectory_csv(traj, path)
-    return path
-
-
 # --- verify ---------------------------------------------------------------------
 
-def _signal_label(spec: dict, index: int) -> str:
-    return f"{index}-{spec.get('kind', 'unknown')}"
+def _pooled_signal_check(scn: Scenario, block: str, spec: dict) -> dict:
+    """Pool task: builds the worker process's own pipeline."""
+    return Pipeline(scn).signal_check(block, spec)
 
 
-def _closed_loop_signal_check(scenario_dict: dict, signal_spec: dict) -> dict:
-    """Worker: dissipation of the synthesized loop under one catalog signal.
-    Takes plain dicts so it can cross a process boundary."""
-    scn = scenario_from_dict(scenario_dict)
-    plant = build_plant(scn)
-    spec = resolve_synthesis_spec(scn, plant)
-    closed_loop = synthesize(plant, spec)
-    signal = signal_from_spec(signal_spec, plant.n_outputs, scn.simulation.seed)
-    traj = simulate_closed_loop(closed_loop, scn.simulation.x0,
-                                scn.simulation.t_end, scn.simulation.dt,
-                                signal=signal)
-    rep = check_dissipation(traj, lambda s: storage_value(s, closed_loop),
-                            closed_loop.epsilon,
-                            scn.verification.dissipation_tol)
-    return rep.as_dict()
+def _signal_checks(pipe: Pipeline, block: str, jobs: int) -> list:
+    """One report entry per catalog signal.  Runs in a process pool of at
+    most one worker per signal and per CPU when that is more than one."""
+    signals = pipe.signals
+    workers = min(jobs, len(signals), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_pooled_signal_check, pipe.scn, block, s)
+                       for s in signals]
+            results = [f.result() for f in futures]
+    else:
+        results = [pipe.signal_check(block, s) for s in signals]
+    return [{"signal": sig, "label": f"{i}-{sig.get('kind', 'unknown')}", **rep}
+            for i, (sig, rep) in enumerate(zip(signals, results))]
 
 
-def _uncertainty_signal_check(scenario_dict: dict, signal_spec: dict) -> dict:
-    scn = scenario_from_dict(scenario_dict)
-    unc = build_uncertainty(scn)
-    signal = signal_from_spec(signal_spec, unc.n_outputs, scn.simulation.seed)
-    traj = simulate_uncertainty(unc, scn.uncertainty.x_sigma0,
-                                scn.simulation.t_end, scn.simulation.dt,
-                                signal=signal)
-    rep = check_dissipation(traj, unc.storage, unc.epsilon_sigma,
-                            scn.verification.dissipation_tol)
-    return rep.as_dict()
-
-
-def _run_signal_checks(worker, scenario_dict, signals, jobs: int) -> list:
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(worker, scenario_dict, s) for s in signals]
-            return [f.result() for f in futures]
-    return [worker(scenario_dict, s) for s in signals]
-
-
-def run_verify(scn: Scenario, jobs: int = 1) -> dict:
-    analyze = run_analyze(scn)
+def run_verify(scn: Scenario | Pipeline, jobs: int = 1) -> dict:
+    pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
+    analyze = run_analyze(pipe)
     if not analyze["equivalent"]:
         return _report("verify", equivalent=False, analyze=analyze, passed=False)
-    plant = build_plant(scn)
-    spec = resolve_synthesis_spec(scn, plant)
-    closed_loop = synthesize(plant, spec)
-    unc = build_uncertainty(scn)
-    ver = scn.verification
-    sim = scn.simulation
-    if len(sim.x0) != plant.n_states:
-        raise ScenarioError(
-            f"x0 must have {plant.n_states} entries, got {len(sim.x0)}")
+    scn, closed_loop, unc = pipe.scn, pipe.closed_loop, pipe.uncertainty
+    pipe.x0  # a malformed x0 is a usage error before any check runs
+    ver, sim = scn.verification, scn.simulation
     if ver.dissipation_tol <= 0:
         raise ScenarioError("dissipation_tol must be positive")
     w_tol = ver.w_decrease_tol if ver.w_decrease_tol is not None else 10.0 * sim.dt
     if w_tol <= 0:
         raise ScenarioError("w_decrease_tol must be positive")
-    scenario_dict = scenario_to_dict(scn)
-    target = scn.spec.target
+    n_plant = pipe.plant.n_states
     checks: dict = {}
-    all_passed = True
 
     # storage positivity on the plant box
-    n_plant = plant.n_states
-    v_box = sampling_box(scn, n_plant)
-    v_check = sampled_positive_definite(
-        lambda x: storage_value(x, closed_loop), v_box, ver.samples, ver.pd_seed)
-    checks["storage_positive_definite"] = {
-        "passed": v_check.passed,
-        "points_checked": v_check.points_checked,
-        "witness": v_check.witness,
-    }
-    all_passed &= v_check.passed
+    checks["storage_positive_definite"] = _positivity(sampled_positive_definite(
+        lambda x: storage_value(x, closed_loop), sampling_box(scn, n_plant),
+        ver.samples, ver.pd_seed))
 
     # closed-loop dissipation over the input catalog
-    signals = input_catalog(scn, plant.n_outputs)
-    results = _run_signal_checks(_closed_loop_signal_check, scenario_dict,
-                                 signals, jobs)
-    loop_checks = []
-    for i, (sig, rep) in enumerate(zip(signals, results)):
-        entry = {"signal": sig, "label": _signal_label(sig, i), **rep}
-        entry["passed"] = rep["osni_pass"] if target == "OSNI" else rep["ni_pass"]
-        loop_checks.append(entry)
-        all_passed &= entry["passed"]
-    checks["closed_loop_dissipation"] = loop_checks
+    checks["closed_loop_dissipation"] = _signal_checks(pipe, "closed_loop", jobs)
 
     if unc is not None:
-        results = _run_signal_checks(_uncertainty_signal_check, scenario_dict,
-                                     signals, jobs)
-        unc_checks = []
-        for i, (sig, rep) in enumerate(zip(signals, results)):
-            entry = {"signal": sig, "label": _signal_label(sig, i), **rep}
-            entry["passed"] = rep["osni_pass"]
-            unc_checks.append(entry)
-            all_passed &= entry["passed"]
-        checks["uncertainty_dissipation"] = unc_checks
-
-        ic = Interconnection(closed_loop, unc)
+        checks["uncertainty_dissipation"] = _signal_checks(
+            pipe, "uncertainty", jobs)
+        ic = pipe.interconnection
         joint_box = sampling_box(scn, ic.n_states)
-        vs_check = sampled_positive_definite(
-            unc.storage, joint_box[n_plant:], ver.samples, ver.pd_seed)
-        checks["uncertainty_storage_positive_definite"] = {
-            "passed": vs_check.passed,
-            "points_checked": vs_check.points_checked,
-            "witness": vs_check.witness,
-        }
-        all_passed &= vs_check.passed
-        w_check = sampled_positive_definite(
-            lambda s: composite_storage(s, ic), joint_box, ver.samples,
-            ver.pd_seed)
-        checks["composite_storage_positive_definite"] = {
-            "passed": w_check.passed,
-            "points_checked": w_check.points_checked,
-            "witness": w_check.witness,
-        }
-        all_passed &= w_check.passed
+        checks["uncertainty_storage_positive_definite"] = _positivity(
+            sampled_positive_definite(unc.storage, joint_box[n_plant:],
+                                      ver.samples, ver.pd_seed))
+        checks["composite_storage_positive_definite"] = _positivity(
+            sampled_positive_definite(lambda s: composite_storage(s, ic),
+                                      joint_box, ver.samples, ver.pd_seed))
+        try:
+            traj = pipe.interconnection_run
+        except IntegrationError as err:
+            checks["w_decrease"] = checks["convergence"] = _diverged(err)
+        else:
+            checks["w_decrease"] = check_w_decrease(traj, w_tol).as_dict()
+            conv = convergence_metrics(traj, ver.convergence_threshold,
+                                       ver.settle_window).as_dict()
+            conv["passed"] = bool(conv["final_norm"] <= ver.convergence_threshold)
+            if ver.nominal_convergence_threshold is not None:
+                nominal = float(np.linalg.norm(traj.states[-1, :n_plant]))
+                conv["final_nominal_norm"] = nominal
+                conv["nominal_threshold"] = ver.nominal_convergence_threshold
+                conv["passed"] = bool(conv["passed"] and
+                                      nominal <= ver.nominal_convergence_threshold)
+            checks["convergence"] = conv
 
-        traj = simulate_interconnection(ic, sim.x0, scn.uncertainty.x_sigma0,
-                                        sim.t_end, sim.dt)
-        w_rep = check_w_decrease(traj, ic, w_tol)
-        checks["w_decrease"] = w_rep.as_dict()
-        all_passed &= w_rep.passed
-
-        metrics = convergence_metrics(traj, ver.convergence_threshold,
-                                      ver.settle_window)
-        conv = metrics.as_dict()
-        conv["passed"] = bool(metrics.final_norm <= ver.convergence_threshold)
-        if ver.nominal_convergence_threshold is not None:
-            nominal = float(np.linalg.norm(traj.states[-1, :n_plant]))
-            conv["final_nominal_norm"] = nominal
-            conv["nominal_threshold"] = ver.nominal_convergence_threshold
-            conv["passed"] = bool(conv["passed"] and
-                                  nominal <= ver.nominal_convergence_threshold)
-        checks["convergence"] = conv
-        all_passed &= conv["passed"]
-
-    return _report("verify", equivalent=True, target=target,
+    all_passed = all(
+        all(e["passed"] for e in c) if isinstance(c, list) else c["passed"]
+        for c in checks.values())
+    return _report("verify", equivalent=True, target=scn.spec.target,
                    dissipation_tol=ver.dissipation_tol, w_decrease_tol=w_tol,
                    checks=checks, passed=bool(all_passed))
 
@@ -389,17 +410,14 @@ def run_verify(scn: Scenario, jobs: int = 1) -> dict:
 # --- reproduce-example ------------------------------------------------------------
 
 def run_reproduce(scn: Scenario, out_dir: Path, jobs: int = 1) -> dict:
-    stages = {}
-    stages["analyze"] = run_analyze(scn)
-    ok = stages["analyze"]["passed"]
-    if ok:
-        stages["synthesize"] = run_synthesize(scn)
-        ok &= stages["synthesize"]["passed"]
-        stages["verify"] = run_verify(scn, jobs=jobs)
-        ok &= stages["verify"]["passed"]
-        stages["simulate"] = run_simulate(scn, out_dir)
-        ok &= stages["simulate"]["passed"]
-    return _report("reproduce-example", stages=stages, passed=bool(ok))
+    pipe = Pipeline(scn)
+    stages = {"analyze": run_analyze(pipe)}
+    if stages["analyze"]["passed"]:
+        stages["synthesize"] = run_synthesize(pipe)
+        stages["verify"] = run_verify(pipe, jobs=jobs)
+        stages["simulate"] = run_simulate(pipe, out_dir)
+    return _report("reproduce-example", stages=stages,
+                   passed=all(s["passed"] for s in stages.values()))
 
 
 # --- argument parsing ---------------------------------------------------------------

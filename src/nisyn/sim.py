@@ -25,7 +25,7 @@ import numpy as np
 
 from .synthesis import ClosedLoopSystem, closed_loop_rhs
 from .uncertainty import Interconnection, OsniUncertainty, \
-    composite_storage, interconnection_rhs
+    interconnection_rhs
 
 __all__ = [
     "IntegrationError", "DivergenceError", "Trajectory",
@@ -307,31 +307,25 @@ class WDecreaseReport:
         }
 
 
-def check_w_decrease(traj: Trajectory,
-                     interconnection: Interconnection,
-                     tol: float) -> WDecreaseReport:
+def check_w_decrease(traj: Trajectory, tol: float) -> WDecreaseReport:
     """Test max W' <= tol along the joint trajectory plus end-to-end
     monotonicity W(t_end) <= W(0); also reports the strong residual
-    W' + eps|y'|^2 + eps_sigma|w'|^2."""
+    W' + eps|y'|^2 + eps_sigma|w'|^2.  Both come from the W and residual
+    records that simulate_interconnection leaves on the trajectory."""
     if traj.n_samples < 3:
         raise ValueError("trajectory too short for central differences")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    w_values = np.array([composite_storage(s, interconnection)
-                         for s in traj.states])
-    dt = traj.dt
-    wdot = _rate(w_values, dt)
-    ydot = _rate(traj.outputs, dt)
-    hdot = _rate(traj.inputs, dt)
-    strong = (wdot + interconnection.closed_loop.epsilon * np.sum(ydot * ydot, axis=1)
-              + interconnection.uncertainty.epsilon_sigma * np.sum(hdot * hdot, axis=1))
-    max_wdot = float(wdot.max())
-    monotone = bool(w_values[-1] <= w_values[0])
+    if traj.W is None or traj.residual is None:
+        raise ValueError("trajectory lacks W/residual records; "
+                         "use simulate_interconnection")
+    max_wdot = float(_rate(traj.W, traj.dt).max())
+    monotone = bool(traj.W[-1] <= traj.W[0])
     return WDecreaseReport(
         max_wdot=max_wdot,
-        max_strong_residual=float(strong.max()),
-        w_start=float(w_values[0]),
-        w_end=float(w_values[-1]),
+        max_strong_residual=float(traj.residual.max()),
+        w_start=float(traj.W[0]),
+        w_end=float(traj.W[-1]),
         monotone=monotone,
         passed=bool(max_wdot <= tol and monotone),
         tol=float(tol),

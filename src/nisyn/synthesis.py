@@ -44,8 +44,7 @@ __all__ = [
     "SynthesisError", "SingularMatrixError",
     "NormalFormPlant", "SynthesisSpec", "ClosedLoopSystem", "GeneralForm",
     "block_names", "synthesize", "alpha", "storage_value",
-    "synthesize_feedback", "uncertain_feedback", "closed_loop_rhs",
-    "reduce_general_form", "default_v2",
+    "closed_loop_rhs", "reduce_general_form", "default_v2",
 ]
 
 _ORIGIN_TOL = 1e-12
@@ -290,18 +289,6 @@ def storage_value(state: np.ndarray, closed_loop: ClosedLoopSystem) -> float:
     if state.shape != (closed_loop.plant.n_states,):
         raise SynthesisError("storage_value: dimension mismatch")
     return float(closed_loop._storage_fn(state)[0])
-
-
-def synthesize_feedback(closed_loop: ClosedLoopSystem):
-    """Feedback laws (u1, u2) as expression vectors; the new input v enters
-    additively at simulation time."""
-    return closed_loop.u1_laws, closed_loop.u2_laws
-
-
-def uncertain_feedback(closed_loop: ClosedLoopSystem):
-    """Pure state-feedback laws for the uncertain interconnection: identical
-    expressions, with the uncertainty output w taking the place of v."""
-    return closed_loop.u1_laws, closed_loop.u2_laws
 
 
 def closed_loop_rhs(state: np.ndarray, v: np.ndarray,

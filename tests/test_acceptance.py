@@ -135,7 +135,7 @@ def test_criterion_5_interconnection_stability(bundle):
         start = time.perf_counter()
         traj = simulate_interconnection(ic, [3.0, 1.0, -1.0, 2.0],
                                         [0.0, 0.0], 10.0, 1e-3)
-        rep = check_w_decrease(traj, ic, tol=1e-2)
+        rep = check_w_decrease(traj, tol=1e-2)
         assert rep.passed
         assert rep.max_wdot <= 1e-2
         assert rep.w_end <= rep.w_start

@@ -1,15 +1,18 @@
 """Scenario round-trips, builders, CLI subcommands and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import nisyn.cli
 from nisyn.cli import (
-    bundled_scenario_path, main, run_analyze, run_simulate, run_synthesize,
-    run_verify,
+    bundled_scenario_path, main, run_analyze, run_reproduce, run_simulate,
+    run_synthesize, run_verify,
 )
 from nisyn.scenario import (
     ScenarioError, build_plant, default_input_catalog, load_scenario,
@@ -372,6 +375,98 @@ def test_verify_jobs_parallel_matches_serial():
     parallel = run_verify(scenario_from_dict(data), jobs=2)
     assert serial["checks"]["closed_loop_dissipation"] == \
         parallel["checks"]["closed_loop_dissipation"]
+
+
+class _RecordingPool:
+    """Stand-in for the process pool: records its size, runs tasks inline."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus, jobs, sizes", [
+    (2, 64, [2, 2]),      # capped by the CPU count
+    (16, 64, [3, 3]),     # capped by the three catalog signals
+    (None, 4, []),        # unknown CPU count: one process, no pool
+])
+def test_verify_pool_size_is_capped(monkeypatch, cpus, jobs, sizes):
+    monkeypatch.setattr(nisyn.cli.concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    data = _fast_scenario()
+    data["simulation"]["t_end"] = 0.2
+    report = run_verify(scenario_from_dict(data), jobs=jobs)
+    assert report["passed"]
+    assert _RecordingPool.sizes == sizes
+
+
+def test_reproduce_builds_once_and_matches_simulate(tmp_path, monkeypatch):
+    calls = {"synthesize": 0, "simulate_interconnection": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(nisyn.cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nisyn.cli, name, counted)
+    data = _fast_scenario()
+    assert run_reproduce(scenario_from_dict(data), tmp_path / "r")["passed"]
+    assert calls == {"synthesize": 1, "simulate_interconnection": 1}
+    # the shared interconnection run exports exactly what simulate alone does
+    assert run_simulate(scenario_from_dict(data), tmp_path / "s")["passed"]
+    assert (tmp_path / "r" / "trajectory.csv").read_bytes() == \
+        (tmp_path / "s" / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_main_verify_diverging_signal_fails_with_report(tmp_path, monkeypatch,
+                                                        jobs):
+    # at jobs=2 the pool must carry the failed runs back to the report
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    data = _fast_scenario()
+    data["verification"]["input_signals"] = [
+        {"kind": "zero"}, {"kind": "step", "amplitude": [5e5, 5e5]}]
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    assert main(["verify", "--scenario", path, "--out", str(out),
+                 "--jobs", str(jobs)]) == 1
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    for group, n_states in (("closed_loop_dissipation", 4),
+                            ("uncertainty_dissipation", 2)):
+        calm, diverged = checks[group]
+        assert calm["passed"] and "error" not in calm
+        assert not diverged["passed"]
+        assert "exceeded blow-up bound" in diverged["error"]
+        assert diverged["diverged_at_step"] == 1
+        assert len(diverged["last_state"]) == n_states
+    assert checks["w_decrease"]["passed"]
+
+
+def test_main_reproduce_diverging_interconnection_fails_with_report(tmp_path):
+    data = _fast_scenario()
+    data["simulation"]["x0"] = [2e6, 0.0, 0.0, 0.0]
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    assert main(["reproduce-example", "--scenario", path,
+                 "--out", str(out)]) == 1
+    stages = json.loads((out / "reproduce.json").read_text())["stages"]
+    checks = stages["verify"]["checks"]
+    for key in ("w_decrease", "convergence"):
+        assert not checks[key]["passed"]
+        assert checks[key]["diverged_at_step"] == 1
+    assert stages["simulate"]["diverged_at_step"] == 1
+    assert not (out / "trajectory.csv").exists()
 
 
 # --- main() exit codes ---------------------------------------------------------

@@ -129,7 +129,7 @@ def test_uncertainty_dissipation():
 def test_interconnection_w_decrease(example_cl):
     ic = Interconnection(example_cl, _example_unc())
     traj = simulate_interconnection(ic, X0, np.zeros(2), 10.0, 1e-3)
-    rep = check_w_decrease(traj, ic, tol=1e-2)
+    rep = check_w_decrease(traj, tol=1e-2)
     assert rep.passed and rep.monotone
     assert rep.w_end <= rep.w_start
     assert rep.max_strong_residual <= 1e-3
@@ -137,10 +137,17 @@ def test_interconnection_w_decrease(example_cl):
     assert traj.W.min() >= -1e-12
 
 
+def test_w_decrease_needs_recorded_w(example_cl):
+    # a closed-loop run carries V but no composite storage W
+    traj = simulate_closed_loop(example_cl, X0, 0.1, 1e-3)
+    with pytest.raises(ValueError, match="simulate_interconnection"):
+        check_w_decrease(traj, tol=1e-2)
+
+
 def test_interconnection_zero_state(example_cl):
     ic = Interconnection(example_cl, _example_unc())
     traj = simulate_interconnection(ic, np.zeros(4), np.zeros(2), 1.0, 1e-3)
-    rep = check_w_decrease(traj, ic, tol=1e-6)
+    rep = check_w_decrease(traj, tol=1e-6)
     assert rep.passed
     assert abs(rep.max_wdot) <= 1e-9
 
@@ -158,7 +165,7 @@ def test_mutation_flipped_uncertainty_output_fails_w_decrease(example_cl):
     )
     ic = Interconnection(example_cl, flipped)
     traj = simulate_interconnection(ic, X0, np.zeros(2), 10.0, 1e-3)
-    rep = check_w_decrease(traj, ic, tol=1e-2)
+    rep = check_w_decrease(traj, tol=1e-2)
     assert not rep.passed
     assert rep.max_wdot > 0.1
 
