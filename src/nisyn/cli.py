@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import ExprError, compile_exprs, evaluate, parse_expr, to_string
+from .expr import ExprError, compile_exprs, parse_expr, to_string
 from .lyapunov import (
     StabilityError, classify_stability, sampled_positive_definite,
 )
@@ -215,20 +215,15 @@ def run_analyze(scn: Scenario | Pipeline) -> dict:
 def _check_law_regression(closed_loop, regression: dict, seed: int) -> dict:
     plant = closed_loop.plant
     names = plant.state_names
-    rng = np.random.default_rng(seed)
     expected_u1 = [parse_expr(t, names) for t in regression.get("u1", [])]
     expected_u2 = [parse_expr(t, names) for t in regression.get("u2", [])]
     if len(expected_u1) != plant.p1 or len(expected_u2) != plant.p2:
         raise ScenarioError("regression block dimensions do not match the plant")
-    max_rel = 0.0
-    for _ in range(100):
-        state = rng.uniform(-2.0, 2.0, size=plant.n_states)
-        binding = dict(zip(names, state))
-        for law, oracle in list(zip(closed_loop.u1_laws, expected_u1)) + \
-                list(zip(closed_loop.u2_laws, expected_u2)):
-            got = evaluate(law, binding)
-            want = evaluate(oracle, binding)
-            max_rel = max(max_rel, abs(got - want) / max(1.0, abs(want)))
+    states = np.random.default_rng(seed).uniform(-2.0, 2.0, (100, plant.n_states))
+    got = compile_exprs(closed_loop.u1_laws + closed_loop.u2_laws, names)(states)
+    want = compile_exprs(expected_u1 + expected_u2, names)(states)
+    max_rel = float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)),
+                           initial=0.0))
     return {"max_relative_error": max_rel, "passed": bool(max_rel <= 1e-9)}
 
 
@@ -245,7 +240,7 @@ def run_synthesize(scn: Scenario | Pipeline) -> dict:
     y_box = sampling_box(scn, plant.n_states)[plant.m:plant.m + plant.n_outputs]
     v2_fn = compile_exprs([spec.v2], plant.y_names)
     v2_check = sampled_positive_definite(
-        lambda y: float(v2_fn(y)[0]), y_box, ver.samples, ver.pd_seed)
+        lambda y: v2_fn(y)[:, 0], y_box, ver.samples, ver.pd_seed)
 
     report = _report(
         "synthesize",
@@ -306,21 +301,15 @@ def _write_applied_inputs(gform, plant, closed_loop, traj, out_dir: Path) -> Pat
     """Map the total normal-form input along the trajectory through the
     general-form transform and export the inputs to apply upstream."""
     import csv as _csv
+    total = traj.inputs + np.hstack([closed_loop._u1_fn(traj.states),
+                                     closed_loop._u2_fn(traj.states)])
+    applied = reduce_general_form(gform, plant, traj.states)(total)
     path = out_dir / "applied_inputs.csv"
-    p = plant.n_outputs
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
-        writer.writerow(["t"] + [f"ut{i + 1}" for i in range(p)])
-        for k in range(traj.n_samples):
-            state = traj.states[k]
-            total = np.concatenate([
-                traj.inputs[k][:plant.p1] + closed_loop._u1_fn(state),
-                traj.inputs[k][plant.p1:] + closed_loop._u2_fn(state),
-            ])
-            transform = reduce_general_form(gform, plant, state)
-            applied = transform(total)
-            writer.writerow([repr(float(traj.t[k]))]
-                            + [repr(float(v)) for v in applied])
+        writer.writerow(["t"] + [f"ut{i + 1}" for i in range(plant.n_outputs)])
+        for row in np.column_stack([traj.t, applied]):
+            writer.writerow([repr(v) for v in row.tolist()])
     return path
 
 

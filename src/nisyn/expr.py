@@ -21,6 +21,9 @@ evaluate as the sign-preserving real root
 so e.g. ``(-8)^(1/3) = -2`` and ``(-1)^(4/3) = 1``.  Exponents with an even
 denominator are rejected at parse time because they are not real-valued on
 negative bases.
+
+compile_exprs() is the one evaluator, for a point or a stack of points; the
+tree walker evaluate() is its reference and serves one-point origin checks.
 """
 
 from __future__ import annotations
@@ -302,12 +305,14 @@ def parse_expr(text: str, variables: Optional[Iterable[str]] = None) -> Expr:
 
 # --- evaluation ------------------------------------------------------------
 
-def rational_power(x: float, num: int, den: int) -> float:
-    """Sign-preserving real root: sign(x)^num * |x|^(num/den), den odd."""
+def rational_power(x, num: int, den: int):
+    """Sign-preserving real root: sign(x)^num * |x|^(num/den), den odd; elementwise."""
     r = abs(x) ** (num / den)
-    if x < 0 and num % 2 != 0:
-        return -r
-    return r
+    if num % 2 == 0:
+        return r
+    if isinstance(r, float):
+        return -r if x < 0 else r
+    return np.where(x < 0, -r, r)
 
 
 def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
@@ -565,26 +570,27 @@ def _code(e: Expr, index: Mapping[str, int]) -> str:
 
 def compile_exprs(exprs: Sequence[Expr],
                   var_names: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a vector of expressions into one fast evaluator.
+    """Compile a vector of k expressions into one fast evaluator.
 
-    The returned callable maps a value vector (ordered like ``var_names``)
-    to an ndarray of expression values, with arithmetic identical to
-    evaluate() term for term.
+    The callable maps a point (n,) ordered like ``var_names`` to (k,), with
+    arithmetic identical to evaluate() term for term, and a stack (N, n) to
+    (N, k), within 1e-12 * (1 + |value|) of the one-point values.
     """
-    exprs = list(exprs)
-    if not exprs:
-        empty = np.zeros(0)
-        return lambda x: empty.copy()
     index = {n: i for i, n in enumerate(var_names)}
-    body = ", ".join(_code(e, index) for e in exprs)
-    if len(exprs) == 1:
-        body += ","
+    codes = [_code(e, index) for e in exprs]
+    body = "".join(c + ", " for c in codes)
     src = f"def _f(_x):\n    return ({body})"
     namespace = {"_rp": rational_power}
     exec(compile(src, "<nisyn-expr>", "exec"), namespace)
     f = namespace["_f"]
 
     def fn(x):
-        return np.array(f(x), dtype=float)
+        if x.ndim == 1:
+            return np.array(f(x), dtype=float)
+        out = np.empty((len(codes), x.shape[0]))
+        for i in range(0, x.shape[0], 1024):  # blocks keep temporaries small
+            for row, values in zip(out[:, i:i + 1024], f(x[i:i + 1024].T)):
+                row[:] = values  # a constant fills its row
+        return out.T
 
     return fn

@@ -284,7 +284,7 @@ class SamplingResult:
     witness_value: Optional[float] = None
 
 
-def sampled_positive_definite(f: Callable[[np.ndarray], float],
+def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
                               box: Sequence[Sequence[float]],
                               samples: int,
                               seed: int) -> SamplingResult:
@@ -292,7 +292,8 @@ def sampled_positive_definite(f: Callable[[np.ndarray], float],
 
     The box must contain 0 strictly inside.  Besides ``samples`` Halton
     points, 2n axis points at distance 1e-6 from the origin are tested to
-    catch functions that vanish along a coordinate direction.
+    catch functions that vanish along a coordinate direction.  ``f`` is
+    called once and maps the (N, n) stack of all points, origin first, to N values.
     """
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
@@ -302,19 +303,20 @@ def sampled_positive_definite(f: Callable[[np.ndarray], float],
         raise ValueError("box must contain the origin strictly inside")
     n = box.shape[0]
 
-    f0 = float(f(np.zeros(n)))
+    points = np.zeros((1 + 2 * n + int(samples), n))
+    points[1:1 + 2 * n] = 1e-6 * np.vstack([np.eye(n), -np.eye(n)])
+    points[1 + 2 * n:] = (qmc.Halton(d=n, seed=seed).random(int(samples))
+                          * (hi - lo) + lo)  # qmc.scale, minus its copy of the box
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"f gave shape {values.shape}, not one value per point")
+    f0 = float(values[0])
     if not -1e-12 <= f0 <= 1e-12:
         return SamplingResult(False, 1, (0.0,) * n, f0)
-
-    checked = 1
-    axis = 1e-6 * np.vstack([np.eye(n), -np.eye(n)])
-    halton = qmc.Halton(d=n, seed=seed)
-    points = qmc.scale(halton.random(int(samples)), lo, hi)
-    for x in np.vstack([axis, points]):
-        if not np.any(x):
-            continue
-        value = float(f(x))
-        checked += 1
-        if not value > 0.0:
-            return SamplingResult(False, checked, tuple(float(v) for v in x), value)
-    return SamplingResult(True, checked)
+    nonzero = np.any(points, axis=1)  # false at the origin, already checked
+    bad = np.flatnonzero(nonzero & ~(values > 0.0))
+    if bad.size:
+        i = bad[0]
+        return SamplingResult(False, 1 + int(nonzero[:i + 1].sum()),
+                              tuple(float(v) for v in points[i]), float(values[i]))
+    return SamplingResult(True, 1 + int(nonzero.sum()))

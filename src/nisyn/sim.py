@@ -23,9 +23,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .synthesis import ClosedLoopSystem, closed_loop_rhs
+from .synthesis import ClosedLoopSystem, closed_loop_rhs, storage_value
 from .uncertainty import Interconnection, OsniUncertainty, \
-    interconnection_rhs
+    composite_storage, interconnection_rhs
 
 __all__ = [
     "IntegrationError", "DivergenceError", "Trajectory",
@@ -45,8 +45,12 @@ DEFAULT_BLOWUP_NORM = 1e6
 class IntegrationError(Exception):
     def __init__(self, message: str, step: int, last_state: np.ndarray):
         super().__init__(f"{message} (step {step})")
+        self.message = message
         self.step = step
         self.last_state = np.asarray(last_state)
+
+    def __reduce__(self):
+        return type(self), (self.message, self.step, self.last_state)
 
 
 class DivergenceError(IntegrationError):
@@ -163,7 +167,7 @@ def simulate_closed_loop(closed_loop: ClosedLoopSystem,
         input_names=tuple(f"v{i + 1}" for i in range(p)),
         blowup_norm=blowup_norm)
     traj.outputs = traj.states[:, plant.m:plant.m + p]
-    traj.V = np.array([closed_loop._storage_fn(s)[0] for s in traj.states])
+    traj.V = storage_value(traj.states, closed_loop)
     traj.residual = _dissipation_residual(
         traj.t, traj.V, traj.inputs, traj.outputs, closed_loop.epsilon)
     return traj
@@ -186,8 +190,8 @@ def simulate_uncertainty(uncertainty: OsniUncertainty,
         state_names=uncertainty.state_names,
         input_names=uncertainty.input_names,
         blowup_norm=blowup_norm)
-    traj.outputs = np.array([uncertainty.output(s) for s in traj.states])
-    traj.V = np.array([uncertainty.storage(s) for s in traj.states])
+    traj.outputs = uncertainty.output(traj.states)
+    traj.V = uncertainty.storage(traj.states)
     traj.residual = _dissipation_residual(
         traj.t, traj.V, traj.inputs, traj.outputs, uncertainty.epsilon_sigma)
     return traj
@@ -216,11 +220,11 @@ def simulate_interconnection(interconnection: Interconnection,
         input_names=tuple(f"w{i + 1}" for i in range(p)),
         blowup_norm=blowup_norm)
     # the applied input of the loop is the uncertainty output w = h(xs)
-    traj.inputs = np.array([unc.output(s[n:]) for s in traj.states])
+    traj.inputs = unc.output(traj.states[:, n:])
     traj.outputs = traj.states[:, plant.m:plant.m + p]
-    traj.V = np.array([cl._storage_fn(s[:n])[0] for s in traj.states])
-    traj.v_sigma = np.array([unc.storage(s[n:]) for s in traj.states])
-    traj.W = np.array([interconnection._w_fn(s)[0] for s in traj.states])
+    traj.V = storage_value(traj.states[:, :n], cl)
+    traj.v_sigma = unc.storage(traj.states[:, n:])
+    traj.W = composite_storage(traj.states, interconnection)
     dt_ = traj.dt
     wdot = _rate(traj.W, dt_)
     ydot = _rate(traj.outputs, dt_)
@@ -254,13 +258,13 @@ class DissipationReport:
 
 
 def check_dissipation(traj: Trajectory,
-                      V: Callable[[np.ndarray], float],
+                      V: Callable[[np.ndarray], np.ndarray],
                       epsilon: float,
                       tol: float) -> DissipationReport:
     """Evaluate V along the trajectory and test both dissipation residuals.
 
-    V' and y' come from second-order finite differences on the recorded
-    grid, independent of any symbolic gradient used to build the system.
+    V' and y' are second-order finite differences on the recorded grid,
+    independent of any symbolic gradient; V maps the (N, n) state stack to N values.
     """
     if traj.n_samples < 3:
         raise ValueError("trajectory too short for central differences")
@@ -268,7 +272,9 @@ def check_dissipation(traj: Trajectory,
         raise ValueError("trajectory has no recorded outputs")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    v_values = np.array([float(V(s)) for s in traj.states])
+    v_values = np.asarray(V(traj.states), dtype=float)
+    if v_values.shape != (traj.n_samples,):
+        raise ValueError(f"V gave shape {v_values.shape}, not one value per state")
     r_ni = _dissipation_residual(traj.t, v_values, traj.inputs, traj.outputs, 0.0)
     r_osni = _dissipation_residual(traj.t, v_values, traj.inputs, traj.outputs,
                                    epsilon)
@@ -381,26 +387,20 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         raise ValueError("trajectory lacks storage/residual records; "
                          "use the simulate_* helpers before exporting")
     header = ["t", *traj.state_names, *traj.input_names, "V"]
-    extra = []
+    columns = [traj.t, traj.states, traj.inputs, traj.V]
     if traj.W is not None:
         header.append("W")
-        extra.append(traj.W)
+        columns.append(traj.W)
     if traj.v_sigma is not None:
         header.append("Vsigma")
-        extra.append(traj.v_sigma)
+        columns.append(traj.v_sigma)
     header.append("residual")
+    columns.append(traj.residual)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(traj.n_samples):
-            row = [repr(float(traj.t[k]))]
-            row += [repr(float(v)) for v in traj.states[k]]
-            row += [repr(float(v)) for v in traj.inputs[k]]
-            row.append(repr(float(traj.V[k])))
-            for arr in extra:
-                row.append(repr(float(arr[k])))
-            row.append(repr(float(traj.residual[k])))
-            writer.writerow(row)
+        for row in np.column_stack(columns):
+            writer.writerow([repr(v) for v in row.tolist()])
 
 
 # --- input signal catalog -------------------------------------------------------

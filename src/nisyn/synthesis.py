@@ -36,8 +36,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .expr import (
-    Const, Expr, Neg, Pow, Var, add, compile_exprs, differentiate, evaluate,
-    fold_constants, mul, to_string, variables,
+    Const, Expr, Neg, Pow, Product, Sum, Var, add, compile_exprs,
+    differentiate, evaluate, fold_constants, mul, to_string, variables,
 )
 
 __all__ = [
@@ -233,8 +233,28 @@ def _alpha_exprs(plant: NormalFormPlant) -> Tuple[Expr, ...]:
     return tuple(out)
 
 
+def _negative_powers(e: Expr) -> list:
+    """The negative powers in ``e``, outermost first."""
+    if isinstance(e, Pow):
+        return ([e] if e.exponent < 0 else []) + _negative_powers(e.base)
+    if isinstance(e, Neg):
+        return _negative_powers(e.child)
+    if isinstance(e, (Sum, Product)):
+        parts = e.terms if isinstance(e, Sum) else e.factors
+        return [q for part in parts for q in _negative_powers(part)]
+    return []
+
+
+def _vanishes(e: Expr, origin: dict) -> bool:
+    try:
+        return abs(evaluate(e, origin)) <= _ORIGIN_TOL
+    except ZeroDivisionError:
+        return True
+
+
 def synthesize(plant: NormalFormPlant, spec: SynthesisSpec) -> ClosedLoopSystem:
-    """Build the storage function and feedback laws for the plant."""
+    """Build the storage function and feedback laws for the plant.  Laws
+    that are singular at the origin are rejected with SynthesisError."""
     if spec.p_matrix.shape[0] != plant.m:
         raise SynthesisError(
             f"P has order {spec.p_matrix.shape[0]}, expected {plant.m}")
@@ -263,6 +283,14 @@ def synthesize(plant: NormalFormPlant, spec: SynthesisSpec) -> ClosedLoopSystem:
     u2_laws = tuple(
         fold_constants(add(Neg(g), mul(Const(-lam), Var(x3))))
         for g, x3 in zip(grad_xi2, plant.xi3_names))
+    origin = {name: 0.0 for name in plant.state_names}
+    for label, laws in (("u1", u1_laws), ("u2", u2_laws)):
+        for i, law in enumerate(laws):
+            for q in _negative_powers(law):
+                if _vanishes(q.base, origin):
+                    raise SynthesisError(
+                        f"feedback law {label}[{i + 1}] contains {to_string(q)}, "
+                        "which is singular at the origin")
     return ClosedLoopSystem(
         plant=plant,
         spec=spec,
@@ -284,11 +312,13 @@ def alpha(z: np.ndarray, y: np.ndarray, plant: NormalFormPlant) -> np.ndarray:
     return z + sla.lu_solve(plant._a11_lu, plant._p_fn(y))
 
 
-def storage_value(state: np.ndarray, closed_loop: ClosedLoopSystem) -> float:
+def storage_value(state: np.ndarray, closed_loop: ClosedLoopSystem):
+    """V at one state (float) or at a stack of states (N,)."""
     state = np.asarray(state, dtype=float)
-    if state.shape != (closed_loop.plant.n_states,):
+    if state.shape[-1:] != (closed_loop.plant.n_states,):
         raise SynthesisError("storage_value: dimension mismatch")
-    return float(closed_loop._storage_fn(state)[0])
+    v = closed_loop._storage_fn(state)[..., 0]
+    return v if v.ndim else float(v)
 
 
 def closed_loop_rhs(state: np.ndarray, v: np.ndarray,
@@ -337,8 +367,8 @@ class GeneralForm:
 
 def reduce_general_form(gform: GeneralForm, plant: NormalFormPlant,
                         state: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Input transform at ``state`` mapping a desired normal-form input u to
-    the applied input u~ = [l1; l2]^{-1} (u - j)."""
+    """Input transform at ``state``, one (n,) or a stack (N, n), mapping a desired
+    normal-form input u, (p,) or (N, p), to u~ = [l1; l2]^{-1} (u - j)."""
     p = plant.n_outputs
     if len(gform.j1) != plant.p1 or len(gform.j2) != plant.p2:
         raise SynthesisError("general form drift dimensions do not match the plant")
@@ -346,18 +376,19 @@ def reduce_general_form(gform: GeneralForm, plant: NormalFormPlant,
     if len(rows) != p or any(len(r) != p for r in rows):
         raise SynthesisError(f"stacked input gain must be {p}x{p}")
     state = np.asarray(state, dtype=float)
-    binding = dict(zip(plant.state_names, state))
-    l_mat = np.array([[evaluate(e, binding) for e in row] for row in rows])
-    j_vec = np.array([evaluate(e, binding) for e in gform.j1 + gform.j2])
-    cond = np.linalg.cond(l_mat)
-    if not np.isfinite(cond) or cond > 1e10:
+    values = compile_exprs([*gform.j1, *gform.j2, *(e for r in rows for e in r)],
+                           plant.state_names)(state)
+    j_vec, l_mat = values[..., :p], values[..., p:].reshape(state.shape[:-1] + (p, p))
+    cond = np.atleast_1d(np.linalg.cond(l_mat))
+    bad = cond[~(cond <= 1e10)]  # also catches nan and inf
+    if bad.size:
         raise SingularMatrixError(
-            f"input gain is singular or ill-conditioned at this state (cond={cond:.3e})")
+            f"input gain is singular or ill-conditioned at this state (cond={bad[0]:.3e})")
 
     def transform(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        if u.shape != (p,):
+        if u.shape != j_vec.shape:
             raise SynthesisError("input transform: dimension mismatch")
-        return np.linalg.solve(l_mat, u - j_vec)
+        return np.linalg.solve(l_mat, (u - j_vec)[..., None])[..., 0]
 
     return transform

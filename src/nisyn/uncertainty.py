@@ -123,8 +123,10 @@ class OsniUncertainty:
     def output(self, xs: np.ndarray) -> np.ndarray:
         return self._h_fn(xs)
 
-    def storage(self, xs: np.ndarray) -> float:
-        return float(self._v_fn(xs)[0])
+    def storage(self, xs: np.ndarray):
+        """Vs at one state (float) or at a stack of states (N,)."""
+        v = self._v_fn(xs)[..., 0]
+        return v if v.ndim else float(v)
 
 
 @dataclass
@@ -183,9 +185,10 @@ def interconnection_rhs(joint_state: np.ndarray,
 
 
 def composite_storage(joint_state: np.ndarray,
-                      interconnection: Interconnection) -> float:
-    """W = V + Vs - h(xs)^T y, evaluated at the joint state."""
+                      interconnection: Interconnection):
+    """W = V + Vs - h(xs)^T y at a joint state (float) or a stack (N,)."""
     joint_state = np.asarray(joint_state, dtype=float)
-    if joint_state.shape != (interconnection.n_states,):
+    if joint_state.shape[-1:] != (interconnection.n_states,):
         raise UncertaintyError("composite_storage: dimension mismatch")
-    return float(interconnection._w_fn(joint_state)[0])
+    w = interconnection._w_fn(joint_state)[..., 0]
+    return w if w.ndim else float(w)

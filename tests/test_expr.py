@@ -259,3 +259,59 @@ def test_factories():
     assert mul() == Const(Fraction(1))
     assert add(Var("x")) == Var("x")
     assert add(Sum((Var("x"), Var("y"))), Var("z1")) == Sum((Var("x"), Var("y"), Var("z1")))
+
+
+# --- stacks of points -------------------------------------------------------
+
+@given(_exprs(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_compiled_stack_matches_points(e, seed):
+    rng = np.random.default_rng(seed)
+    names = sorted(variables(e) | {"x"})
+    stack = rng.uniform(0.25, 1.75, size=(5, len(names)))
+    fn = compile_exprs([e, Neg(e)], names)
+    try:
+        rows = [fn(point) for point in stack]
+    except (ZeroDivisionError, OverflowError):
+        assume(False)
+    want = np.array(rows)
+    assume(np.isfinite(want).all())
+    got = fn(stack)
+    assert got.shape == (5, 2)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def test_rational_power_on_arrays_matches_scalar():
+    x = np.array([-8.0, -1.5, -0.0, 0.0, 0.3, 27.0])
+    for num, den in ((1, 3), (2, 3), (4, 3), (5, 3), (-1, 3), (-2, 5)):
+        with np.errstate(divide="ignore"):
+            got = rational_power(x, num, den)
+        for xi, gi in zip(x, got):
+            try:
+                want = rational_power(float(xi), num, den)
+            except ZeroDivisionError:
+                assert gi == np.inf
+                continue
+            assert gi == pytest.approx(want, rel=1e-15)
+            assert np.signbit(gi) == np.signbit(want)
+    assert type(rational_power(-8.0, 1, 3)) is float
+    assert not np.signbit(rational_power(np.array([-0.0]), 1, 3)[0])
+
+
+def test_compile_constant_and_empty_stacks():
+    stack = np.ones((7, 2))
+    consts = compile_exprs([parse_expr("3", []), parse_expr("-1/2", [])],
+                           ["x", "y"])
+    assert consts(stack).shape == (7, 2)
+    assert (consts(stack) == np.array([3.0, -0.5])).all()
+    assert compile_exprs([], ["x", "y"])(stack).shape == (7, 0)
+
+
+def test_compile_stack_spanning_several_blocks():
+    stack = np.random.default_rng(8).uniform(-2, 2, size=(2500, 2))
+    fn = compile_exprs([parse_expr("x*y^(1/3) + 1", ["x", "y"]),
+                        parse_expr("2", [])], ["x", "y"])
+    got = fn(stack)
+    assert got.shape == (2500, 2)
+    want = np.array([fn(point) for point in stack])
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))

@@ -156,14 +156,14 @@ def test_certificate_scaling_linearity():
 
 def test_sampled_pd_norm_squared():
     res = sampled_positive_definite(
-        lambda x: float(x @ x), [[-1, 1], [-2, 2]], samples=500, seed=0)
+        lambda x: np.sum(x * x, axis=1), [[-1, 1], [-2, 2]], samples=500, seed=0)
     assert res.passed
     assert res.witness is None
 
 
 def test_sampled_pd_semidefinite_fails_with_witness():
     res = sampled_positive_definite(
-        lambda x: float(x[0] ** 2), [[-1, 1], [-1, 1]], samples=500, seed=0)
+        lambda x: x[:, 0] ** 2, [[-1, 1], [-1, 1]], samples=500, seed=0)
     assert not res.passed
     assert res.witness is not None
     assert res.witness[0] == pytest.approx(0.0, abs=1e-9)
@@ -172,7 +172,7 @@ def test_sampled_pd_semidefinite_fails_with_witness():
 
 def test_sampled_pd_nonzero_at_origin_fails():
     res = sampled_positive_definite(
-        lambda x: float(x @ x) + 1e-6, [[-1, 1]], samples=10, seed=0)
+        lambda x: np.sum(x * x, axis=1) + 1e-6, [[-1, 1]], samples=10, seed=0)
     assert not res.passed
     assert res.witness == (0.0,)
 
@@ -183,7 +183,61 @@ def test_sampled_pd_box_validation():
 
 
 def test_sampled_pd_deterministic():
-    f = lambda x: float(x @ x)
+    f = lambda x: np.sum(x * x, axis=1)
     a = sampled_positive_definite(f, [[-1, 1], [-1, 1]], 100, seed=42)
     b = sampled_positive_definite(f, [[-1, 1], [-1, 1]], 100, seed=42)
     assert a == b
+
+
+def _reference_sampled_pd(f, box, samples, seed):
+    """The per-point loop: origin, then axis points, then Halton points;
+    exact-zero rows are skipped and not counted."""
+    from scipy.stats import qmc
+    box = np.asarray(box, dtype=float)
+    n = box.shape[0]
+    f0 = f(np.zeros((1, n)))[0]
+    if not -1e-12 <= f0 <= 1e-12:
+        return False, 1, (0.0,) * n, f0
+    axis = 1e-6 * np.vstack([np.eye(n), -np.eye(n)])
+    halton = qmc.Halton(d=n, seed=seed)
+    points = qmc.scale(halton.random(samples), box[:, 0], box[:, 1])
+    checked = 1
+    for x in np.vstack([axis, points]):
+        if not np.any(x):
+            continue
+        value = f(x[None, :])[0]
+        checked += 1
+        if not value > 0.0:
+            return False, checked, tuple(float(v) for v in x), float(value)
+    return True, checked, None, None
+
+
+@pytest.mark.parametrize("f, box, passes", [
+    (lambda x: np.sum(x * x, axis=1) + x[:, 0] * x[:, 1], [[-1, 1], [-2, 2]],
+     True),
+    (lambda x: np.sum(x * x, axis=1) - 0.5 * x[:, 1] ** 2 - x[:, 0] ** 4,
+     [[-1.5, 1.5], [-1, 1]], False),
+])
+def test_sampled_pd_matches_point_loop(f, box, passes):
+    res = sampled_positive_definite(f, box, samples=400, seed=3)
+    assert res.passed is passes
+    want = _reference_sampled_pd(f, box, 400, 3)
+    assert (res.passed, res.points_checked, res.witness,
+            res.witness_value) == want
+
+
+def test_sampled_pd_calls_f_once_with_the_stack():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.sum(x * x, axis=1)
+
+    res = sampled_positive_definite(f, [[-1, 1], [-1, 1], [-1, 1]], 50, seed=1)
+    assert calls == [(1 + 2 * 3 + 50, 3)]
+    assert res.points_checked == 1 + 2 * 3 + 50
+
+
+def test_sampled_pd_rejects_a_one_point_function():
+    with pytest.raises(ValueError, match="one value per"):
+        sampled_positive_definite(lambda x: float(np.sum(x)), [[-1, 1]], 10, 0)

@@ -551,3 +551,34 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "EQUIVALENT" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "verify",
+                                     "reproduce-example"])
+def test_main_rejects_law_singular_at_origin(tmp_path, capsys, command):
+    # V2 = xi1^(2/3) gives u1 a term in xi1^(-1/3), unbounded near y = 0
+    data = _fast_scenario()
+    data["spec"]["V2"] = "xi1^(2/3)+xi2^2"
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    assert main([command, "--scenario", path, "--out", str(out)]) == 2
+    assert "u1[1] contains xi1^(-1/3)" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_main_simulate_singular_gain_mid_run_writes_no_applied_inputs(
+        tmp_path, capsys):
+    # cond(diag(1, 1e-9*xi1)) = 1e9/|xi1| is fine at xi1(0) = 1 and passes
+    # 1e10 once xi1 decays below 0.1, about 0.2 s into the run
+    data = _fast_scenario()
+    del data["uncertainty"]
+    del data["regression"]
+    data["general_form"] = {
+        "j1": ["0"], "j2": ["0"],
+        "l1": [["1", "0"]], "l2": [["0", "1/1000000000*xi1"]],
+    }
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
+    assert "ill-conditioned" in capsys.readouterr().err
+    assert not (out / "applied_inputs.csv").exists()

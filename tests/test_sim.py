@@ -322,3 +322,45 @@ def test_zero_run_identically_zero_csv(tmp_path, example_cl):
     for row in body:
         for value in row.split(",")[1:]:
             assert float(value) == 0.0
+
+
+def test_check_dissipation_calls_v_once_with_the_stack(example_cl):
+    traj = simulate_closed_loop(example_cl, X0, 0.5, 1e-2)
+    calls = []
+
+    def V(states):
+        calls.append(states.shape)
+        return storage_value(states, example_cl)
+
+    rep = check_dissipation(traj, V, epsilon=1.0, tol=1e-3)
+    assert calls == [traj.states.shape]
+    with pytest.raises(ValueError, match="one value per"):
+        check_dissipation(traj, lambda s: 0.0, epsilon=1.0, tol=1e-3)
+    again = check_dissipation(traj, lambda s: traj.V, epsilon=1.0, tol=1e-3)
+    assert again == rep
+
+
+def test_recorded_columns_match_one_point_evaluation(example_cl):
+    ic = Interconnection(example_cl, _example_unc())
+    traj = simulate_interconnection(ic, X0, np.array([0.5, -0.5]), 0.2, 1e-2)
+    from nisyn.uncertainty import composite_storage
+    unc = ic.uncertainty
+    for k in (0, 7, traj.n_samples - 1):
+        s = traj.states[k]
+        assert traj.V[k] == pytest.approx(storage_value(s[:4], example_cl),
+                                          rel=1e-12, abs=1e-12)
+        assert traj.v_sigma[k] == pytest.approx(unc.storage(s[4:]), rel=1e-12)
+        assert traj.W[k] == pytest.approx(composite_storage(s, ic),
+                                          rel=1e-12, abs=1e-12)
+        assert traj.inputs[k] == pytest.approx(unc.output(s[4:]), rel=1e-12)
+
+
+@pytest.mark.parametrize("cls", [IntegrationError, DivergenceError])
+def test_integration_errors_survive_pickling(cls):
+    import pickle
+    err = cls("boom", 3, np.array([1.0, -2.0]))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert str(back) == str(err) == "boom (step 3)"
+    assert back.step == 3
+    assert (back.last_state == err.last_state).all()

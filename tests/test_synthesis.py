@@ -342,3 +342,50 @@ def test_reduce_singular_gain_rejected(example_plant):
 def test_storage_expr_uses_plant_variables_only(example_cl):
     assert variables(example_cl.storage_expr) <= set(STATE_NAMES)
     assert "xi3" in to_string(example_cl.storage_expr)
+
+
+def test_storage_value_on_a_stack(example_cl):
+    rng = np.random.default_rng(4)
+    stack = rng.uniform(-2, 2, size=(6, 4))
+    got = storage_value(stack, example_cl)
+    assert got.shape == (6,)
+    for s, v in zip(stack, got):
+        assert v == pytest.approx(storage_value(s, example_cl), rel=1e-12)
+    with pytest.raises(SynthesisError, match="dimension"):
+        storage_value(np.zeros((6, 3)), example_cl)
+
+
+# --- singular laws ----------------------------------------------------------------
+
+def test_synthesize_rejects_law_singular_at_origin(example_plant):
+    v2 = parse_expr("xi1^(2/3)+xi2^2", ["xi1", "xi2"])
+    with pytest.raises(SynthesisError, match=r"u1\[1\].*xi1\^\(-1/3\)"):
+        synthesize(example_plant, SynthesisSpec([[1.0]], v2, lam=1.0))
+
+
+def test_synthesize_accepts_negative_power_of_nonvanishing_base(example_plant):
+    v2 = parse_expr("xi1^2*(1 + xi1^2)^(-1) + xi2^2", ["xi1", "xi2"])
+    cl = synthesize(example_plant, SynthesisSpec([[1.0]], v2, lam=1.0))
+    assert "^-1" in to_string(cl.u1_laws[0])
+    d = closed_loop_rhs(np.zeros(4), np.zeros(2), cl)
+    assert (d == 0.0).all()
+
+
+def test_reduce_general_form_on_a_stack(example_plant):
+    zero = parse_expr("0", [])
+    gform = GeneralForm(
+        j1=(parse_expr("xi2", STATE_NAMES),), j2=(zero,),
+        l1=((parse_expr("xi1^2 + xi1", STATE_NAMES), zero),),
+        l2=((parse_expr("z1", STATE_NAMES), parse_expr("1", []),),),
+    )
+    rng = np.random.default_rng(5)
+    states = rng.uniform(0.1, 1, size=(5, 4))
+    inputs = rng.uniform(-1, 1, size=(5, 2))
+    got = reduce_general_form(gform, example_plant, states)(inputs)
+    assert got.shape == (5, 2)
+    for s, u, g in zip(states, inputs, got):
+        want = reduce_general_form(gform, example_plant, s)(u)
+        assert g == pytest.approx(want, rel=1e-12, abs=1e-15)
+    states[3, 1] = -1.0  # one singular state rejects the whole stack
+    with pytest.raises(SingularMatrixError, match="cond=inf"):
+        reduce_general_form(gform, example_plant, states)

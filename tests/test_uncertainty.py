@@ -130,3 +130,19 @@ def test_composite_storage_nonnegative_with_zero_outputs(example_ic):
         s[0] = rng.uniform(-2, 2)
         s[4:] = rng.uniform(-2, 2, size=2)
         assert composite_storage(s, example_ic) >= 0.0
+
+
+def test_storage_and_output_on_a_stack(example_ic, example_unc):
+    rng = np.random.default_rng(6)
+    joint = rng.uniform(-2, 2, size=(5, 6))
+    w = composite_storage(joint, example_ic)
+    vs = example_unc.storage(joint[:, 4:])
+    h = example_unc.output(joint[:, 4:])
+    assert w.shape == vs.shape == (5,)
+    assert h.shape == (5, 2)
+    for s, wk, vk, hk in zip(joint, w, vs, h):
+        assert wk == pytest.approx(composite_storage(s, example_ic), rel=1e-12)
+        assert vk == pytest.approx(example_unc.storage(s[4:]), rel=1e-12)
+        assert hk == pytest.approx(example_unc.output(s[4:]))
+    with pytest.raises(UncertaintyError, match="dimension"):
+        composite_storage(joint[:, :5], example_ic)
