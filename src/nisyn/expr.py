@@ -39,7 +39,7 @@ __all__ = [
     "Expr", "Var", "Const", "Neg", "Sum", "Product", "Pow",
     "ExprError", "ParseError", "EvalError",
     "parse_expr", "evaluate", "differentiate", "fold_constants",
-    "to_string", "normalize", "variables", "compile_exprs",
+    "to_string", "normalize", "variables", "substitute", "compile_exprs",
     "rational_power", "add", "mul", "const",
 ]
 
@@ -166,6 +166,24 @@ def variables(e: Expr) -> frozenset:
         return frozenset().union(*(variables(f) for f in e.factors))
     if isinstance(e, Pow):
         return variables(e.base)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
+    """Replace each variable named in ``mapping`` by its expression.  The
+    tree is otherwise kept node for node, so it evaluates in the same order."""
+    if isinstance(e, Var):
+        return mapping.get(e.name, e)
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Neg):
+        return Neg(substitute(e.child, mapping))
+    if isinstance(e, Sum):
+        return Sum(tuple(substitute(t, mapping) for t in e.terms))
+    if isinstance(e, Product):
+        return Product(tuple(substitute(f, mapping) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(substitute(e.base, mapping), e.exponent)
     raise TypeError(f"not an expression node: {e!r}")
 
 

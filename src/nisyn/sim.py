@@ -164,7 +164,7 @@ def simulate_closed_loop(closed_loop: ClosedLoopSystem,
         lambda x, u: closed_loop_rhs(x, u, closed_loop),
         x0, t_end, dt, input_fn=signal,
         state_names=plant.state_names,
-        input_names=tuple(f"v{i + 1}" for i in range(p)),
+        input_names=closed_loop.v_names,
         blowup_norm=blowup_norm)
     traj.outputs = traj.states[:, plant.m:plant.m + p]
     traj.V = storage_value(traj.states, closed_loop)

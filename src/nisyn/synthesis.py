@@ -188,9 +188,10 @@ class SynthesisSpec:
 class ClosedLoopSystem:
     """Synthesized loop: storage expression, gradients and feedback laws.
 
-    ``u1_laws``/``u2_laws`` are the feedback parts only; the new input v
-    (or the uncertainty output w) is added at simulation time.  Immutable
-    after synthesis; right-hand-side evaluation is reentrant.
+    ``u1_laws``/``u2_laws`` are the feedback parts only; ``rhs_exprs`` adds
+    the new input v, for which an interconnection substitutes the
+    uncertainty output w.  Immutable after synthesis; right-hand-side
+    evaluation is reentrant.
     """
     plant: NormalFormPlant
     spec: SynthesisSpec
@@ -206,12 +207,28 @@ class ClosedLoopSystem:
         return compile_exprs([self.storage_expr], self.plant.state_names)
 
     @cached_property
-    def _u1_fn(self):
-        return compile_exprs(self.u1_laws, self.plant.state_names)
+    def v_names(self) -> Tuple[str, ...]:
+        return tuple(f"v{i + 1}" for i in range(self.plant.n_outputs))
 
     @cached_property
-    def _u2_fn(self):
-        return compile_exprs(self.u2_laws, self.plant.state_names)
+    def rhs_exprs(self) -> Tuple[Expr, ...]:
+        """The loop's vector field over ``state_names + v_names``.  The rows
+        are built as Sums directly, so they evaluate term for term like
+        ``A11 z + p(y)`` and ``v + law``; zero A11 entries are kept."""
+        plant = self.plant
+        v = [Var(n) for n in self.v_names]
+        dz = tuple(
+            Sum((add(*(mul(Const(Fraction(c)), Var(z))
+                       for c, z in zip(row, plant.z_names))), p_i))
+            for row, p_i in zip(plant.a11, plant.p))
+        dxi1 = tuple(Sum((vi, law)) for vi, law in zip(v, self.u1_laws))
+        dxi2 = tuple(Var(n) for n in plant.xi3_names)
+        dxi3 = tuple(Sum((vi, law)) for vi, law in zip(v[plant.p1:], self.u2_laws))
+        return dz + dxi1 + dxi2 + dxi3
+
+    @cached_property
+    def _rhs_fn(self):
+        return compile_exprs(self.rhs_exprs, self.plant.state_names + self.v_names)
 
     def law_strings(self) -> dict:
         return {
@@ -325,20 +342,13 @@ def closed_loop_rhs(state: np.ndarray, v: np.ndarray,
                     closed_loop: ClosedLoopSystem) -> np.ndarray:
     """Vector field of the synthesized loop driven by the new input v."""
     plant = closed_loop.plant
-    m, p1, p2 = plant.m, plant.p1, plant.p2
     state = np.asarray(state, dtype=float)
     v = np.asarray(v, dtype=float)
     if state.shape != (plant.n_states,):
         raise SynthesisError("closed_loop_rhs: state dimension mismatch")
     if v.shape != (plant.n_outputs,):
         raise SynthesisError("closed_loop_rhs: input dimension mismatch")
-    z = state[:m]
-    y = state[m:m + p1 + p2]
-    xi3 = state[m + p1 + p2:]
-    dz = plant.a11 @ z + plant._p_fn(y)
-    dxi1 = v[:p1] + closed_loop._u1_fn(state)
-    dxi3 = v[p1:] + closed_loop._u2_fn(state)
-    return np.concatenate([dz, dxi1, xi3, dxi3])
+    return closed_loop._rhs_fn(np.concatenate([state, v]))
 
 
 # --- general normal form ----------------------------------------------------
@@ -378,6 +388,12 @@ def reduce_general_form(gform: GeneralForm, plant: NormalFormPlant,
     state = np.asarray(state, dtype=float)
     values = compile_exprs([*gform.j1, *gform.j2, *(e for r in rows for e in r)],
                            plant.state_names)(state)
+    finite = np.atleast_1d(np.isfinite(values).all(axis=-1))
+    if not finite.all():
+        at = np.atleast_2d(state)[np.argmin(finite)]
+        raise SingularMatrixError(
+            "input gain or drift is not finite at state "
+            + ", ".join(f"{n}={x:.6g}" for n, x in zip(plant.state_names, at)))
     j_vec, l_mat = values[..., :p], values[..., p:].reshape(state.shape[:-1] + (p, p))
     cond = np.atleast_1d(np.linalg.cond(l_mat))
     bad = cond[~(cond <= 1e10)]  # also catches nan and inf

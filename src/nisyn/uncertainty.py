@@ -27,9 +27,9 @@ import numpy as np
 
 from .expr import (
     Const, Expr, Var, add, compile_exprs, evaluate, fold_constants, mul,
-    variables,
+    substitute, variables,
 )
-from .synthesis import ClosedLoopSystem, closed_loop_rhs
+from .synthesis import ClosedLoopSystem
 
 __all__ = [
     "UncertaintyError", "OsniUncertainty", "Interconnection",
@@ -163,25 +163,29 @@ class Interconnection:
     def _w_fn(self):
         return compile_exprs([self.w_expr], self.joint_names)
 
+    @cached_property
+    def rhs_exprs(self) -> Tuple[Expr, ...]:
+        """Joint vector field over ``joint_names``: the loop's rows with
+        v := h(xs), then f_sigma with us := y."""
+        cl, unc = self.closed_loop, self.uncertainty
+        w = dict(zip(cl.v_names, unc.h_sigma))
+        us = {u: Var(y) for u, y in zip(unc.input_names, cl.plant.y_names)}
+        return (tuple(substitute(e, w) for e in cl.rhs_exprs)
+                + tuple(substitute(f, us) for f in unc.f_sigma))
+
+    @cached_property
+    def _rhs_fn(self):
+        return compile_exprs(self.rhs_exprs, self.joint_names)
+
 
 def interconnection_rhs(joint_state: np.ndarray,
                         interconnection: Interconnection) -> np.ndarray:
     """Joint vector field: the loop driven by w = h(xs), the uncertainty by
     us = y."""
-    cl = interconnection.closed_loop
-    unc = interconnection.uncertainty
-    plant = cl.plant
-    n = plant.n_states
     joint_state = np.asarray(joint_state, dtype=float)
     if joint_state.shape != (interconnection.n_states,):
         raise UncertaintyError("interconnection_rhs: dimension mismatch")
-    x = joint_state[:n]
-    xs = joint_state[n:]
-    w = unc.output(xs)
-    dx = closed_loop_rhs(x, w, cl)
-    y = x[plant.m:plant.m + plant.n_outputs]
-    dxs = unc.rhs(xs, y)
-    return np.concatenate([dx, dxs])
+    return interconnection._rhs_fn(joint_state)
 
 
 def composite_storage(joint_state: np.ndarray,

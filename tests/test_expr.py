@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from nisyn.expr import (
     Const, EvalError, Expr, Neg, ParseError, Pow, Product, Sum, Var,
     add, compile_exprs, differentiate, evaluate, fold_constants, mul,
-    normalize, parse_expr, rational_power, to_string, variables,
+    normalize, parse_expr, rational_power, substitute, to_string, variables,
 )
 
 
@@ -279,6 +279,30 @@ def test_compiled_stack_matches_points(e, seed):
     got = fn(stack)
     assert got.shape == (5, 2)
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@given(_exprs(), _names, _exprs(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_substitute_evaluates_like_the_bound_value(e, name, g, seed):
+    rng = np.random.default_rng(seed)
+    names = sorted(variables(e) | variables(g) | {name})
+    binding = dict(zip(names, rng.uniform(0.25, 1.75, size=len(names))))
+    try:
+        inner = evaluate(g, binding)
+        want = evaluate(e, binding | {name: inner})
+    except (ZeroDivisionError, OverflowError):
+        assume(False)
+    got = evaluate(substitute(e, {name: g}), binding)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_substitute_keeps_the_tree():
+    e = parse_expr("x + y*x^(1/3) - 2", ["x", "y"])
+    assert substitute(e, {}) == e
+    assert substitute(e, {"z1": Var("x")}) == e
+    got = substitute(e, {"x": Sum((Var("y"), Const(1)))})
+    assert got.terms[0] == Sum((Var("y"), Const(1)))  # not flattened
+    assert variables(got) == {"y"}
 
 
 def test_rational_power_on_arrays_matches_scalar():

@@ -545,10 +545,14 @@ def test_main_reproduce_tampered_scenario_fails(tmp_path):
 
 def test_console_script_entry_point(tmp_path):
     scn = _write(tmp_path, _fast_scenario())
+    # the subprocess finds the nisyn under test whether or not it is installed
+    src = os.path.dirname(os.path.dirname(nisyn.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-m", "nisyn.cli", "analyze", "--scenario", scn,
          "--out", str(tmp_path / "cs")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "EQUIVALENT" in proc.stdout
 
@@ -581,4 +585,22 @@ def test_main_simulate_singular_gain_mid_run_writes_no_applied_inputs(
     out = tmp_path / "o"
     assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
     assert "ill-conditioned" in capsys.readouterr().err
+    assert not (out / "applied_inputs.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_main_simulate_non_finite_gain_exits_2(tmp_path, capsys):
+    # 1 + xi1^(-1) - xi1^(-1) is nan at xi1(0) = 0, where SVD cannot converge
+    data = _fast_scenario()
+    del data["uncertainty"]
+    del data["regression"]
+    data["simulation"]["x0"] = [3.0, 0.0, -1.0, 2.0]
+    data["general_form"] = {
+        "j1": ["0"], "j2": ["0"],
+        "l1": [["1 + xi1^(-1) - xi1^(-1)", "0"]], "l2": [["0", "1"]],
+    }
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
+    assert "not finite at state z1=3, xi1=0" in capsys.readouterr().err
     assert not (out / "applied_inputs.csv").exists()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nisyn.expr import (
-    Const, Neg, Product, Var, evaluate, parse_expr, to_string, variables,
+    Const, Neg, Product, Var, compile_exprs, evaluate, parse_expr, to_string,
+    variables,
 )
 from nisyn.synthesis import (
     GeneralForm, NormalFormPlant, SingularMatrixError, SynthesisError,
@@ -196,13 +197,12 @@ def test_rhs_matches_termwise_oracle(example_cl):
 
 def test_rhs_feedback_cancellation(example_cl):
     # choosing v to cancel the synthesized feedback recovers the open loop
+    laws = compile_exprs(example_cl.u1_laws + example_cl.u2_laws, STATE_NAMES)
     rng = np.random.default_rng(6)
     for _ in range(20):
         s = rng.uniform(-1.5, 1.5, size=4)
         u = rng.uniform(-1, 1, size=2)
-        law1 = example_cl._u1_fn(s)
-        law2 = example_cl._u2_fn(s)
-        v = u - np.concatenate([law1, law2])
+        v = u - laws(s)
         assert closed_loop_rhs(s, v, example_cl) == pytest.approx(_open_loop_rhs(s, u))
 
 
@@ -277,6 +277,60 @@ def test_random_plants_gradient_property():
                     assert abs(gv - fd) <= 1e-4 * (1.0 + abs(gv))
             assert np.all(closed_loop_rhs(np.zeros(plant.n_states),
                                           np.zeros(plant.n_outputs), cl) == 0.0)
+
+
+def termwise_rhs(cl, state, v):
+    """The loop's field from evaluate(), in the compiled term order:
+    ((a_i1 z_1 + a_i2 z_2) + ...) + p_i(y), v + u1, xi3, v + u2."""
+    plant = cl.plant
+    b = dict(zip(plant.state_names, state))
+    z = state[:plant.m]
+    dz = []
+    for row, p_i in zip(plant.a11, plant.p):
+        acc = float(row[0]) * z[0]
+        for a, zj in zip(row[1:], z[1:]):
+            acc = acc + float(a) * zj
+        dz.append(acc + evaluate(p_i, b))
+    dxi1 = [vi + evaluate(law, b) for vi, law in zip(v, cl.u1_laws)]
+    dxi2 = [b[n] for n in plant.xi3_names]
+    dxi3 = [vi + evaluate(law, b) for vi, law in zip(v[plant.p1:], cl.u2_laws)]
+    return np.array(dz + dxi1 + dxi2 + dxi3)
+
+
+def test_rhs_bit_exact_with_termwise_reference(example_cl):
+    rng = np.random.default_rng(31)
+    loops = [example_cl] + [synthesize(*random_plant_and_spec(rng)) for _ in range(30)]
+    shapes = set()
+    for cl in loops:
+        plant = cl.plant
+        shapes.add((plant.m, plant.p1, plant.p2))
+        for _ in range(5):
+            s = rng.uniform(-2, 2, size=plant.n_states)
+            v = rng.uniform(-1, 1, size=plant.n_outputs)
+            assert np.array_equal(closed_loop_rhs(s, v, cl), termwise_rhs(cl, s, v))
+    assert {m for m, _, _ in shapes} == {1, 2}
+    assert any(p1 == 0 for _, p1, _ in shapes) and any(p2 == 0 for _, _, p2 in shapes)
+
+
+def test_rhs_keeps_zero_a11_entries():
+    plant = NormalFormPlant(a11=[[-1.0, 0.0], [0.5, -2.0]],
+                            p=(parse_expr("xi1^3", ["xi1"]), parse_expr("0", [])),
+                            p1=1, p2=0)
+    cl = synthesize(plant, SynthesisSpec(np.eye(2), default_v2(plant), lam=1.0))
+    # -1*0.0 + 0*1.0 is +0.0, as in A11 @ z; without the zero term z1' = -0.0
+    s = np.array([0.0, 1.0, -0.0])
+    d = closed_loop_rhs(s, np.zeros(1), cl)
+    assert np.array_equal(d, termwise_rhs(cl, s, np.zeros(1)))
+    assert not np.signbit(d[0])
+
+
+def test_rhs_rejects_misshaped_arguments(example_cl):
+    with pytest.raises(SynthesisError, match="state dimension"):
+        closed_loop_rhs(np.zeros(3), np.zeros(2), example_cl)
+    with pytest.raises(SynthesisError, match="state dimension"):
+        closed_loop_rhs(np.zeros((2, 4)), np.zeros(2), example_cl)
+    with pytest.raises(SynthesisError, match="input dimension"):
+        closed_loop_rhs(np.zeros(4), np.zeros(3), example_cl)
 
 
 def test_empty_xi1_block():
@@ -389,3 +443,22 @@ def test_reduce_general_form_on_a_stack(example_plant):
     states[3, 1] = -1.0  # one singular state rejects the whole stack
     with pytest.raises(SingularMatrixError, match="cond=inf"):
         reduce_general_form(gform, example_plant, states)
+
+
+def test_reduce_general_form_rejects_non_finite_gain(example_plant):
+    # 1 + xi1^(-1) - xi1^(-1) is 1 away from xi1 = 0 and inf - inf = nan at it
+    zero = parse_expr("0", [])
+    gform = GeneralForm(
+        j1=(zero,), j2=(zero,),
+        l1=((parse_expr("1 + xi1^(-1) - xi1^(-1)", STATE_NAMES), zero),),
+        l2=((zero, parse_expr("1", [])),),
+    )
+    good = np.array([0.0, 0.5, 1.0, 0.0])
+    bad = np.array([0.0, 0.0, 1.0, 0.0])
+    assert reduce_general_form(gform, example_plant, good)(np.ones(2)) == \
+        pytest.approx(np.ones(2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for state in (bad, np.array([good, good, bad, bad])):
+            with pytest.raises(SingularMatrixError,
+                               match="not finite at state z1=0, xi1=0, xi2=1, xi3=0"):
+                reduce_general_form(gform, example_plant, state)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from nisyn.expr import parse_expr
-from nisyn.synthesis import closed_loop_rhs
+from nisyn.expr import evaluate, parse_expr
+from nisyn.synthesis import closed_loop_rhs, synthesize
 from nisyn.uncertainty import (
     Interconnection, OsniUncertainty, UncertaintyError, composite_storage,
     interconnection_rhs,
 )
+from test_synthesis import random_plant_and_spec, termwise_rhs
 
 XS = ("xs1", "xs2")
 US = ("us1", "us2")
@@ -86,6 +87,48 @@ def test_rhs_wiring(example_ic, example_cl):
         # uncertainty sees us = y = (xi1, xi2)
         assert d[4] == pytest.approx(-xs[0] ** 3 + x[1])
         assert d[5] == pytest.approx(-xs[1] + x[2])
+
+
+def termwise_interconnection_rhs(ic, joint):
+    """The joint field from evaluate(): the loop's termwise field under
+    w = h(xs), then f_sigma under us = y."""
+    plant, unc = ic.closed_loop.plant, ic.uncertainty
+    x, xs = joint[:plant.n_states], joint[plant.n_states:]
+    b = dict(zip(unc.state_names, xs))
+    w = np.array([evaluate(h, b) for h in unc.h_sigma])
+    b.update(zip(unc.input_names, x[plant.m:plant.m + plant.n_outputs]))
+    return np.concatenate([termwise_rhs(ic.closed_loop, x, w),
+                           [evaluate(f, b) for f in unc.f_sigma]])
+
+
+def test_rhs_bit_exact_with_termwise_reference(example_ic):
+    # the example, then generated loops with a nonlinear h and a coupled f
+    rng = np.random.default_rng(8)
+    ics = [example_ic]
+    for _ in range(10):
+        cl = synthesize(*random_plant_and_spec(rng))
+        p = cl.plant.n_outputs
+        xs = tuple(f"xs{i + 1}" for i in range(p))
+        us = tuple(f"us{i + 1}" for i in range(p))
+        ics.append(Interconnection(closed_loop=cl, uncertainty=OsniUncertainty(
+            n_sigma=p,
+            f_sigma=tuple(parse_expr(f"-{x}^3 - 1/2*{x} + {u}*{xs[0]}^2 + {u}",
+                                     xs + us) for x, u in zip(xs, us)),
+            h_sigma=tuple(parse_expr(f"{x} + {x}^(5/3)", xs) for x in xs),
+            v_sigma=parse_expr(" + ".join(f"{x}^2" for x in xs), xs),
+            epsilon_sigma=1.0,
+        )))
+    for ic in ics:
+        for _ in range(5):
+            s = rng.uniform(-1.5, 1.5, size=ic.n_states)
+            assert np.array_equal(interconnection_rhs(s, ic),
+                                  termwise_interconnection_rhs(ic, s))
+
+
+def test_rhs_rejects_misshaped_state(example_ic):
+    for bad in (np.zeros(5), np.zeros(7), np.zeros((2, 6))):
+        with pytest.raises(UncertaintyError, match="dimension"):
+            interconnection_rhs(bad, example_ic)
 
 
 def test_zero_output_uncertainty_decouples(example_cl):
