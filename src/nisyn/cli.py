@@ -31,7 +31,8 @@ from .scenario import (
 from .sim import (
     IntegrationError, check_dissipation, check_w_decrease,
     convergence_metrics, signal_from_spec, simulate_closed_loop,
-    simulate_interconnection, simulate_uncertainty, write_trajectory_csv,
+    simulate_interconnection, simulate_uncertainty, write_columns_csv,
+    write_trajectory_csv,
 )
 from .synthesis import (
     SynthesisError, reduce_general_form, storage_value, synthesize,
@@ -212,11 +213,11 @@ def run_analyze(scn: Scenario | Pipeline) -> dict:
 
 # --- synthesize -----------------------------------------------------------------
 
-def _check_law_regression(closed_loop, regression: dict, seed: int) -> dict:
+def _check_law_regression(closed_loop, regression, seed: int) -> dict:
     plant = closed_loop.plant
     names = plant.state_names
-    expected_u1 = [parse_expr(t, names) for t in regression.get("u1", [])]
-    expected_u2 = [parse_expr(t, names) for t in regression.get("u2", [])]
+    expected_u1 = [parse_expr(t, names) for t in regression.u1]
+    expected_u2 = [parse_expr(t, names) for t in regression.u2]
     if len(expected_u1) != plant.p1 or len(expected_u2) != plant.p2:
         raise ScenarioError("regression block dimensions do not match the plant")
     states = np.random.default_rng(seed).uniform(-2.0, 2.0, (100, plant.n_states))
@@ -300,18 +301,14 @@ def run_simulate(scn: Scenario | Pipeline, out_dir: Path) -> dict:
 def _write_applied_inputs(gform, plant, closed_loop, traj, out_dir: Path) -> Path:
     """Map the total normal-form input along the trajectory through the
     general-form transform and export the inputs to apply upstream."""
-    import csv as _csv
     # the xi1' and xi3' rows of the loop's field are v + law
     rates = closed_loop._rhs_fn(np.column_stack([traj.states, traj.inputs]))
     total = rates[:, np.r_[plant.m:plant.m + plant.p1,
                            plant.n_states - plant.p2:plant.n_states]]
     applied = reduce_general_form(gform, plant, traj.states)(total)
     path = out_dir / "applied_inputs.csv"
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["t"] + [f"ut{i + 1}" for i in range(plant.n_outputs)])
-        for row in np.column_stack([traj.t, applied]):
-            writer.writerow([repr(v) for v in row.tolist()])
+    write_columns_csv(path, ["t"] + [f"ut{i + 1}" for i in range(plant.n_outputs)],
+                      [traj.t, applied])
     return path
 
 

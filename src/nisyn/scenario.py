@@ -1,28 +1,35 @@
 """Scenario files: the declarative interface to the toolkit.
 
 A scenario is a JSON document with named blocks; expressions are strings in
-the repository grammar.  Schema (fields marked * are optional):
+the repository grammar.  The block dataclasses below are the schema: a field
+is read from the key of its name (or ``metadata["key"]``), takes its default
+when the key is absent, and is coerced by its annotation (a ``list`` or
+``dict`` field must be a JSON array or object).  Keys (fields marked * are
+optional):
 
+    name*
     plant:        m, p1, p2, A11 (nested row-major array), p (expressions)
-    spec:         P ("auto" or array), V2 ("default" or expression),
+    spec*:        P* ("auto" or array), V2* ("default" or expression),
                   lambda*, target* ("NI" | "OSNI")
     general_form*: j1, j2, l1, l2 (expression vectors / matrices)
-    uncertainty*: n_sigma, f_sigma, h_sigma, V_sigma, epsilon_sigma, x_sigma0
+    uncertainty*: n_sigma, f_sigma, h_sigma, V_sigma, epsilon_sigma,
+                  x_sigma0* (zeros)
     simulation:   x0, dt*, t_end*, input*, seed*
     verification*: dissipation_tol*, w_decrease_tol*, sampling_box*,
                   samples*, pd_seed*, convergence_threshold*,
-                  nominal_convergence_threshold*, settle_window*,
-                  input_signals*
-    regression*:  u1, u2 (expected law expressions, checked by evaluation)
+                  nominal_convergence_threshold* (none: no nominal check),
+                  settle_window*, input_signals*
+    regression*:  u1*, u2* (expected law expressions, checked by evaluation)
 
-Loading then saving then loading yields an identical in-memory scenario.
+A block that is not a JSON object is an error; ``general_form``,
+``uncertainty`` and ``regression`` may also be null, which means absent.
+Saving writes every field that is not None, and loading then saving then
+loading yields an identical in-memory scenario.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Optional, Union, get_args, get_origin
 
 import numpy as np
 
@@ -36,7 +43,7 @@ from .uncertainty import OsniUncertainty
 __all__ = [
     "ScenarioError", "Scenario", "PlantBlock", "SpecBlock",
     "GeneralFormBlock", "UncertaintyBlock", "SimulationBlock",
-    "VerificationBlock",
+    "VerificationBlock", "RegressionBlock",
     "load_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
     "build_plant", "resolve_synthesis_spec", "build_uncertainty",
     "build_general_form", "sampling_box", "default_input_catalog",
@@ -52,15 +59,15 @@ class PlantBlock:
     m: int
     p1: int
     p2: int
-    a11: list
+    a11: list = field(metadata={"key": "A11"})
     p: list
 
 
 @dataclass
 class SpecBlock:
-    p_matrix: object = "auto"
-    v2: str = "default"
-    lam: Optional[float] = None
+    p_matrix: object = field(default="auto", metadata={"key": "P"})
+    v2: str = field(default="default", metadata={"key": "V2"})
+    lam: Optional[float] = field(default=None, metadata={"key": "lambda"})
     target: str = "OSNI"
 
 
@@ -77,9 +84,13 @@ class UncertaintyBlock:
     n_sigma: int
     f_sigma: list
     h_sigma: list
-    v_sigma: str
+    v_sigma: str = field(metadata={"key": "V_sigma"})
     epsilon_sigma: float
-    x_sigma0: list
+    x_sigma0: Optional[list] = None
+
+    def __post_init__(self):
+        if self.x_sigma0 is None:
+            self.x_sigma0 = [0.0] * self.n_sigma
 
 
 @dataclass
@@ -99,159 +110,74 @@ class VerificationBlock:
     samples: int = 20000
     pd_seed: int = 0
     convergence_threshold: float = 0.08
-    nominal_convergence_threshold: Optional[float] = 0.05
+    nominal_convergence_threshold: Optional[float] = None
     settle_window: float = 1.0
     input_signals: Optional[list] = None
 
 
 @dataclass
+class RegressionBlock:
+    u1: list = field(default_factory=list)
+    u2: list = field(default_factory=list)
+
+
+@dataclass
 class Scenario:
     plant: PlantBlock
-    spec: SpecBlock
     simulation: SimulationBlock
+    spec: SpecBlock = field(default_factory=SpecBlock)
     verification: VerificationBlock = field(default_factory=VerificationBlock)
     general_form: Optional[GeneralFormBlock] = None
     uncertainty: Optional[UncertaintyBlock] = None
-    regression: Optional[dict] = None
+    regression: Optional[RegressionBlock] = None
     name: str = ""
 
 
-def _require(mapping: dict, key: str, block: str):
-    if key not in mapping:
-        raise ScenarioError(f"{block} block is missing required field {key!r}")
-    return mapping[key]
+def _key(f) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def _coerce(tp, value, key: str):
+    """A JSON value as the annotated type; Optional keeps null as None."""
+    if get_origin(tp) is Union:
+        return None if value is None else _coerce(get_args(tp)[0], value, key)
+    if is_dataclass(tp):
+        return _block_from_dict(tp, value, key)
+    if tp in (list, dict) and not isinstance(value, tp):
+        kind = "array" if tp is list else "object"
+        raise ScenarioError(f"field {key!r} must be a JSON {kind}")
+    return value if tp is object else tp(value)
+
+
+def _block_from_dict(cls, raw, block: str):
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{block} block must be a JSON object")
+    values = {}
+    for f in fields(cls):
+        key = _key(f)
+        if key in raw:
+            values[f.name] = _coerce(f.type, raw[key], key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ScenarioError(f"{block} block is missing required field {key!r}")
+    return cls(**values)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
     try:
-        plant_raw = _require(data, "plant", "scenario")
-        plant = PlantBlock(
-            m=int(_require(plant_raw, "m", "plant")),
-            p1=int(_require(plant_raw, "p1", "plant")),
-            p2=int(_require(plant_raw, "p2", "plant")),
-            a11=_require(plant_raw, "A11", "plant"),
-            p=list(_require(plant_raw, "p", "plant")),
-        )
-        spec_raw = data.get("spec", {})
-        spec = SpecBlock(
-            p_matrix=spec_raw.get("P", "auto"),
-            v2=spec_raw.get("V2", "default"),
-            lam=spec_raw.get("lambda"),
-            target=spec_raw.get("target", "OSNI"),
-        )
-        sim_raw = _require(data, "simulation", "scenario")
-        simulation = SimulationBlock(
-            x0=list(_require(sim_raw, "x0", "simulation")),
-            dt=float(sim_raw.get("dt", 1e-3)),
-            t_end=float(sim_raw.get("t_end", 10.0)),
-            input=dict(sim_raw.get("input", {"kind": "zero"})),
-            seed=int(sim_raw.get("seed", 0)),
-        )
-        ver_raw = data.get("verification", {})
-        verification = VerificationBlock(
-            dissipation_tol=float(ver_raw.get("dissipation_tol", 1e-3)),
-            w_decrease_tol=(None if ver_raw.get("w_decrease_tol") is None
-                            else float(ver_raw["w_decrease_tol"])),
-            sampling_box=ver_raw.get("sampling_box"),
-            samples=int(ver_raw.get("samples", 20000)),
-            pd_seed=int(ver_raw.get("pd_seed", 0)),
-            convergence_threshold=float(ver_raw.get("convergence_threshold", 0.08)),
-            nominal_convergence_threshold=(
-                None if ver_raw.get("nominal_convergence_threshold") is None
-                else float(ver_raw["nominal_convergence_threshold"])),
-            settle_window=float(ver_raw.get("settle_window", 1.0)),
-            input_signals=ver_raw.get("input_signals"),
-        )
-        gform = None
-        if "general_form" in data and data["general_form"] is not None:
-            g = data["general_form"]
-            gform = GeneralFormBlock(
-                j1=list(_require(g, "j1", "general_form")),
-                j2=list(_require(g, "j2", "general_form")),
-                l1=list(_require(g, "l1", "general_form")),
-                l2=list(_require(g, "l2", "general_form")),
-            )
-        unc = None
-        if "uncertainty" in data and data["uncertainty"] is not None:
-            u = data["uncertainty"]
-            unc = UncertaintyBlock(
-                n_sigma=int(_require(u, "n_sigma", "uncertainty")),
-                f_sigma=list(_require(u, "f_sigma", "uncertainty")),
-                h_sigma=list(_require(u, "h_sigma", "uncertainty")),
-                v_sigma=_require(u, "V_sigma", "uncertainty"),
-                epsilon_sigma=float(_require(u, "epsilon_sigma", "uncertainty")),
-                x_sigma0=list(u.get("x_sigma0", [0.0] * int(u["n_sigma"]))),
-            )
-        regression = data.get("regression")
-        return Scenario(
-            plant=plant,
-            spec=spec,
-            simulation=simulation,
-            verification=verification,
-            general_form=gform,
-            uncertainty=unc,
-            regression=regression,
-            name=str(data.get("name", "")),
-        )
+        return _block_from_dict(Scenario, data, "scenario")
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"malformed scenario: {err}") from err
 
 
-def scenario_to_dict(scn: Scenario) -> dict:
-    data = {
-        "name": scn.name,
-        "plant": {
-            "m": scn.plant.m, "p1": scn.plant.p1, "p2": scn.plant.p2,
-            "A11": scn.plant.a11, "p": scn.plant.p,
-        },
-        "spec": {
-            "P": scn.spec.p_matrix, "V2": scn.spec.v2,
-            "target": scn.spec.target,
-        },
-        "simulation": {
-            "x0": scn.simulation.x0, "dt": scn.simulation.dt,
-            "t_end": scn.simulation.t_end, "input": scn.simulation.input,
-            "seed": scn.simulation.seed,
-        },
-        "verification": {
-            "dissipation_tol": scn.verification.dissipation_tol,
-            "samples": scn.verification.samples,
-            "pd_seed": scn.verification.pd_seed,
-            "convergence_threshold": scn.verification.convergence_threshold,
-            "settle_window": scn.verification.settle_window,
-        },
-    }
-    if scn.spec.lam is not None:
-        data["spec"]["lambda"] = scn.spec.lam
-    ver = data["verification"]
-    if scn.verification.w_decrease_tol is not None:
-        ver["w_decrease_tol"] = scn.verification.w_decrease_tol
-    if scn.verification.sampling_box is not None:
-        ver["sampling_box"] = scn.verification.sampling_box
-    if scn.verification.nominal_convergence_threshold is not None:
-        ver["nominal_convergence_threshold"] = \
-            scn.verification.nominal_convergence_threshold
-    if scn.verification.input_signals is not None:
-        ver["input_signals"] = scn.verification.input_signals
-    if scn.general_form is not None:
-        data["general_form"] = {
-            "j1": scn.general_form.j1, "j2": scn.general_form.j2,
-            "l1": scn.general_form.l1, "l2": scn.general_form.l2,
-        }
-    if scn.uncertainty is not None:
-        data["uncertainty"] = {
-            "n_sigma": scn.uncertainty.n_sigma,
-            "f_sigma": scn.uncertainty.f_sigma,
-            "h_sigma": scn.uncertainty.h_sigma,
-            "V_sigma": scn.uncertainty.v_sigma,
-            "epsilon_sigma": scn.uncertainty.epsilon_sigma,
-            "x_sigma0": scn.uncertainty.x_sigma0,
-        }
-    if scn.regression is not None:
-        data["regression"] = scn.regression
-    return data
+def scenario_to_dict(block) -> dict:
+    """A scenario (or one of its blocks) as JSON: every field that is not
+    None, under its JSON key."""
+    out = {}
+    for f in fields(block):
+        value = getattr(block, f.name)
+        if value is not None:
+            out[_key(f)] = scenario_to_dict(value) if is_dataclass(value) else value
+    return out
 
 
 def load_scenario(path) -> Scenario:

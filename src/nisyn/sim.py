@@ -34,7 +34,7 @@ __all__ = [
     "DissipationReport", "check_dissipation",
     "WDecreaseReport", "check_w_decrease",
     "ConvergenceMetrics", "convergence_metrics",
-    "write_trajectory_csv",
+    "write_trajectory_csv", "write_columns_csv",
     "zero_signal", "step_signal", "multisine_signal", "bandlimited_signal",
     "signal_from_spec", "SIGNAL_KINDS",
 ]
@@ -396,6 +396,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         columns.append(traj.v_sigma)
     header.append("residual")
     columns.append(traj.residual)
+    write_columns_csv(path, header, columns)
+
+
+def write_columns_csv(path, header: list, columns: list) -> None:
+    """CSV of ``header`` then the rows of ``np.column_stack(columns)``;
+    floats use round-trip repr formatting."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

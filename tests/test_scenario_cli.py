@@ -15,8 +15,9 @@ from nisyn.cli import (
     run_synthesize, run_verify,
 )
 from nisyn.scenario import (
-    ScenarioError, build_plant, default_input_catalog, load_scenario,
-    resolve_synthesis_spec, sampling_box, scenario_from_dict, save_scenario,
+    RegressionBlock, ScenarioError, SpecBlock, VerificationBlock, build_plant,
+    default_input_catalog, load_scenario, resolve_synthesis_spec, sampling_box,
+    scenario_from_dict, save_scenario,
 )
 
 MINIMAL = {
@@ -72,6 +73,64 @@ def test_load_scenario_bad_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ScenarioError, match="JSON"):
         load_scenario(path)
+
+
+def test_minimal_scenario_takes_the_block_defaults():
+    scn = scenario_from_dict(MINIMAL)
+    assert scn.spec == SpecBlock()
+    assert scn.verification == VerificationBlock()
+    assert scn.verification.nominal_convergence_threshold is None
+    assert scn.general_form is None and scn.uncertainty is None
+    assert scn.regression is None
+    assert scn.name == ""
+
+
+def test_optional_blocks_may_be_null():
+    data = dict(MINIMAL, general_form=None, uncertainty=None, regression=None)
+    assert scenario_from_dict(data) == scenario_from_dict(MINIMAL)
+
+
+def test_uncertainty_initial_state_defaults_to_zeros():
+    data = _fast_scenario()
+    del data["uncertainty"]["x_sigma0"]
+    assert scenario_from_dict(data).uncertainty.x_sigma0 == [0.0, 0.0]
+
+
+def test_regression_block_is_declared():
+    scn = load_scenario(bundled_scenario_path())
+    assert isinstance(scn.regression, RegressionBlock)
+    assert scn.regression.u2 == ["2*z1*xi1^2 - 2*xi1^4*xi2 - 2*xi2 - xi3"]
+
+
+NON_OBJECT_BLOCKS = {
+    "plant": [], "spec": "auto", "general_form": [1], "uncertainty": 2.0,
+    "simulation": None, "verification": [], "regression": [],
+}
+
+
+@pytest.mark.parametrize("block", sorted(NON_OBJECT_BLOCKS))
+def test_block_that_is_not_an_object_is_rejected(block):
+    data = _fast_scenario(**{block: NON_OBJECT_BLOCKS[block]})
+    with pytest.raises(ScenarioError, match=f"^{block} block must be a JSON object$"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("block, key, value, kind", [
+    ("simulation", "x0", "3120", "array"),
+    ("plant", "p", "0", "array"),
+    ("simulation", "input", [], "object"),
+    ("verification", "input_signals", {"kind": "zero"}, "array"),
+])
+def test_field_of_the_wrong_json_type_is_rejected(block, key, value, kind):
+    data = _fast_scenario()
+    data[block][key] = value
+    with pytest.raises(ScenarioError, match=f"field '{key}' must be a JSON {kind}"):
+        scenario_from_dict(data)
+
+
+def test_scenario_that_is_not_an_object_is_rejected():
+    with pytest.raises(ScenarioError, match="scenario block must be a JSON object"):
+        scenario_from_dict([MINIMAL])
 
 
 # --- builders -------------------------------------------------------------------
@@ -604,3 +663,11 @@ def test_main_simulate_non_finite_gain_exits_2(tmp_path, capsys):
     assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
     assert "not finite at state z1=3, xi1=0" in capsys.readouterr().err
     assert not (out / "applied_inputs.csv").exists()
+
+
+@pytest.mark.parametrize("block", ["verification", "regression"])
+def test_main_rejects_block_that_is_not_an_object(tmp_path, capsys, block):
+    path = _write(tmp_path, _fast_scenario(**{block: []}))
+    assert main(["verify", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {block} block must be a JSON object\n"

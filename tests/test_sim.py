@@ -11,7 +11,7 @@ from nisyn.sim import (
     check_dissipation, check_w_decrease, convergence_metrics, integrate,
     multisine_signal, signal_from_spec, simulate_closed_loop,
     simulate_interconnection, simulate_uncertainty, step_signal,
-    write_trajectory_csv,
+    write_columns_csv, write_trajectory_csv,
 )
 from nisyn.synthesis import SynthesisSpec, storage_value, synthesize
 from nisyn.uncertainty import Interconnection, OsniUncertainty
@@ -303,6 +303,14 @@ def test_csv_round_trip_values(tmp_path, example_cl):
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert parsed[:, 1:5] == pytest.approx(traj.states)  # exact repr round-trip
     assert np.all(parsed[:, 1:5] == traj.states)
+
+
+def test_write_columns_csv_bytes(tmp_path):
+    path = tmp_path / "c.csv"
+    write_columns_csv(path, ["t", "a", "b"],
+                      [np.array([0.0, 0.1]), np.array([[1 / 3, -2.0], [1e-20, 5.0]])])
+    assert path.read_bytes() == (b"t,a,b\r\n0.0,0.3333333333333333,-2.0\r\n"
+                                 b"0.1,1e-20,5.0\r\n")
 
 
 def test_csv_interconnection_header(tmp_path, example_cl):
