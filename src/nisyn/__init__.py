@@ -19,7 +19,7 @@ from .lyapunov import (
 )
 from .synthesis import (
     NormalFormPlant, SynthesisSpec, ClosedLoopSystem, GeneralForm,
-    synthesize, alpha, storage_value, closed_loop_rhs, reduce_general_form,
+    synthesize, storage_value, closed_loop_rhs, reduce_general_form,
     default_v2,
 )
 from .uncertainty import (

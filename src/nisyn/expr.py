@@ -24,6 +24,17 @@ negative bases.
 
 compile_exprs() is the one evaluator, for a point or a stack of points; the
 tree walker evaluate() is its reference and serves one-point origin checks.
+It emits one straight-line function for the whole vector.  Every non-leaf
+subtree that occurs more than once is bound to a local ``_tN`` ahead of the
+``return``; subtrees are matched on (kind, payload, child numbers), numbered
+bottom-up, so no subtree is hashed whole.  One point runs on Python floats:
+the callable passes ``x.tolist()``, and its ``point`` attribute is that list
+entry point, which the integrator calls.  Python floats raise
+ZeroDivisionError or OverflowError where numpy gives inf, so when the float
+call raises either, the point is evaluated again on numpy float64 scalars:
+there is one failure mode, inf or nan with numpy's RuntimeWarning.  (A
+subexpression of constants alone, such as ``0^(-1)``, is Python floats on
+both paths and raises on both.)
 """
 
 from __future__ import annotations
@@ -562,7 +573,57 @@ def normalize(e: Expr) -> Expr:
 
 # --- compilation -----------------------------------------------------------
 
-def _code(e: Expr, index: Mapping[str, int]) -> str:
+def _subtrees(exprs: Sequence[Expr]):
+    """Number the distinct subtrees of ``exprs`` bottom-up, children first.
+
+    Two nodes are the same subtree when their kind, payload and child numbers
+    agree; the key is built from child numbers, so no subtree is hashed
+    whole.  Returns the root numbers, the ``(node, child numbers)`` of each
+    subtree, and each subtree's use count: the roots and distinct parents
+    that refer to it.
+    """
+    table: dict = {}
+    nodes: list = []
+    uses: list = []
+    by_object: dict = {}  # one Python object reached twice is walked once
+
+    def visit(e) -> int:
+        i = by_object.get(id(e))
+        if i is not None:
+            uses[i] += 1
+            return i
+        if isinstance(e, Var):
+            key = (Var, e.name, ())
+        elif isinstance(e, Const):
+            key = (Const, e.value, ())
+        elif isinstance(e, Neg):
+            key = (Neg, None, (visit(e.child),))
+        elif isinstance(e, Sum):
+            key = (Sum, None, tuple(visit(t) for t in e.terms))
+        elif isinstance(e, Product):
+            key = (Product, None, tuple(visit(f) for f in e.factors))
+        elif isinstance(e, Pow):
+            key = (Pow, e.exponent, (visit(e.base),))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        i = table.get(key)
+        if i is None:
+            i = table[key] = len(nodes)
+            nodes.append((e, key[2]))
+            uses.append(0)
+        else:  # a copy: its children are already counted for the first one
+            for c in key[2]:
+                uses[c] -= 1
+        uses[i] += 1
+        by_object[id(e)] = i
+        return i
+
+    roots = [visit(e) for e in exprs]
+    return roots, nodes, uses
+
+
+def _code(e: Expr, kids: Sequence[str], index: Mapping[str, int]) -> str:
+    """Source for one node, given the source of its children."""
     if isinstance(e, Var):
         try:
             return f"_x[{index[e.name]}]"
@@ -571,19 +632,35 @@ def _code(e: Expr, index: Mapping[str, int]) -> str:
     if isinstance(e, Const):
         return repr(float(e.value))
     if isinstance(e, Neg):
-        return f"(-{_code(e.child, index)})"
+        return f"(-{kids[0]})"
     if isinstance(e, Sum):
-        return "(" + " + ".join(_code(t, index) for t in e.terms) + ")"
+        return "(" + " + ".join(kids) + ")"
     if isinstance(e, Product):
-        return "(" + "*".join(_code(f, index) for f in e.factors) + ")"
+        return "(" + "*".join(kids) + ")"
     if isinstance(e, Pow):
         # parenthesize the base: ** binds tighter than unary minus, and a
         # negative constant renders with a leading sign
-        b = _code(e.base, index)
         if e.exponent.denominator == 1:
-            return f"(({b})**{e.exponent.numerator})"
-        return f"_rp({b}, {e.exponent.numerator}, {e.exponent.denominator})"
+            return f"(({kids[0]})**{e.exponent.numerator})"
+        return f"_rp({kids[0]}, {e.exponent.numerator}, {e.exponent.denominator})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _source(exprs: Sequence[Expr], var_names: Sequence[str]) -> str:
+    """One function ``_f(_x)`` returning the tuple of values; every non-leaf
+    subtree used more than once is bound to a local ``_tN`` first."""
+    index = {n: i for i, n in enumerate(var_names)}
+    roots, nodes, uses = _subtrees(exprs)
+    lines = ["def _f(_x):\n"]
+    codes: list = []
+    for i, ((e, kids), n) in enumerate(zip(nodes, uses)):
+        c = _code(e, [codes[k] for k in kids], index)
+        if kids and n > 1:
+            lines.append(f"    _t{i} = {c}\n")
+            c = f"_t{i}"
+        codes.append(c)
+    lines.append("    return (" + "".join(codes[r] + ", " for r in roots) + ")\n")
+    return "".join(lines)
 
 
 def compile_exprs(exprs: Sequence[Expr],
@@ -592,23 +669,30 @@ def compile_exprs(exprs: Sequence[Expr],
 
     The callable maps a point (n,) ordered like ``var_names`` to (k,), with
     arithmetic identical to evaluate() term for term, and a stack (N, n) to
-    (N, k), within 1e-12 * (1 + |value|) of the one-point values.
+    (N, k), within 1e-12 * (1 + |value|) of the one-point values.  Its
+    ``point`` attribute is the list entry point: a sequence of n values to
+    a tuple of k.
     """
-    index = {n: i for i, n in enumerate(var_names)}
-    codes = [_code(e, index) for e in exprs]
-    body = "".join(c + ", " for c in codes)
-    src = f"def _f(_x):\n    return ({body})"
+    k = len(exprs)
     namespace = {"_rp": rational_power}
-    exec(compile(src, "<nisyn-expr>", "exec"), namespace)
+    exec(compile(_source(exprs, var_names), "<nisyn-expr>", "exec"), namespace)
     f = namespace["_f"]
+
+    def point(values):
+        try:
+            return f(values)
+        except (ZeroDivisionError, OverflowError):
+            # numpy scalars give inf or nan and a RuntimeWarning instead
+            return f(np.array(values, dtype=float))
 
     def fn(x):
         if x.ndim == 1:
-            return np.array(f(x), dtype=float)
-        out = np.empty((len(codes), x.shape[0]))
+            return np.array(point(x.tolist()), dtype=float)
+        out = np.empty((k, x.shape[0]))
         for i in range(0, x.shape[0], 1024):  # blocks keep temporaries small
             for row, values in zip(out[:, i:i + 1024], f(x[i:i + 1024].T)):
                 row[:] = values  # a constant fills its row
         return out.T
 
+    fn.point = point
     return fn

@@ -146,6 +146,9 @@ def _coerce(tp, value, key: str):
     if tp in (list, dict) and not isinstance(value, tp):
         kind = "array" if tp is list else "object"
         raise ScenarioError(f"field {key!r} must be a JSON {kind}")
+    if tp is int and (isinstance(value, bool) or
+                      (isinstance(value, float) and not value.is_integer())):
+        raise ScenarioError(f"field {key!r} must be an integer, got {value!r}")
     return value if tp is object else tp(value)
 
 

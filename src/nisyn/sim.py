@@ -18,14 +18,15 @@ and, for interconnections, the composite decrease
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .synthesis import ClosedLoopSystem, closed_loop_rhs, storage_value
-from .uncertainty import Interconnection, OsniUncertainty, \
-    composite_storage, interconnection_rhs
+from .synthesis import ClosedLoopSystem, SynthesisError, storage_value
+from .uncertainty import Interconnection, OsniUncertainty, UncertaintyError, \
+    composite_storage
 
 __all__ = [
     "IntegrationError", "DivergenceError", "Trajectory",
@@ -80,7 +81,7 @@ class Trajectory:
         return self.t.shape[0]
 
 
-def integrate(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def integrate(rhs: Callable,
               x0: Sequence[float],
               t_end: float,
               dt: float,
@@ -90,7 +91,10 @@ def integrate(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
               blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
     """Integrate x' = rhs(x, u(t)) with classical RK4 at fixed step.
 
-    The input is sampled zero-order-hold at step boundaries.  Integration
+    ``rhs`` is a compile_exprs field over the state followed by the input,
+    or a callable rhs(x, u) on ndarrays.  The step runs on Python floats,
+    with the same operations in the same order as on float64 arrays.  The
+    input is sampled zero-order-hold at step boundaries.  Integration
     aborts with a diagnostic on NaN/Inf and raises DivergenceError when the
     state norm exceeds ``blowup_norm``.
     """
@@ -98,28 +102,35 @@ def integrate(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
         raise ValueError("dt must be positive")
     if t_end < dt:
         raise ValueError("t_end must be at least one step")
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float).tolist()
+    n = len(x)
+    field = getattr(rhs, "point", None)
+    if field is None:
+        def field(xu):
+            return np.asarray(rhs(np.array(xu[:n]), np.array(xu[n:])),
+                              dtype=float).tolist()
     n_steps = int(round(t_end / dt))
     if input_fn is None:
         input_fn = lambda t: np.zeros(0)
     u0 = np.atleast_1d(np.asarray(input_fn(0.0), dtype=float))
-    states = np.empty((n_steps + 1, x.size))
+    states = np.empty((n_steps + 1, n))
     inputs = np.empty((n_steps + 1, u0.size))
     states[0] = x
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(n_steps):
-        t = k * dt
-        u = np.atleast_1d(np.asarray(input_fn(t), dtype=float))
+        u = np.atleast_1d(np.asarray(input_fn(k * dt), dtype=float))
         inputs[k] = u
-        k1 = rhs(x, u)
-        k2 = rhs(x + half * k1, u)
-        k3 = rhs(x + half * k2, u)
-        k4 = rhs(x + dt * k3, u)
-        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x).all():
+        u = u.tolist()
+        k1 = field(x + u)
+        k2 = field([a + half * b for a, b in zip(x, k1)] + u)
+        k3 = field([a + half * b for a, b in zip(x, k2)] + u)
+        k4 = field([a + dt * b for a, b in zip(x, k3)] + u)
+        x = [a + sixth * (b + 2.0 * c + 2.0 * d + e)
+             for a, b, c, d, e in zip(x, k1, k2, k3, k4, strict=True)]
+        norm = math.hypot(*x)  # nan or inf when a state is
+        if not math.isfinite(norm) and not all(map(math.isfinite, x)):
             raise IntegrationError("non-finite state encountered", k + 1, states[k])
-        norm = np.linalg.norm(x)
         if norm > blowup_norm:
             raise DivergenceError(
                 f"state norm {norm:.3e} exceeded blow-up bound {blowup_norm:.3e}",
@@ -128,12 +139,16 @@ def integrate(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     inputs[n_steps] = np.atleast_1d(np.asarray(input_fn(n_steps * dt), dtype=float))
     t_grid = np.arange(n_steps + 1) * dt
     if state_names is None:
-        state_names = tuple(f"x{i + 1}" for i in range(x.size))
+        state_names = tuple(f"x{i + 1}" for i in range(n))
     if input_names is None:
         input_names = tuple(f"u{i + 1}" for i in range(u0.size))
     return Trajectory(t=t_grid, states=states, inputs=inputs,
                       state_names=tuple(state_names),
                       input_names=tuple(input_names))
+
+
+def _input_shape(signal) -> tuple:
+    return np.atleast_1d(np.asarray(signal(0.0), dtype=float)).shape
 
 
 def _rate(values: np.ndarray, dt: float) -> np.ndarray:
@@ -160,8 +175,12 @@ def simulate_closed_loop(closed_loop: ClosedLoopSystem,
     p = plant.n_outputs
     if signal is None:
         signal = zero_signal(p)
+    if np.shape(x0) != (plant.n_states,):
+        raise SynthesisError("closed_loop_rhs: state dimension mismatch")
+    if _input_shape(signal) != (p,):
+        raise SynthesisError("closed_loop_rhs: input dimension mismatch")
     traj = integrate(
-        lambda x, u: closed_loop_rhs(x, u, closed_loop),
+        closed_loop._rhs_fn,
         x0, t_end, dt, input_fn=signal,
         state_names=plant.state_names,
         input_names=closed_loop.v_names,
@@ -184,8 +203,12 @@ def simulate_uncertainty(uncertainty: OsniUncertainty,
     p = uncertainty.n_outputs
     if signal is None:
         signal = zero_signal(p)
+    if np.shape(xs0) != (uncertainty.n_sigma,):
+        raise UncertaintyError("uncertainty rhs: state dimension mismatch")
+    if _input_shape(signal) != (p,):
+        raise UncertaintyError("uncertainty rhs: input dimension mismatch")
     traj = integrate(
-        lambda xs, u: uncertainty.rhs(xs, u),
+        uncertainty._f_fn,
         xs0, t_end, dt, input_fn=signal,
         state_names=uncertainty.state_names,
         input_names=uncertainty.input_names,
@@ -213,8 +236,10 @@ def simulate_interconnection(interconnection: Interconnection,
     p = plant.n_outputs
     joint0 = np.concatenate([np.asarray(x0, dtype=float),
                              np.asarray(xs0, dtype=float)])
+    if np.shape(x0) != (n,) or joint0.shape != (interconnection.n_states,):
+        raise UncertaintyError("interconnection_rhs: dimension mismatch")
     traj = integrate(
-        lambda s, u: interconnection_rhs(s, interconnection),
+        interconnection._rhs_fn,
         joint0, t_end, dt, input_fn=None,
         state_names=interconnection.joint_names,
         input_names=tuple(f"w{i + 1}" for i in range(p)),

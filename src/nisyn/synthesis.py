@@ -43,7 +43,7 @@ from .expr import (
 __all__ = [
     "SynthesisError", "SingularMatrixError",
     "NormalFormPlant", "SynthesisSpec", "ClosedLoopSystem", "GeneralForm",
-    "block_names", "synthesize", "alpha", "storage_value",
+    "block_names", "synthesize", "storage_value",
     "closed_loop_rhs", "reduce_general_form", "default_v2",
 ]
 
@@ -152,10 +152,6 @@ class NormalFormPlant:
     @cached_property
     def a11_inverse(self) -> np.ndarray:
         return sla.lu_solve(self._a11_lu, np.eye(self.m))
-
-    @cached_property
-    def _p_fn(self):
-        return compile_exprs(self.p, self.y_names)
 
 
 def default_v2(plant: NormalFormPlant) -> Expr:
@@ -320,15 +316,6 @@ def synthesize(plant: NormalFormPlant, spec: SynthesisSpec) -> ClosedLoopSystem:
     )
 
 
-def alpha(z: np.ndarray, y: np.ndarray, plant: NormalFormPlant) -> np.ndarray:
-    """alpha = z + A11^{-1} p(y); the LU factorization of A11 is cached."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if z.shape != (plant.m,) or y.shape != (plant.n_outputs,):
-        raise SynthesisError("alpha: dimension mismatch")
-    return z + sla.lu_solve(plant._a11_lu, plant._p_fn(y))
-
-
 def storage_value(state: np.ndarray, closed_loop: ClosedLoopSystem):
     """V at one state (float) or at a stack of states (N,)."""
     state = np.asarray(state, dtype=float)
@@ -348,7 +335,7 @@ def closed_loop_rhs(state: np.ndarray, v: np.ndarray,
         raise SynthesisError("closed_loop_rhs: state dimension mismatch")
     if v.shape != (plant.n_outputs,):
         raise SynthesisError("closed_loop_rhs: input dimension mismatch")
-    return closed_loop._rhs_fn(np.concatenate([state, v]))
+    return np.array(closed_loop._rhs_fn.point(state.tolist() + v.tolist()))
 
 
 # --- general normal form ----------------------------------------------------

@@ -12,6 +12,7 @@ from nisyn.expr import (
     add, compile_exprs, differentiate, evaluate, fold_constants, mul,
     normalize, parse_expr, rational_power, substitute, to_string, variables,
 )
+from nisyn.expr import _source
 
 
 # --- parsing ----------------------------------------------------------------
@@ -339,3 +340,54 @@ def test_compile_stack_spanning_several_blocks():
     assert got.shape == (2500, 2)
     want = np.array([fn(point) for point in stack])
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+# --- the list entry point ---------------------------------------------------
+
+@given(_exprs(), _exprs(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_list_entry_point_matches_numpy_scalars_bit_for_bit(e, g, seed):
+    """The generated code indexes its argument: a list runs it on Python
+    floats, an ndarray on numpy float64 scalars.  Both give the same bits."""
+    rng = np.random.default_rng(seed)
+    names = sorted(variables(e) | variables(g) | {"x"})
+    point = rng.uniform(-2, 2, size=len(names))
+    point[rng.random(len(names)) < 0.25] = 0.0  # zero bases reach the fallback
+    fn = compile_exprs([e, g, add(e, g), mul(e, Neg(e))], names)  # shared subtrees
+    with np.errstate(all="ignore"):
+        try:
+            want = np.array(fn.point(point), dtype=float)
+        except (ZeroDivisionError, OverflowError) as err:
+            # constants are Python floats on both paths: 0^(-2) raises on both
+            with pytest.raises(type(err)):
+                fn.point(point.tolist())
+            return
+        got = np.array(fn.point(point.tolist()), dtype=float)
+        assert np.array_equal(fn(point), got, equal_nan=True)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_shared_subtrees_are_computed_once():
+    x, y = Var("x"), Var("y")
+    shared = Sum((x, Pow(y, Fraction(1, 3))))
+    src = _source([mul(shared, shared), Neg(Sum((x, Pow(y, Fraction(1, 3)))))],
+                  ["x", "y"])
+    assert src.count("_rp(") == 1  # the copy is matched by structure
+    assert src.count("_t") == 4  # one binding, three uses
+    fn = compile_exprs([mul(shared, shared), Neg(shared)], ["x", "y"])
+    assert fn(np.array([1.0, 8.0])).tolist() == [9.0, -3.0]
+
+
+@pytest.mark.parametrize("text, value, warning", [
+    ("xi1^(-1)", 0.0, "divide by zero"),
+    ("xi1^(-1/3)", 0.0, "divide by zero"),
+    ("xi1^3", 1e120, "overflow"),
+])
+def test_float_failure_falls_back_to_numpy_inf(text, value, warning):
+    fn = compile_exprs([parse_expr(text, ["xi1"])], ["xi1"])
+    with pytest.warns(RuntimeWarning, match=warning):
+        assert fn.point([value]) == (np.inf,)
+    with pytest.warns(RuntimeWarning, match=warning):
+        assert fn(np.array([value])).tolist() == [np.inf]

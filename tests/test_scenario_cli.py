@@ -128,6 +128,34 @@ def test_field_of_the_wrong_json_type_is_rejected(block, key, value, kind):
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("plant", "m", 1.9),
+    ("plant", "p2", True),
+    ("simulation", "seed", 2.5),
+    ("verification", "samples", float("inf")),
+])
+def test_int_field_rejects_fractions_and_booleans(block, key, value):
+    data = _fast_scenario()
+    data[block][key] = value
+    with pytest.raises(ScenarioError, match=f"field '{key}' must be an integer"):
+        scenario_from_dict(data)
+
+
+def test_int_field_accepts_an_integral_float():
+    data = _fast_scenario()
+    data["plant"]["m"] = 1.0
+    assert scenario_from_dict(data).plant.m == 1
+
+
+def test_main_rejects_fractional_int_field(tmp_path, capsys):
+    data = _fast_scenario()
+    data["plant"]["m"] = 1.9
+    path = _write(tmp_path, data)
+    assert main(["analyze", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "error: field 'm' must be an integer, got 1.9\n"
+
+
 def test_scenario_that_is_not_an_object_is_rejected():
     with pytest.raises(ScenarioError, match="scenario block must be a JSON object"):
         scenario_from_dict([MINIMAL])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nisyn.expr import parse_expr
+from nisyn.expr import compile_exprs, parse_expr
 from nisyn.sim import (
     DivergenceError, IntegrationError, Trajectory, bandlimited_signal,
     check_dissipation, check_w_decrease, convergence_metrics, integrate,
@@ -13,8 +13,9 @@ from nisyn.sim import (
     simulate_interconnection, simulate_uncertainty, step_signal,
     write_columns_csv, write_trajectory_csv,
 )
-from nisyn.synthesis import SynthesisSpec, storage_value, synthesize
-from nisyn.uncertainty import Interconnection, OsniUncertainty
+from nisyn.synthesis import SynthesisError, SynthesisSpec, storage_value, synthesize
+from nisyn.uncertainty import Interconnection, OsniUncertainty, UncertaintyError
+from test_synthesis import random_plant_and_spec
 
 XS = ("xs1", "xs2")
 US = ("us1", "us2")
@@ -95,6 +96,93 @@ def test_zoh_input_recorded():
     traj = integrate(lambda x, u: u - x, [0.0], 1.0, 0.25, input_fn=sig)
     assert traj.inputs[:2] == pytest.approx(np.zeros((2, 1)))
     assert traj.inputs[2:] == pytest.approx(np.ones((3, 1)))
+
+
+def _rk4_on_arrays(field, x0, t_end, dt, signal):
+    """The array form of the RK4 step, with the field on numpy float64
+    scalars: the reference the list loop must match bit for bit."""
+    x = np.array(x0, dtype=float)
+    states = [x]
+    for k in range(int(round(t_end / dt))):
+        u = np.atleast_1d(np.asarray(signal(k * dt), dtype=float))
+        rhs = lambda s: np.array(field.point(np.concatenate([s, u])), dtype=float)
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.array(states)
+
+
+def _loops_for_identity(example_cl):
+    rng = np.random.default_rng(77)
+    catalog_multisine = multisine_signal([[0.2, 0.1], [0.2, 0.1]],
+                                         [[0.4, 0.9], [0.4, 0.9]], seed=7)
+    ic = Interconnection(example_cl, _example_unc())
+    yield ic._rhs_fn, np.concatenate([X0, [0.5, -0.5]]), lambda t: np.zeros(0)
+    yield example_cl._rhs_fn, X0, catalog_multisine
+    for _ in range(10):
+        plant, spec = random_plant_and_spec(rng)
+        cl = synthesize(plant, spec)
+        p = plant.n_outputs
+        signal = multisine_signal(rng.uniform(0, 0.3, (p, 2)),
+                                  rng.uniform(0.2, 2.0, (p, 2)), seed=int(rng.integers(99)))
+        yield cl._rhs_fn, rng.uniform(-1, 1, plant.n_states), signal
+
+
+def test_list_loop_matches_the_array_loop_bit_for_bit(example_cl):
+    for field, x0, signal in _loops_for_identity(example_cl):
+        n = len(x0)
+        want = _rk4_on_arrays(field, x0, 1.0, 1e-2, signal)
+        wrapped = lambda x, u: field(np.concatenate([x, u]))
+        for rhs in (field, wrapped):
+            got = integrate(rhs, x0, 1.0, 1e-2, input_fn=signal).states
+            assert got.shape == (101, n)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_integrate_float_failures_give_integration_error():
+    x, xs = parse_expr("x^(-1)", ["x"]), parse_expr("-xs1^3", ["xs1"])
+    for expr, name, x0 in ((x, "x", 0.0), (xs, "xs1", 1e120)):
+        field = compile_exprs([expr], [name])
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(IntegrationError) as err:
+                integrate(field, [x0], 1.0, 0.1, blowup_norm=np.inf)
+        assert not isinstance(err.value, DivergenceError)
+        assert err.value.step == 1
+    with pytest.warns(RuntimeWarning) as record:
+        with pytest.raises(IntegrationError, match="non-finite"):
+            simulate_uncertainty(_example_unc(), [1e120, 0.0], 1.0, 0.1)
+    assert "overflow" in str(record[0].message)
+
+
+@pytest.mark.parametrize("x0, signal, error", [
+    (X0[:3], None, "closed_loop_rhs: state dimension mismatch"),
+    (np.zeros((2, 4)), None, "closed_loop_rhs: state dimension mismatch"),
+    (X0, step_signal([0.1, 0.1, 0.1]), "closed_loop_rhs: input dimension mismatch"),
+])
+def test_simulate_closed_loop_checks_lengths_first(example_cl, x0, signal, error):
+    with pytest.raises(SynthesisError, match=error):
+        simulate_closed_loop(example_cl, x0, 0.1, 1e-2, signal=signal)
+
+
+@pytest.mark.parametrize("xs0, signal, error", [
+    ([0.0, 0.0, 0.0], None, "state dimension mismatch"),
+    ([0.0, 0.0], step_signal([0.1]), "input dimension mismatch"),
+])
+def test_simulate_uncertainty_checks_lengths_first(xs0, signal, error):
+    with pytest.raises(UncertaintyError, match=error):
+        simulate_uncertainty(_example_unc(), xs0, 0.1, 1e-2, signal=signal)
+
+
+@pytest.mark.parametrize("x0, xs0", [
+    (X0[:3], [0.0, 0.0]), (X0, [0.0]), (X0[:3], [0.0, 0.0, 0.0]),
+])
+def test_simulate_interconnection_checks_lengths_first(example_cl, x0, xs0):
+    ic = Interconnection(example_cl, _example_unc())
+    with pytest.raises(UncertaintyError, match="interconnection_rhs: dimension mismatch"):
+        simulate_interconnection(ic, x0, xs0, 0.1, 1e-2)
 
 
 # --- closed-loop / uncertainty / interconnection simulation -------------------

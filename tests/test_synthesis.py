@@ -11,7 +11,7 @@ from nisyn.expr import (
 )
 from nisyn.synthesis import (
     GeneralForm, NormalFormPlant, SingularMatrixError, SynthesisError,
-    SynthesisSpec, alpha, block_names, closed_loop_rhs, default_v2,
+    SynthesisSpec, block_names, closed_loop_rhs, default_v2,
     reduce_general_form, storage_value, synthesize,
 )
 
@@ -77,35 +77,36 @@ def test_spec_validation():
         SynthesisSpec(p_matrix=[[1.0, 1.0], [0.0, 1.0]], v2=v2, lam=1.0)
 
 
-# --- alpha -------------------------------------------------------------------
+# --- storage -----------------------------------------------------------------
 
-def test_alpha_example_plant(example_plant):
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        z = rng.normal(size=1)
-        y = rng.normal(size=2)
-        # A11 = -1 means alpha = z - xi1^2 xi2
-        expected = z - y[0] ** 2 * y[1]
-        assert alpha(z, y, example_plant) == pytest.approx(expected)
+def test_storage_expr_is_alpha_quadratic_plus_v2_plus_kinetic():
+    """V = alpha^T P alpha + V2(y) + 1/2 |xi3|^2 with alpha = z + A11^{-1} p(y),
+    computed here numerically, on the example and on random plants."""
+    rng = np.random.default_rng(31)
+    example = NormalFormPlant(a11=[[-1.0]], p=(parse_expr("xi1^2*xi2", ["xi1", "xi2"]),),
+                              p1=1, p2=1)
+    cases = [(example, SynthesisSpec([[1.0]], parse_expr("xi1^(4/3)+xi2^2",
+                                                         ["xi1", "xi2"])))]
+    cases += [random_plant_and_spec(rng) for _ in range(10)]
+    for plant, spec in cases:
+        cl = synthesize(plant, spec)
+        for _ in range(10):
+            s = rng.uniform(-2, 2, size=plant.n_states)
+            b = dict(zip(plant.state_names, s))
+            z = s[:plant.m]
+            p_y = np.array([evaluate(e, b) for e in plant.p])
+            a = z + np.linalg.solve(plant.a11, p_y)
+            xi3 = np.array([b[n] for n in plant.xi3_names])
+            expected = a @ spec.p_matrix @ a + evaluate(spec.v2, b) + 0.5 * xi3 @ xi3
+            got = evaluate(cl.storage_expr, b)
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-def test_alpha_at_origin_is_z(example_plant):
-    z = np.array([1.7])
-    assert alpha(z, np.zeros(2), example_plant) == pytest.approx(z)
-
-
-def test_alpha_frozen_value(example_plant):
-    out = alpha(np.zeros(1), np.array([1.0, 2.0]), example_plant)
-    assert out == pytest.approx(np.array([-2.0]))
-
-
-def test_alpha_singular_a11():
+def test_synthesize_rejects_singular_a11():
     plant = NormalFormPlant(a11=[[0.0]], p=(parse_expr("0", []),), p1=1, p2=1)
     with pytest.raises(SingularMatrixError):
-        alpha(np.zeros(1), np.zeros(2), plant)
+        synthesize(plant, SynthesisSpec([[1.0]], default_v2(plant)))
 
-
-# --- storage -----------------------------------------------------------------
 
 def test_storage_zero_at_origin(example_cl):
     assert storage_value(np.zeros(4), example_cl) == 0.0
@@ -462,3 +463,43 @@ def test_reduce_general_form_rejects_non_finite_gain(example_plant):
             with pytest.raises(SingularMatrixError,
                                match="not finite at state z1=0, xi1=0, xi2=1, xi3=0"):
                 reduce_general_form(gform, example_plant, state)
+
+
+def test_compiled_field_of_an_m2_loop_matches_sympy():
+    """The loop's field, rebuilt in sympy from V = alpha^T P alpha + V2 +
+    1/2 xi3^2 with sympy's own inverse and derivatives, against the
+    compiled field, whose alpha and its derivatives are shared subtrees."""
+    sp = pytest.importorskip("sympy")
+    import mpmath
+    from nisyn.expr import _source
+
+    y_names = ("xi1", "xi2")
+    a11 = [[-1.0, 2.0], [-2.0, -3.0]]
+    p_text = ("xi1^2*xi2", "xi2^3 - xi1*xi2")
+    p_matrix = [[2.0, 0.5], [0.5, 1.0]]
+    plant = NormalFormPlant(a11=a11, p=tuple(parse_expr(t, y_names) for t in p_text),
+                            p1=1, p2=1)
+    cl = synthesize(plant, SynthesisSpec(p_matrix, parse_expr("xi1^(4/3) + xi2^2",
+                                                              y_names), lam=0.5))
+    names = plant.state_names + cl.v_names
+    assert "_t" in _source(cl.rhs_exprs, names)
+
+    z1, z2, xi1, xi2, xi3, v1, v2 = syms = sp.symbols(" ".join(names), real=True)
+    a = sp.Matrix(a11).applyfunc(sp.nsimplify)
+    p_y = sp.Matrix([xi1 ** 2 * xi2, xi2 ** 3 - xi1 * xi2])
+    alpha = sp.Matrix([z1, z2]) + a.inv() * p_y
+    storage = (alpha.T * sp.Matrix(p_matrix).applyfunc(sp.nsimplify) * alpha)[0] \
+        + sp.Abs(xi1) ** sp.Rational(4, 3) + xi2 ** 2 + xi3 ** 2 / 2
+    z_dot = a * sp.Matrix([z1, z2]) + p_y
+    field = [z_dot[0], z_dot[1], v1 - sp.diff(storage, xi1), xi3,
+             v2 - sp.diff(storage, xi2) - xi3 / 2]
+    oracle = sp.lambdify(syms, field, "mpmath")
+
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        point = rng.uniform(-2, 2, size=len(names))
+        point[names.index("xi1")] = rng.choice([-1, 1]) * rng.uniform(0.1, 2)
+        with mpmath.workdps(40):
+            want = np.array([float(w) for w in oracle(*point)])
+        got = cl._rhs_fn(point)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
