@@ -14,6 +14,7 @@ from nisyn.synthesis import (
     SynthesisSpec, block_names, closed_loop_rhs, default_v2,
     reduce_general_form, storage_value, synthesize,
 )
+from nisyn.synthesis import _alpha_exprs
 
 STATE_NAMES = ("z1", "xi1", "xi2", "xi3")
 
@@ -75,6 +76,34 @@ def test_spec_validation():
         SynthesisSpec(p_matrix=[[-1.0]], v2=v2, lam=1.0)
     with pytest.raises(SynthesisError, match="symmetric"):
         SynthesisSpec(p_matrix=[[1.0, 1.0], [0.0, 1.0]], v2=v2, lam=1.0)
+
+
+# --- alpha -------------------------------------------------------------------
+
+def _alpha_value(z, y, plant):
+    """alpha = z + A11^{-1} p(y), through the expressions substituted into V."""
+    b = dict(zip(plant.z_names, z)) | dict(zip(plant.y_names, y))
+    return np.array([evaluate(e, b) for e in _alpha_exprs(plant)])
+
+
+def test_alpha_example_plant(example_plant):
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        z = rng.normal(size=1)
+        y = rng.normal(size=2)
+        # A11 = -1 means alpha = z - xi1^2 xi2
+        expected = z - y[0] ** 2 * y[1]
+        assert _alpha_value(z, y, example_plant) == pytest.approx(expected)
+
+
+def test_alpha_at_origin_is_z(example_plant):
+    z = np.array([1.7])
+    assert _alpha_value(z, np.zeros(2), example_plant) == pytest.approx(z)
+
+
+def test_alpha_frozen_value(example_plant):
+    out = _alpha_value(np.zeros(1), np.array([1.0, 2.0]), example_plant)
+    assert out == pytest.approx(np.array([-2.0]))
 
 
 # --- storage -----------------------------------------------------------------
