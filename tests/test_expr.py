@@ -391,3 +391,67 @@ def test_float_failure_falls_back_to_numpy_inf(text, value, warning):
         assert fn.point([value]) == (np.inf,)
     with pytest.warns(RuntimeWarning, match=warning):
         assert fn(np.array([value])).tolist() == [np.inf]
+
+
+# --- sympy oracle ------------------------------------------------------------
+
+def _to_sympy(e, sp):
+    """``e`` as a sympy expression over real symbols, with nisyn's
+    sign-preserving real root sign(b)^p * |b|^(p/q) for fractional powers."""
+    if isinstance(e, Var):
+        return sp.Symbol(e.name, real=True)
+    if isinstance(e, Const):
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Neg):
+        return -_to_sympy(e.child, sp)
+    if isinstance(e, Sum):
+        return sp.Add(*(_to_sympy(t, sp) for t in e.terms))
+    if isinstance(e, Product):
+        return sp.Mul(*(_to_sympy(f, sp) for f in e.factors))
+    num, den = e.exponent.numerator, e.exponent.denominator
+    base = _to_sympy(e.base, sp)
+    if den == 1:
+        return base ** num
+    return sp.sign(base) ** num * sp.Abs(base) ** sp.Rational(num, den)
+
+
+def _sympy_point(e, var, seed, sp):
+    """A random point in [0.25, 1.75]^k (exact binary rationals) at which no
+    base of a power that is singular at 0 lies within 1e-3 of 0."""
+    rng = np.random.default_rng(seed)
+    names = sorted(variables(e) | {var})
+    point = {sp.Symbol(n, real=True): sp.Rational(v)
+             for n, v in zip(names, rng.uniform(0.25, 1.75, len(names)))}
+    for b in _singular_power_bases(e):
+        value = sp.N(_to_sympy(b, sp).subs(point), 30)
+        assume(value.is_finite and abs(value) > 1e-3)
+    return point
+
+
+def _assert_same_value(got, want, sp):
+    got, want = sp.N(got, 50), sp.N(want, 50)
+    assume(want.is_finite)
+    assert got.is_finite
+    assert abs(got - want) <= sp.Float(1e-35) * (1 + abs(want))
+
+
+@given(_exprs(), _names, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_differentiate_matches_sympy(e, var, seed):
+    sp = pytest.importorskip("sympy")
+    point = _sympy_point(e, var, seed, sp)
+    want = sp.diff(_to_sympy(e, sp), sp.Symbol(var, real=True))
+    got = _to_sympy(differentiate(e, var), sp)
+    _assert_same_value(got.subs(point), want.subs(point), sp)
+
+
+@given(_exprs(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_fold_constants_matches_sympy(e, seed):
+    sp = pytest.importorskip("sympy")
+    point = _sympy_point(e, "x", seed, sp)
+    folded = fold_constants(e)
+    want = _to_sympy(e, sp).subs(point)
+    _assert_same_value(_to_sympy(folded, sp).subs(point), want, sp)
+    if isinstance(folded, Const):  # folded exactly, so sympy's exact value
+        assert want == _to_sympy(folded, sp)

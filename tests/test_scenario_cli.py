@@ -584,6 +584,27 @@ def test_main_analyze_exit_codes(tmp_path):
                  "--out", str(tmp_path / "o4")]) == 2
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("components", 0, "error: signal field 'components' must be at least 1, got 0"),
+    ("seed", 1.5, "error: signal field 'seed' must be an integer, got 1.5"),
+    ("cutoff", float("nan"), "error: signal field 'cutoff' must be a finite number, got nan"),
+])
+def test_main_simulate_rejects_a_bad_bandlimited_input(tmp_path, capsys, field,
+                                                       value, message):
+    data = _fast_scenario()
+    del data["uncertainty"]
+    del data["regression"]
+    data["simulation"]["t_end"] = 0.1
+    data["simulation"]["input"] = {"kind": "bandlimited", "amplitude": 0.2,
+                                   "cutoff": 1.0, "components": 4, "seed": 3,
+                                   field: value}
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", _write(tmp_path, data),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_main_report_files_have_schema_version(tmp_path):
     ok = _write(tmp_path, _fast_scenario())
     out = tmp_path / "rep"

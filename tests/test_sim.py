@@ -1,6 +1,8 @@
 """Integrator, dissipation checkers, convergence metrics, CSV export."""
 
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from nisyn.sim import (
     check_dissipation, check_w_decrease, convergence_metrics, integrate,
     multisine_signal, signal_from_spec, simulate_closed_loop,
     simulate_interconnection, simulate_uncertainty, step_signal,
-    write_columns_csv, write_trajectory_csv,
+    write_columns_csv, write_trajectory_csv, zero_signal,
 )
 from nisyn.synthesis import SynthesisError, SynthesisSpec, storage_value, synthesize
 from nisyn.uncertainty import Interconnection, OsniUncertainty, UncertaintyError
@@ -98,6 +100,33 @@ def test_zoh_input_recorded():
     assert traj.inputs[2:] == pytest.approx(np.ones((3, 1)))
 
 
+@pytest.mark.parametrize("signal, shape", [
+    (lambda t: np.zeros(2), (2,)),               # one time's input
+    (lambda t: np.zeros(len(t)), (12,)),         # p = 1 without its axis
+    (lambda t: np.zeros((11, 1)), (11, 1)),      # one row short
+    (lambda t: np.zeros((len(t), 1, 1)), (12, 1, 1)),
+    (lambda t: 0.0, ()),
+])
+def test_integrate_rejects_an_input_of_the_wrong_shape(signal, shape):
+    with pytest.raises(ValueError, match=re.escape(f"input_fn gave shape {shape}")):
+        integrate(lambda x, u: -x, [1.0], 1.1, 0.1, input_fn=signal)
+
+
+def test_integrate_samples_the_input_once_on_the_grid():
+    calls = []
+
+    def signal(t):
+        calls.append(np.array(t))
+        return np.column_stack([t, -t])
+
+    traj = integrate(lambda x, u: u[:1] - x, [0.0], 1.0, 0.1, input_fn=signal)
+    assert len(calls) == 1
+    assert calls[0].tobytes() == np.array([k * 0.1 for k in range(11)]).tobytes()
+    assert traj.t.tobytes() == calls[0].tobytes()
+    assert traj.inputs.shape == (11, 2) and traj.input_names == ("u1", "u2")
+    assert integrate(lambda x, u: -x, [1.0], 1.0, 0.1).inputs.shape == (11, 0)
+
+
 def _rk4_on_arrays(field, x0, t_end, dt, signal):
     """The array form of the RK4 step, with the field on numpy float64
     scalars: the reference the list loop must match bit for bit."""
@@ -120,7 +149,7 @@ def _loops_for_identity(example_cl):
     catalog_multisine = multisine_signal([[0.2, 0.1], [0.2, 0.1]],
                                          [[0.4, 0.9], [0.4, 0.9]], seed=7)
     ic = Interconnection(example_cl, _example_unc())
-    yield ic._rhs_fn, np.concatenate([X0, [0.5, -0.5]]), lambda t: np.zeros(0)
+    yield ic._rhs_fn, np.concatenate([X0, [0.5, -0.5]]), zero_signal(0)
     yield example_cl._rhs_fn, X0, catalog_multisine
     for _ in range(10):
         plant, spec = random_plant_and_spec(rng)
@@ -359,6 +388,32 @@ def test_signal_determinism():
     assert all(np.array_equal(c(t), d(t)) for t in ts)
 
 
+def _grid_signals():
+    yield "zero", zero_signal(3)
+    yield "step on a grid point", step_signal([0.2, -0.3], start_time=2.5)
+    yield "step between grid points", step_signal([0.2, -0.3], start_time=2.5005)
+    rng = np.random.default_rng(5)
+    for c in (2, 8, 10):  # 8 and up reach numpy's pairwise-sum block
+        yield f"multisine {c}", multisine_signal(
+            rng.uniform(0.0, 0.3, (2, c)), rng.uniform(0.1, 2.0, (2, c)), seed=c)
+        yield f"bandlimited {c}", bandlimited_signal(3, 0.2, 1.5, c, seed=c)
+
+
+@pytest.mark.parametrize("name, signal", list(_grid_signals()))
+def test_signal_on_the_grid_matches_its_scalar_calls_bit_for_bit(name, signal):
+    dt = 1e-3
+    grid = signal(np.arange(10001) * dt)
+    scalar = np.array([signal(k * dt) for k in range(10001)])
+    assert grid.shape == scalar.shape == (10001, scalar.shape[1])
+    assert grid.tobytes() == scalar.tobytes()
+
+
+def test_step_switches_at_its_start_time():
+    t = np.array([2.499, 2.5, 2.5005, 2.501])
+    assert step_signal([1.0], 2.5)(t)[:, 0].tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert step_signal([1.0], 2.5005)(t)[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
 def test_signal_spec_validation():
     with pytest.raises(ValueError):
         signal_from_spec({"kind": "nope"}, p=2)
@@ -367,6 +422,52 @@ def test_signal_spec_validation():
     with pytest.raises(ValueError):
         signal_from_spec({"kind": "multisine", "amplitudes": [[0.1]],
                           "frequencies": [[0.5]]}, p=2)
+
+
+_BANDLIMITED = {"kind": "bandlimited", "amplitude": 0.2, "cutoff": 1.0,
+                "components": 4, "seed": 9}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"components": 0}, "'components' must be at least 1, got 0"),
+    ({"components": -3}, "'components' must be at least 1"),
+    ({"components": 2.5}, "'components' must be an integer, got 2.5"),
+    ({"components": True}, "'components' must be an integer, got True"),
+    ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+    ({"seed": False}, "'seed' must be an integer, got False"),
+    ({"seed": -1}, "'seed' must be at least 0"),
+    ({"cutoff": float("nan")}, "'cutoff' must be a finite number, got nan"),
+    ({"cutoff": float("inf")}, "'cutoff' must be a finite number, got inf"),
+    ({"cutoff": 0.0}, "'cutoff' must be positive, got 0.0"),
+    ({"cutoff": -1.0}, "'cutoff' must be positive"),
+    ({"cutoff": "1.0"}, "'cutoff' must be a finite number, got '1.0'"),
+    ({"amplitude": float("nan")}, "'amplitude' must be a finite number, got nan"),
+    ({"amplitude": float("-inf")}, "'amplitude' must be a finite number"),
+])
+def test_bandlimited_spec_rejects_bad_fields(overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        signal_from_spec({**_BANDLIMITED, **overrides}, p=2)
+
+
+def test_multisine_spec_seed_is_an_integer():
+    spec = {"kind": "multisine", "amplitudes": [[0.1], [0.1]],
+            "frequencies": [[0.5], [0.7]]}
+    with pytest.raises(ValueError, match=re.escape("'seed' must be an integer")):
+        signal_from_spec({**spec, "seed": 1.5}, p=2)
+    t = np.linspace(0.0, 3.0, 7)
+    assert np.array_equal(signal_from_spec({**spec, "seed": 3.0}, p=2)(t),
+                          signal_from_spec({**spec, "seed": 3}, p=2)(t))
+    assert np.array_equal(signal_from_spec(spec, p=2, default_seed=3)(t),
+                          signal_from_spec({**spec, "seed": 3}, p=2)(t))
+
+
+def test_bandlimited_spec_accepts_integral_floats():
+    t = np.linspace(0.0, 3.0, 7)
+    want = signal_from_spec(_BANDLIMITED, p=2)(t)
+    got = signal_from_spec({**_BANDLIMITED, "components": 4.0, "seed": 9.0,
+                            "cutoff": 1}, p=2)(t)
+    assert got.tobytes() == want.tobytes()
+    assert np.any(want != 0.0)
 
 
 # --- CSV export ------------------------------------------------------------------
@@ -399,6 +500,32 @@ def test_write_columns_csv_bytes(tmp_path):
                       [np.array([0.0, 0.1]), np.array([[1 / 3, -2.0], [1e-20, 5.0]])])
     assert path.read_bytes() == (b"t,a,b\r\n0.0,0.3333333333333333,-2.0\r\n"
                                  b"0.1,1e-20,5.0\r\n")
+
+
+def _csv_writer_reference(path, header, columns):
+    """The row-at-a-time csv.writer export the block writer must equal."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in np.column_stack(columns):
+            writer.writerow([repr(v) for v in row.tolist()])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 1025, 2500])
+def test_write_columns_csv_matches_csv_writer_bytes(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, 5e-324, -5e-324,
+               1.7976931348623157e308, 1 / 3, -2.0, 1e16, 123456789.125]
+    scale = 10.0 ** rng.integers(-20, 20, (n_rows, 3))
+    values = rng.standard_normal((n_rows, 3)) * scale
+    flat = values.reshape(-1)
+    flat[:len(special)] = special[:flat.size]
+    header = ["t", "a", "b,c", 'd"e']
+    columns = [np.arange(n_rows) * 1e-3, values]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_columns_csv(got, header, columns)
+    _csv_writer_reference(want, header, columns)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_csv_interconnection_header(tmp_path, example_cl):
