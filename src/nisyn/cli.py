@@ -70,6 +70,9 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     if getattr(args, "t_end", None) is not None:
         scn.simulation.t_end = float(args.t_end)
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed overrides simulation.seed and must be "
+                                f"at least 0, got {args.seed}")
         scn.simulation.seed = int(args.seed)
     if getattr(args, "tol", None) is not None:
         scn.verification.dissipation_tol = float(args.tol)

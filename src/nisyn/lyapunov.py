@@ -5,17 +5,19 @@ unstable, deciding semisimplicity of imaginary-axis eigenvalues through the
 numerical rank of A - lambda*I rather than a Jordan form.
 lyapunov_certificate() then constructs P > 0 with A^T P + P A <= 0 and
 verifies it post hoc by direct multiplication.
+sampled_positive_definite() checks f(0) = 0 and f > 0 on scrambled Halton
+points of a box, drawn by _halton(), a numpy copy of scipy's sampler.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.stats import qmc
 
 __all__ = [
     "Classification", "CriticalEigenvalue", "StabilityVerdict",
@@ -284,14 +286,63 @@ class SamplingResult:
     witness_value: Optional[float] = None
 
 
+def _primes(count: int) -> list:
+    """The first ``count`` primes, by trial division."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % q for q in primes if q * q <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _halton(d: int, samples: int, seed: int) -> np.ndarray:
+    """The first ``samples`` points of the Owen-scrambled Halton sequence in
+    [0, 1)^d, bit for bit those of ``scipy.stats.qmc.Halton(d=d,
+    seed=seed).random(samples)`` (the tests check this against scipy).
+
+    Dimension i uses the i-th prime b as base.  One ``default_rng(seed)``
+    shuffles, dimension after dimension, ``ceil(54 / log2 b) - 1`` copies of
+    ``arange(b)``, one per digit position.  A point is the digit-wise
+    radical inverse through those permutations, summed from the lowest digit
+    up as scipy's loop does; a digit position past every index's last digit
+    adds ``perm[0] * scale`` to all points.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((d, samples))
+    index = np.arange(samples)
+    for row, base in zip(out, _primes(d)):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        scales = [1.0 / base]
+        for _ in range(count - 1):
+            scales.append(scales[-1] / base)
+        terms = perms * np.array(scales)[:, None]
+        digits = 1
+        while base ** digits < samples:
+            digits += 1
+        quotient = index
+        for j, term in enumerate(terms):
+            if j < digits:
+                quotient, remainder = np.divmod(quotient, base)
+                row += term[remainder]
+            else:
+                row += term[0]
+    return out.T
+
+
 def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
                               box: Sequence[Sequence[float]],
                               samples: int,
                               seed: int) -> SamplingResult:
     """Check f(0) = 0 and f(x) > 0 on quasi-random samples of the box.
 
-    The box must contain 0 strictly inside.  Besides ``samples`` Halton
-    points, 2n axis points at distance 1e-6 from the origin are tested to
+    The box must contain 0 strictly inside.  Besides ``samples`` scrambled
+    Halton points from ``_halton``, mapped onto the box as ``lo + u * (hi -
+    lo)``, 2n axis points at distance 1e-6 from the origin are tested to
     catch functions that vanish along a coordinate direction.  ``f`` is
     called once and maps the (N, n) stack of all points, origin first, to N values.
     """
@@ -305,8 +356,7 @@ def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
 
     points = np.zeros((1 + 2 * n + int(samples), n))
     points[1:1 + 2 * n] = 1e-6 * np.vstack([np.eye(n), -np.eye(n)])
-    points[1 + 2 * n:] = (qmc.Halton(d=n, seed=seed).random(int(samples))
-                          * (hi - lo) + lo)  # qmc.scale, minus its copy of the box
+    points[1 + 2 * n:] = _halton(n, int(samples), seed) * (hi - lo) + lo
     values = np.asarray(f(points), dtype=float)
     if values.shape != (len(points),):
         raise ValueError(f"f gave shape {values.shape}, not one value per point")

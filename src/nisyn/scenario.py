@@ -4,7 +4,8 @@ A scenario is a JSON document with named blocks; expressions are strings in
 the repository grammar.  The block dataclasses below are the schema: a field
 is read from the key of its name (or ``metadata["key"]``), takes its default
 when the key is absent, and is coerced by its annotation (a ``list`` or
-``dict`` field must be a JSON array or object).  Keys (fields marked * are
+``dict`` field must be a JSON array or object); a field with a
+``metadata["minimum"]`` may not be below it.  Keys (fields marked * are
 optional):
 
     name*
@@ -99,7 +100,7 @@ class SimulationBlock:
     dt: float = 1e-3
     t_end: float = 10.0
     input: dict = field(default_factory=lambda: {"kind": "zero"})
-    seed: int = 0
+    seed: int = field(default=0, metadata={"minimum": 0})
 
 
 @dataclass
@@ -107,8 +108,8 @@ class VerificationBlock:
     dissipation_tol: float = 1e-3
     w_decrease_tol: Optional[float] = None  # defaults to 10*dt at use site
     sampling_box: Optional[list] = None
-    samples: int = 20000
-    pd_seed: int = 0
+    samples: int = field(default=20000, metadata={"minimum": 0})
+    pd_seed: int = field(default=0, metadata={"minimum": 0})
     convergence_threshold: float = 0.08
     nominal_convergence_threshold: Optional[float] = None
     settle_window: float = 1.0
@@ -159,7 +160,11 @@ def _block_from_dict(cls, raw, block: str):
     for f in fields(cls):
         key = _key(f)
         if key in raw:
-            values[f.name] = _coerce(f.type, raw[key], key)
+            value = values[f.name] = _coerce(f.type, raw[key], key)
+            minimum = f.metadata.get("minimum")
+            if minimum is not None and value < minimum:
+                raise ScenarioError(f"field {key!r} of the {block} block must "
+                                    f"be at least {minimum}, got {value!r}")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ScenarioError(f"{block} block is missing required field {key!r}")
     return cls(**values)
@@ -168,7 +173,7 @@ def _block_from_dict(cls, raw, block: str):
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         return _block_from_dict(Scenario, data, "scenario")
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ScenarioError(f"malformed scenario: {err}") from err
 
 

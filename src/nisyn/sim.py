@@ -526,14 +526,36 @@ def _spec_int(spec: dict, key: str, default: int, minimum: int) -> int:
     return int(value)
 
 
+def _finite_real(value) -> bool:
+    """Whether a JSON value is a number (not a boolean) with a finite float."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _spec_float(spec: dict, key: str, default: float) -> float:
     """A finite real field of a signal spec."""
     value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
+    if not _finite_real(value):
         raise ValueError(f"signal field {key!r} must be a finite number, "
                          f"got {value!r}")
     return float(value)
+
+
+def _spec_array(spec: dict, key: str, rows: int, ndim: int) -> np.ndarray:
+    """A real array field of a signal spec: ``rows`` numbers (``ndim`` 1)
+    or ``rows`` equal-length rows of numbers (``ndim`` 2), all finite."""
+    value = spec.get(key)
+    entries = np.asarray(value, dtype=object) if isinstance(value, list) else None
+    if entries is None or entries.ndim != ndim or len(entries) != rows or \
+            not all(_finite_real(v) for v in entries.ravel()):
+        shape = f"{rows} numbers" if ndim == 1 else \
+            f"{rows} equal-length rows of numbers"
+        raise ValueError(f"signal field {key!r} must be an array of {shape}, "
+                         f"all finite, got {value!r}")
+    return entries.astype(float)
 
 
 def signal_from_spec(spec: dict, p: int, default_seed: int = 0):
@@ -544,18 +566,11 @@ def signal_from_spec(spec: dict, p: int, default_seed: int = 0):
     if kind == "zero":
         return zero_signal(p)
     if kind == "step":
-        amp = spec.get("amplitude")
-        if amp is None or len(amp) != p:
-            raise ValueError(f"step signal needs an amplitude of length {p}")
-        return step_signal(amp, float(spec.get("start_time", 0.0)))
+        return step_signal(_spec_array(spec, "amplitude", p, 1),
+                           _spec_float(spec, "start_time", 0.0))
     if kind == "multisine":
-        amplitudes = spec.get("amplitudes")
-        frequencies = spec.get("frequencies")
-        if amplitudes is None or frequencies is None:
-            raise ValueError("multisine signal needs amplitudes and frequencies")
-        if len(amplitudes) != p:
-            raise ValueError(f"multisine needs {p} amplitude rows")
-        return multisine_signal(amplitudes, frequencies,
+        return multisine_signal(_spec_array(spec, "amplitudes", p, 2),
+                                _spec_array(spec, "frequencies", p, 2),
                                 seed=_spec_int(spec, "seed", default_seed, 0))
     if kind == "bandlimited":
         cutoff = _spec_float(spec, "cutoff", 1.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nisyn.lyapunov import (
-    Classification, StabilityError, classify_stability, default_tolerance,
-    lyapunov_certificate, sampled_positive_definite,
+    Classification, StabilityError, _halton, _primes, classify_stability,
+    default_tolerance, lyapunov_certificate, sampled_positive_definite,
 )
 
 
@@ -187,6 +187,43 @@ def test_sampled_pd_deterministic():
     a = sampled_positive_definite(f, [[-1, 1], [-1, 1]], 100, seed=42)
     b = sampled_positive_definite(f, [[-1, 1], [-1, 1]], 100, seed=42)
     assert a == b
+
+
+def test_primes():
+    assert _primes(0) == []
+    assert _primes(25) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                           47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+
+
+@pytest.mark.parametrize("d, samples, seed", [
+    (1, 10, 0), (1, 1, 0), (3, 1, 4), (6, 0, 5), (2, 1025, 5), (4, 2000, 3),
+    (6, 100_000, 12345), (7, 6000, 99), (12, 20_000, 1), (20, 3000, 2),
+])
+def test_halton_equals_scipy_bit_for_bit(d, samples, seed):
+    from scipy.stats import qmc
+    want = qmc.Halton(d=d, seed=seed).random(samples)
+    got = _halton(d, samples, seed)
+    assert got.shape == want.shape == (samples, d)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_halton_rows_are_pinned():
+    # qmc.Halton(d=3, seed=2024).random(4), scipy 1.17.1
+    want = np.array([
+        [0.8384968189834792, 0.8242146834946684, 0.6420158068815491],
+        [0.33849681898347916, 0.15754801682800185, 0.042015806881548975],
+        [0.5884968189834792, 0.4908813501613352, 0.44201580688154896],
+        [0.08849681898347916, 0.7131035723835575, 0.24201580688154897],
+    ])
+    assert _halton(3, 4, 2024).tobytes() == want.tobytes()
+
+
+def test_halton_rejects_a_negative_seed():
+    with pytest.raises(ValueError):
+        _halton(2, 4, -1)
+    with pytest.raises(ValueError):
+        sampled_positive_definite(lambda x: np.sum(x * x, axis=1),
+                                  [[-1, 1]], 10, seed=-1)
 
 
 def _reference_sampled_pd(f, box, samples, seed):

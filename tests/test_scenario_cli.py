@@ -141,6 +141,41 @@ def test_int_field_rejects_fractions_and_booleans(block, key, value):
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("block, key", [("simulation", "seed"),
+                                        ("verification", "pd_seed"),
+                                        ("verification", "samples")])
+def test_main_rejects_a_negative_seed_or_sample_count(tmp_path, capsys, block, key):
+    data = _fast_scenario()
+    data[block][key] = -1
+    path = _write(tmp_path, data)
+    assert main(["analyze", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: field {key!r} of the {block} block must be at least 0, got -1\n"
+
+
+def test_main_rejects_a_negative_seed_override(tmp_path, capsys):
+    path = _write(tmp_path, _fast_scenario())
+    assert main(["verify", "--scenario", path, "--out", str(tmp_path / "o"),
+                 "--seed", "-3"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --seed overrides simulation.seed and must be at least 0, got -3\n"
+
+
+def test_zero_seeds_load():
+    data = _fast_scenario()
+    data["simulation"]["seed"] = 0
+    data["verification"]["pd_seed"] = 0
+    scn = scenario_from_dict(data)
+    assert (scn.simulation.seed, scn.verification.pd_seed) == (0, 0)
+
+
+def test_float_field_beyond_the_float_range_is_rejected():
+    data = _fast_scenario()
+    data["simulation"]["dt"] = 10 ** 400
+    with pytest.raises(ScenarioError, match="int too large to convert to float"):
+        scenario_from_dict(data)
+
+
 def test_int_field_accepts_an_integral_float():
     data = _fast_scenario()
     data["plant"]["m"] = 1.0
@@ -605,6 +640,36 @@ def test_main_simulate_rejects_a_bad_bandlimited_input(tmp_path, capsys, field,
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("signal, message", [
+    ({"kind": "step", "amplitude": [0.2, 0.2], "start_time": float("nan")},
+     "error: signal field 'start_time' must be a finite number, got nan"),
+    ({"kind": "step", "amplitude": [0.2, 0.2], "start_time": "soon"},
+     "error: signal field 'start_time' must be a finite number, got 'soon'"),
+    ({"kind": "multisine", "amplitudes": [[0.1, 0.2], [0.1, float("nan")]],
+      "frequencies": [[0.3, 0.8], [0.3, 0.8]], "seed": 4},
+     "error: signal field 'amplitudes' must be an array of 2 equal-length rows "
+     "of numbers, all finite, got [[0.1, 0.2], [0.1, nan]]"),
+    ({"kind": "multisine", "amplitudes": [[0.1, 0.2], [0.1, 0.2]],
+      "frequencies": [[float("nan"), 0.8], [0.3, 0.8]], "seed": 4},
+     "error: signal field 'frequencies' must be an array of 2 equal-length rows "
+     "of numbers, all finite, got [[nan, 0.8], [0.3, 0.8]]"),
+])
+def test_main_simulate_rejects_a_bad_step_or_multisine(tmp_path, capsys, signal,
+                                                       message):
+    # at the parent a NaN start_time ran with an all-zero input (exit 0) and a
+    # NaN amplitude or frequency was reported as a diverged run (exit 1)
+    data = _fast_scenario()
+    del data["uncertainty"]
+    del data["regression"]
+    data["simulation"]["t_end"] = 0.1
+    data["simulation"]["input"] = signal
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", _write(tmp_path, data),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_main_report_files_have_schema_version(tmp_path):
     ok = _write(tmp_path, _fast_scenario())
     out = tmp_path / "rep"
@@ -663,6 +728,17 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "EQUIVALENT" in proc.stdout
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(nisyn.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nisyn.cli; print(sorted(m for m in "
+         "sys.modules if m.startswith('scipy.stats')))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "verify",

@@ -449,6 +449,55 @@ def test_bandlimited_spec_rejects_bad_fields(overrides, message):
         signal_from_spec({**_BANDLIMITED, **overrides}, p=2)
 
 
+_STEP = {"kind": "step", "amplitude": [0.2, -0.1], "start_time": 0.5}
+_MULTISINE = {"kind": "multisine", "amplitudes": [[0.1, 0.2], [0.1, 0.2]],
+              "frequencies": [[0.5, 0.9], [0.7, 1.1]], "seed": 3}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({**_STEP, "start_time": float("nan")},
+     "'start_time' must be a finite number, got nan"),
+    ({**_STEP, "start_time": float("inf")}, "'start_time' must be a finite number"),
+    ({**_STEP, "start_time": "soon"},
+     "'start_time' must be a finite number, got 'soon'"),
+    ({**_STEP, "start_time": None}, "'start_time' must be a finite number"),
+    ({**_STEP, "start_time": 10 ** 400}, "'start_time' must be a finite number"),
+    ({**_STEP, "amplitude": [0.2, float("nan")]},
+     "'amplitude' must be an array of 2 numbers, all finite"),
+    ({**_STEP, "amplitude": [0.2]}, "'amplitude' must be an array of 2 numbers"),
+    ({**_STEP, "amplitude": 0.2}, "'amplitude' must be an array of 2 numbers"),
+    ({**_STEP, "amplitude": [[0.2], [0.1]]},
+     "'amplitude' must be an array of 2 numbers"),
+    ({**_STEP, "amplitude": [0.2, True]}, "'amplitude' must be an array"),
+    ({**_STEP, "amplitude": [0.2, 10 ** 400]}, "'amplitude' must be an array"),
+    ({**_MULTISINE, "amplitudes": [[0.1, float("nan")], [0.1, 0.2]]},
+     "'amplitudes' must be an array of 2 equal-length rows of numbers, all finite"),
+    ({**_MULTISINE, "frequencies": [[0.5, 0.9], [float("inf"), 1.1]]},
+     "'frequencies' must be an array of 2 equal-length rows of numbers"),
+    ({**_MULTISINE, "amplitudes": [[0.1, 0.2], [0.1]]},
+     "'amplitudes' must be an array of 2 equal-length rows"),
+    ({**_MULTISINE, "amplitudes": [0.1, 0.2]},
+     "'amplitudes' must be an array of 2 equal-length rows"),
+    ({**_MULTISINE, "frequencies": [["0.5", 0.9], [0.7, 1.1]]},
+     "'frequencies' must be an array of 2 equal-length rows"),
+    ({"kind": "multisine", "frequencies": [[0.5], [0.7]]},
+     "'amplitudes' must be an array of 2 equal-length rows"),
+])
+def test_step_and_multisine_specs_reject_bad_fields(spec, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        signal_from_spec(spec, p=2)
+
+
+def test_step_and_multisine_specs_build_their_signals():
+    t = np.linspace(0.0, 3.0, 7)
+    assert signal_from_spec(_STEP, p=2)(t).tobytes() == \
+        step_signal([0.2, -0.1], 0.5)(t).tobytes()
+    assert signal_from_spec({**_STEP, "start_time": 1}, p=2)(t).tobytes() == \
+        step_signal([0.2, -0.1], 1.0)(t).tobytes()
+    assert signal_from_spec(_MULTISINE, p=2)(t).tobytes() == multisine_signal(
+        _MULTISINE["amplitudes"], _MULTISINE["frequencies"], seed=3)(t).tobytes()
+
+
 def test_multisine_spec_seed_is_an_integer():
     spec = {"kind": "multisine", "amplitudes": [[0.1], [0.1]],
             "frequencies": [[0.5], [0.7]]}
