@@ -25,8 +25,8 @@ from .lyapunov import (
 )
 from .scenario import (
     Scenario, ScenarioError, build_general_form, build_plant,
-    build_uncertainty, input_catalog, load_scenario, resolve_synthesis_spec,
-    sampling_box,
+    build_uncertainty, input_catalog, load_scenario, override,
+    resolve_synthesis_spec, sampling_box,
 )
 from .sim import (
     IntegrationError, check_dissipation, check_w_decrease,
@@ -65,17 +65,13 @@ def _write_report(report: dict, out_dir: Path, name: str) -> Path:
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
-    if getattr(args, "dt", None) is not None:
-        scn.simulation.dt = float(args.dt)
-    if getattr(args, "t_end", None) is not None:
-        scn.simulation.t_end = float(args.t_end)
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ScenarioError(f"--seed overrides simulation.seed and must be "
-                                f"at least 0, got {args.seed}")
-        scn.simulation.seed = int(args.seed)
-    if getattr(args, "tol", None) is not None:
-        scn.verification.dissipation_tol = float(args.tol)
+    for option, block, name in (("dt", "simulation", "dt"),
+                                ("t_end", "simulation", "t_end"),
+                                ("seed", "simulation", "seed"),
+                                ("tol", "verification", "dissipation_tol")):
+        value = getattr(args, option, None)
+        if value is not None:
+            override(scn, block, name, value, "--" + option.replace("_", "-"))
     return scn
 
 

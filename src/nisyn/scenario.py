@@ -5,8 +5,9 @@ the repository grammar.  The block dataclasses below are the schema: a field
 is read from the key of its name (or ``metadata["key"]``), takes its default
 when the key is absent, and is coerced by its annotation (a ``list`` or
 ``dict`` field must be a JSON array or object); a field with a
-``metadata["minimum"]`` may not be below it.  Keys (fields marked * are
-optional):
+``metadata["minimum"]`` may not be below it, one marked ``"positive"`` must
+be above 0, and one marked ``"finite"`` may not be NaN or infinite.  Keys
+(fields marked * are optional):
 
     name*
     plant:        m, p1, p2, A11 (nested row-major array), p (expressions)
@@ -29,6 +30,7 @@ loading yields an identical in-memory scenario.
 """
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin
 
@@ -47,7 +49,7 @@ __all__ = [
     "VerificationBlock", "RegressionBlock",
     "load_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
     "build_plant", "resolve_synthesis_spec", "build_uncertainty",
-    "build_general_form", "sampling_box", "default_input_catalog",
+    "build_general_form", "sampling_box", "default_input_catalog", "override",
 ]
 
 
@@ -97,8 +99,9 @@ class UncertaintyBlock:
 @dataclass
 class SimulationBlock:
     x0: list
-    dt: float = 1e-3
-    t_end: float = 10.0
+    dt: float = field(default=1e-3, metadata={"finite": True, "positive": True})
+    t_end: float = field(default=10.0,
+                         metadata={"finite": True, "positive": True})
     input: dict = field(default_factory=lambda: {"kind": "zero"})
     seed: int = field(default=0, metadata={"minimum": 0})
 
@@ -112,7 +115,8 @@ class VerificationBlock:
     pd_seed: int = field(default=0, metadata={"minimum": 0})
     convergence_threshold: float = 0.08
     nominal_convergence_threshold: Optional[float] = None
-    settle_window: float = 1.0
+    settle_window: float = field(default=1.0,
+                                 metadata={"finite": True, "minimum": 0})
     input_signals: Optional[list] = None
 
 
@@ -153,6 +157,19 @@ def _coerce(tp, value, key: str):
     return value if tp is object else tp(value)
 
 
+def _check_bounds(f, value, subject: str) -> None:
+    """The bounds that field ``f``'s metadata declares; ``subject`` starts
+    the error message and names the field."""
+    meta = f.metadata
+    if meta.get("finite") and not math.isfinite(value):
+        raise ScenarioError(f"{subject} must be a finite number, got {value!r}")
+    if meta.get("positive") and not value > 0:
+        raise ScenarioError(f"{subject} must be positive, got {value!r}")
+    if "minimum" in meta and value < meta["minimum"]:
+        raise ScenarioError(f"{subject} must be at least {meta['minimum']}, "
+                            f"got {value!r}")
+
+
 def _block_from_dict(cls, raw, block: str):
     if not isinstance(raw, dict):
         raise ScenarioError(f"{block} block must be a JSON object")
@@ -161,13 +178,20 @@ def _block_from_dict(cls, raw, block: str):
         key = _key(f)
         if key in raw:
             value = values[f.name] = _coerce(f.type, raw[key], key)
-            minimum = f.metadata.get("minimum")
-            if minimum is not None and value < minimum:
-                raise ScenarioError(f"field {key!r} of the {block} block must "
-                                    f"be at least {minimum}, got {value!r}")
+            _check_bounds(f, value, f"field {key!r} of the {block} block")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ScenarioError(f"{block} block is missing required field {key!r}")
     return cls(**values)
+
+
+def override(scn: Scenario, block: str, name: str, value, option: str) -> None:
+    """Set field ``name`` of the ``block`` block from the command-line
+    ``option``, coerced and bounded as when the scenario is loaded."""
+    target = getattr(scn, block)
+    f = next(f for f in fields(target) if f.name == name)
+    value = _coerce(f.type, value, name)
+    _check_bounds(f, value, f"{option} overrides {block}.{name} and")
+    setattr(target, name, value)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

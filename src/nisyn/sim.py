@@ -18,6 +18,7 @@ and, for interconnections, the composite decrease
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -82,6 +83,54 @@ class Trajectory:
         return self.t.shape[0]
 
 
+def _items(prefix: str, count: int) -> str:
+    """``p0, p1, ``: ``count`` names, each followed by a comma."""
+    return "".join(f"{prefix}{i}, " for i in range(count))
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_loop(n: int, p: int) -> Callable:
+    """The RK4 loop for n states and p inputs, generated once per shape.
+
+    ``loop(field, states, inputs, x, k, n_steps, dt, bound)`` steps from
+    state ``x`` at step ``k``, with the state in n local floats and row k of
+    ``inputs`` in p (one row at a time: a list of every row would raise the
+    peak memory), and writes each new state into row k + 1 of ``states``.
+    It returns ``(n_steps, x)`` at the end, or ``(k, x)`` with the state
+    after step k as soon as its norm is nan, inf or above ``bound``; the
+    caller classifies that state and resumes from k + 1 when it is not an
+    error.  The arithmetic is the array form's, operation for operation.
+    """
+    s, u = _items("s", n), _items("u", p)
+
+    def stage(j: int, scale: str) -> str:
+        x = "".join(f"s{i} + {scale} * k{j - 1}_{i}, " for i in range(n))
+        return f"        ({_items(f'k{j}_', n)}) = field(({x}{u}))\n"
+
+    lines = [
+        "def _loop(field, states, inputs, x, k0, n_steps, dt, bound):\n",
+        "    half = 0.5 * dt\n",
+        "    sixth = dt / 6.0\n",
+        f"    ({s}) = x\n",
+        "    for k in range(k0, n_steps):\n",
+        f"        ({u}) = inputs[k].tolist()\n" if p else "",
+        f"        ({_items('k1_', n)}) = field(({s}{u}))\n",
+        stage(2, "half"), stage(3, "half"), stage(4, "dt"),
+    ]
+    lines += [f"        s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} "
+              f"+ 2.0 * k3_{i} + k4_{i})\n" for i in range(n)]
+    lines += [
+        f"        h = hypot({s})\n",
+        "        if not h <= bound or h == inf:\n",
+        f"            return k, ({s})\n",
+        f"        states[k + 1] = ({s})\n",
+        f"    return n_steps, ({s})\n",
+    ]
+    namespace = {"hypot": math.hypot, "inf": math.inf}
+    exec(compile("".join(lines), f"<nisyn-rk4-{n}-{p}>", "exec"), namespace)
+    return namespace["_loop"]
+
+
 def integrate(rhs: Callable,
               x0: Sequence[float],
               t_end: float,
@@ -92,14 +141,17 @@ def integrate(rhs: Callable,
               blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
     """Integrate x' = rhs(x, u(t)) with classical RK4 at fixed step.
 
-    ``rhs`` is a compile_exprs field over the state followed by the input,
-    or a callable rhs(x, u) on ndarrays.  The step runs on Python floats,
-    with the same operations in the same order as on float64 arrays.  The
-    input is open-loop and zero-order-hold at the grid times t_k = k*dt, so
-    it is sampled once per run: ``input_fn`` maps the (N,) time grid to an
-    (N, p) array (None means p = 0), and any other shape is a ValueError.
-    Integration aborts with a diagnostic on NaN/Inf and raises
-    DivergenceError when the state norm exceeds ``blowup_norm``.
+    ``rhs`` is a compile_exprs field over the state followed by the input
+    (called through its ``point``), or a callable rhs(x, u) on ndarrays
+    (adapted once).  Either runs in the one RK4 loop generated for its
+    shape (n states, p inputs), which holds the state in n Python floats
+    and does the same operations in the same order as on float64 arrays.
+    The input is open-loop and zero-order-hold at the grid times
+    t_k = k*dt, so it is sampled once per run: ``input_fn`` maps the (N,)
+    time grid to an (N, p) array (None means p = 0), and any other shape is
+    a ValueError.  Integration aborts with an IntegrationError on NaN/Inf
+    and raises DivergenceError when the state norm exceeds ``blowup_norm``;
+    both carry the step and the last good state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -124,16 +176,9 @@ def integrate(rhs: Callable,
                 f"{t_grid.shape}; a signal maps times (N,) to inputs (N, p)")
     states = np.empty((n_steps + 1, n))
     states[0] = x
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(n_steps):
-        u = inputs[k].tolist()
-        k1 = field(x + u)
-        k2 = field([a + half * b for a, b in zip(x, k1)] + u)
-        k3 = field([a + half * b for a, b in zip(x, k2)] + u)
-        k4 = field([a + dt * b for a, b in zip(x, k3)] + u)
-        x = [a + sixth * (b + 2.0 * c + 2.0 * d + e)
-             for a, b, c, d, e in zip(x, k1, k2, k3, k4, strict=True)]
+    loop = _rk4_loop(n, inputs.shape[1])
+    k, x = loop(field, states, inputs, x, 0, n_steps, dt, blowup_norm)
+    while k < n_steps:
         norm = math.hypot(*x)  # nan or inf when a state is
         if not math.isfinite(norm) and not all(map(math.isfinite, x)):
             raise IntegrationError("non-finite state encountered", k + 1, states[k])
@@ -141,7 +186,9 @@ def integrate(rhs: Callable,
             raise DivergenceError(
                 f"state norm {norm:.3e} exceeded blow-up bound {blowup_norm:.3e}",
                 k + 1, states[k])
+        # finite states whose norm overflows, under an infinite bound
         states[k + 1] = x
+        k, x = loop(field, states, inputs, x, k + 1, n_steps, dt, blowup_norm)
     if state_names is None:
         state_names = tuple(f"x{i + 1}" for i in range(n))
     if input_names is None:
@@ -387,16 +434,16 @@ def convergence_metrics(traj: Trajectory, threshold: float,
                         window: float) -> ConvergenceMetrics:
     """Final state norm plus the first time after which the norm stays
     below ``threshold`` for at least ``window`` seconds (None if never)."""
+    if not window >= 0:
+        raise ValueError(f"window must be at least 0, got {window!r}")
     norms = np.linalg.norm(traj.states, axis=1)
-    dt = traj.dt
-    w_steps = int(round(window / dt))
-    below = norms < threshold
-    settled = None
-    # first grid time from which a full window of samples stays below
-    for i in range(len(below) - w_steps):
-        if below[i:i + w_steps + 1].all():
-            settled = float(traj.t[i])
-            break
+    # a window longer than the run never fits, however long it is
+    w_steps = int(round(min(window / traj.dt, len(norms))))
+    # above[i] counts the samples before i that are not below the threshold;
+    # the first grid time whose w_steps + 1 samples are all below settles
+    above = np.concatenate([[0], np.cumsum(~(norms < threshold))])
+    settles = np.flatnonzero(above[w_steps + 1:] == above[:-w_steps - 1])
+    settled = float(traj.t[settles[0]]) if settles.size else None
     return ConvergenceMetrics(
         final_norm=float(norms[-1]),
         settled_time=settled,

@@ -696,6 +696,51 @@ def test_main_dt_override(tmp_path):
     assert report["dt"] == 0.002
 
 
+@pytest.mark.parametrize("block, key, value, problem", [
+    ("simulation", "t_end", float("inf"), "must be a finite number, got inf"),
+    ("simulation", "t_end", float("nan"), "must be a finite number, got nan"),
+    ("simulation", "t_end", 0, "must be positive, got 0.0"),
+    ("simulation", "t_end", -1.0, "must be positive, got -1.0"),
+    ("simulation", "dt", float("nan"), "must be a finite number, got nan"),
+    ("simulation", "dt", float("-inf"), "must be a finite number, got -inf"),
+    ("simulation", "dt", 0.0, "must be positive, got 0.0"),
+    ("verification", "settle_window", float("inf"),
+     "must be a finite number, got inf"),
+    ("verification", "settle_window", float("nan"),
+     "must be a finite number, got nan"),
+    ("verification", "settle_window", -1.0, "must be at least 0, got -1.0"),
+])
+def test_main_simulate_rejects_a_bad_time_field(tmp_path, capsys, block, key,
+                                                value, problem):
+    data = _fast_scenario()
+    data[block][key] = value
+    path = _write(tmp_path, data)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: field {key!r} of the {block} block {problem}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value, problem", [
+    ("--t-end", "inf", "simulation.t_end and must be a finite number, got inf"),
+    ("--t-end", "-2", "simulation.t_end and must be positive, got -2.0"),
+    ("--dt", "nan", "simulation.dt and must be a finite number, got nan"),
+    ("--dt", "0", "simulation.dt and must be positive, got 0.0"),
+])
+def test_main_simulate_rejects_a_bad_time_override(tmp_path, capsys, flag, value,
+                                                   problem):
+    path = _write(tmp_path, _fast_scenario())
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o"),
+                 flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {flag} overrides {problem}\n"
+
+
+def test_zero_settle_window_loads():
+    data = _fast_scenario()
+    data["verification"]["settle_window"] = 0
+    assert scenario_from_dict(data).verification.settle_window == 0.0
+
+
 def test_main_writes_report_with_failure_witness(tmp_path):
     # a failing positivity check must still serialize cleanly to JSON
     data = _fast_scenario()

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from nisyn.sim import (
     check_dissipation, check_w_decrease, convergence_metrics, integrate,
     multisine_signal, signal_from_spec, simulate_closed_loop,
     simulate_interconnection, simulate_uncertainty, step_signal,
-    write_columns_csv, write_trajectory_csv, zero_signal,
+    write_columns_csv, write_trajectory_csv, zero_signal, _rk4_loop,
 )
 from nisyn.synthesis import SynthesisError, SynthesisSpec, storage_value, synthesize
 from nisyn.uncertainty import Interconnection, OsniUncertainty, UncertaintyError
@@ -184,6 +185,109 @@ def test_integrate_float_failures_give_integration_error():
         with pytest.raises(IntegrationError, match="non-finite"):
             simulate_uncertainty(_example_unc(), [1e120, 0.0], 1.0, 0.1)
     assert "overflow" in str(record[0].message)
+
+
+def _field(exprs, names):
+    return compile_exprs([parse_expr(e, names) for e in exprs], names)
+
+
+@pytest.mark.parametrize("exprs, names, x0, signal", [
+    # n = 1, p = 0
+    (["-x - x^3/3"], ["x"], [0.7], zero_signal(0)),
+    # n = 2, p = 3
+    (["x2 + u1*u3", "-x1 - x2 + u2 - x1^3 + u3"], ["x1", "x2", "u1", "u2", "u3"],
+     [0.3, -0.8], multisine_signal([[0.2, 0.1], [0.3, 0.1], [0.1, 0.2]],
+                                   [[0.4, 0.9], [1.1, 0.3], [0.7, 2.0]], seed=3)),
+    # n = 3, p = 4
+    (["x2", "x3 - x1*u4", "-x1 - x2 - x3 + u1 + u2*u3"],
+     ["x1", "x2", "x3", "u1", "u2", "u3", "u4"], [1.0, 0.0, -0.5],
+     multisine_signal(np.full((4, 1), 0.3), [[0.5], [0.8], [1.3], [2.1]], seed=5)),
+])
+def test_generated_loop_matches_the_array_loop_bit_for_bit(exprs, names, x0, signal):
+    field = _field(exprs, names)
+    want = _rk4_on_arrays(field, x0, 1.0, 1e-2, signal)
+    n = len(x0)
+    input_fn = None if len(names) == n else signal
+    wrapped = lambda x, u: field(np.concatenate([x, u]))
+    for rhs in (field, wrapped):
+        got = integrate(rhs, x0, 1.0, 1e-2, input_fn=input_fn).states
+        assert got.shape == (101, n)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rhs", [
+    _field(["x1"], ["x1", "x2"]),
+    _field(["x1", "x2", "x1"], ["x1", "x2"]),
+    lambda x, u: np.zeros(3),
+    lambda x, u: np.zeros(1),
+])
+def test_a_field_with_the_wrong_number_of_values_is_a_value_error(rhs):
+    with pytest.raises(ValueError):
+        integrate(rhs, [1.0, 2.0], 1.0, 0.1)
+
+
+def _first_failure(rhs, x0, t_end, dt, bound):
+    """(step, last good state) of the first state of the array-form RK4 run
+    that is non-finite or whose norm exceeds ``bound``."""
+    n = len(x0)
+    field = rhs if hasattr(rhs, "point") else \
+        SimpleNamespace(point=lambda xu: rhs(xu[:n], xu[n:]))
+    with np.errstate(all="ignore"):
+        states = _rk4_on_arrays(field, x0, t_end, dt, zero_signal(0))
+        norms = np.hypot.reduce(states, axis=1)
+    step = int(np.flatnonzero(~np.isfinite(norms) | (norms > bound))[0])
+    return step, states[step - 1]
+
+
+def _nan_past(level):
+    return lambda x, u: np.array([np.nan]) if x[0] > level else np.array([1.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rhs, x0, t_end, dt, bound, cls, step", [
+    (_nan_past(0.8), [0.49], 1.0, 0.1, 1e6, IntegrationError, 4),
+    (_field(["x^3 - x^3 + 1"], ["x"]), [1e120], 1.0, 0.1, np.inf,
+     IntegrationError, 1),
+    (_field(["x"], ["x"]), [1.0], 100.0, 0.1, 1e3, DivergenceError, 70),
+    (lambda x, u: x, [1.0], 100.0, 0.1, 1e3, DivergenceError, 70),
+    (_field(["x1", "2*x2"], ["x1", "x2"]), [1.0, -1.0], 100.0, 0.01, 1e5,
+     DivergenceError, 576),
+    (lambda x, u: np.array([x[0], 2.0 * x[1]]), [1.0, -1.0], 100.0, 0.01, 1e5,
+     DivergenceError, 576),
+])
+def test_failures_keep_their_class_step_and_last_state(rhs, x0, t_end, dt, bound,
+                                                       cls, step):
+    with pytest.raises(IntegrationError) as err:
+        integrate(rhs, x0, t_end, dt, blowup_norm=bound)
+    assert type(err.value) is cls
+    assert err.value.step == step
+    want_step, want_state = _first_failure(rhs, x0, t_end, dt, bound)
+    assert err.value.step == want_step
+    assert err.value.last_state.tobytes() == want_state.tobytes()
+
+
+def test_an_overflowing_norm_of_finite_states_under_an_infinite_bound_runs_on():
+    x0 = [1.5e308, 1.5e308]  # finite, but hypot(x0) is inf
+    for rhs in (_field(["0", "0"], ["x1", "x2"]), lambda x, u: np.zeros(2)):
+        traj = integrate(rhs, x0, 1.0, 0.1, blowup_norm=np.inf)
+        assert traj.states.shape == (11, 2)
+        assert np.all(traj.states == np.array(x0))
+        with pytest.raises(DivergenceError) as err:
+            integrate(rhs, x0, 1.0, 0.1)
+        assert err.value.step == 1
+
+
+def test_fields_of_one_shape_share_one_cached_loop():
+    a = _field(["-x1 + u1", "x1 - x2"], ["x1", "x2", "u1"])
+    b = _field(["x2", "-x1 - x2^3 + u1"], ["x1", "x2", "u1"])
+    signal = step_signal([0.5])
+    integrate(a, [1.0, 0.0], 0.5, 0.1, input_fn=signal)
+    before = _rk4_loop.cache_info()
+    integrate(b, [1.0, 0.0], 0.5, 0.1, input_fn=signal)
+    integrate(lambda x, u: -x, [1.0, 0.0], 0.5, 0.1, input_fn=signal)
+    after = _rk4_loop.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    assert _rk4_loop(2, 1) is _rk4_loop(2, 1)
 
 
 @pytest.mark.parametrize("x0, signal, error", [
@@ -362,6 +466,46 @@ def test_convergence_never_settles():
     traj = integrate(lambda x, u: np.zeros_like(x), [1.0], 1.0, 0.1)
     m = convergence_metrics(traj, threshold=0.5, window=0.5)
     assert m.settled_time is None
+
+
+def _settled_by_slices(traj, threshold, window):
+    """The settle search as a loop of window slices: the reference."""
+    below = np.linalg.norm(traj.states, axis=1) < threshold
+    w_steps = int(round(window / traj.dt))
+    for i in range(len(below) - w_steps):
+        if below[i:i + w_steps + 1].all():
+            return float(traj.t[i])
+    return None
+
+
+def test_settle_search_matches_the_slice_loop_on_random_runs():
+    rng = np.random.default_rng(11)
+    dt = 0.1
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        p_below = rng.choice([0.3, 0.8, 0.97, 1.0])
+        norms = np.where(rng.random(n) < p_below, 0.0, 1.0)
+        traj = Trajectory(t=np.arange(n) * dt, states=norms[:, None],
+                          inputs=np.zeros((n, 0)), state_names=("x1",),
+                          input_names=())
+        for w_steps in {0, 1, int(rng.integers(0, n)), n - 1, n, n + 1, 3 * n}:
+            window = w_steps * dt
+            got = convergence_metrics(traj, 0.5, window).settled_time
+            assert got == _settled_by_slices(traj, 0.5, window)
+
+
+def test_convergence_window_longer_than_any_run_never_settles():
+    traj = integrate(lambda x, u: np.zeros_like(x), np.zeros(2), 1.0, 0.1)
+    assert convergence_metrics(traj, 0.5, 1.0).settled_time == 0.0
+    for window in (1.1, 1e300, math.inf):
+        assert convergence_metrics(traj, 0.5, window).settled_time is None
+
+
+@pytest.mark.parametrize("window", [-1.0, -0.01, math.nan])
+def test_convergence_rejects_a_negative_window(window):
+    traj = integrate(lambda x, u: np.zeros_like(x), np.zeros(2), 1.0, 0.1)
+    with pytest.raises(ValueError, match="window must be at least 0"):
+        convergence_metrics(traj, 0.5, window)
 
 
 # --- signals -------------------------------------------------------------------
