@@ -24,12 +24,16 @@ negative bases.
 
 compile_exprs() is the one evaluator, for a point or a stack of points; the
 tree walker evaluate() is its reference and serves one-point origin checks.
-It emits one straight-line function for the whole vector.  Every non-leaf
-subtree that occurs more than once is bound to a local ``_tN`` ahead of the
+It emits one straight-line function for the whole vector: it unpacks its
+argument into the locals ``_x0 … _x{n-1}`` once, then binds every non-leaf
+subtree that occurs more than once to a local ``_tN`` ahead of the
 ``return``; subtrees are matched on (kind, payload, child numbers), numbered
-bottom-up, so no subtree is hashed whole.  One point runs on Python floats:
-the callable passes ``x.tolist()``, and its ``point`` attribute is that list
-entry point, which the integrator calls.  Python floats raise
+bottom-up, so no subtree is hashed whole.  The callable keeps that body
+(``body``, ``roots``, ``n_vars``), which the integrator inlines into its
+RK4 loop without a second pass over the tree.  One point runs on Python
+floats: the callable passes ``x.tolist()``, and its ``point`` attribute is
+that list entry point, through which the integrator retries a step whose
+inlined body raised.  Python floats raise
 ZeroDivisionError or OverflowError where numpy gives inf, so when the float
 call raises either, the point is evaluated again on numpy float64 scalars:
 there is one failure mode, inf or nan with numpy's RuntimeWarning.  (A
@@ -626,7 +630,7 @@ def _code(e: Expr, kids: Sequence[str], index: Mapping[str, int]) -> str:
     """Source for one node, given the source of its children."""
     if isinstance(e, Var):
         try:
-            return f"_x[{index[e.name]}]"
+            return f"_x{index[e.name]}"
         except KeyError:
             raise ExprError(f"variable {e.name!r} not in compilation scope") from None
     if isinstance(e, Const):
@@ -646,21 +650,21 @@ def _code(e: Expr, kids: Sequence[str], index: Mapping[str, int]) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _source(exprs: Sequence[Expr], var_names: Sequence[str]) -> str:
-    """One function ``_f(_x)`` returning the tuple of values; every non-leaf
-    subtree used more than once is bound to a local ``_tN`` first."""
+def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
+    """The straight-line body over the locals ``_x0 … _x{n-1}``: the
+    statements that bind every non-leaf subtree used more than once to a
+    local ``_tN``, and the code of each root."""
     index = {n: i for i, n in enumerate(var_names)}
     roots, nodes, uses = _subtrees(exprs)
-    lines = ["def _f(_x):\n"]
+    statements: list = []
     codes: list = []
     for i, ((e, kids), n) in enumerate(zip(nodes, uses)):
         c = _code(e, [codes[k] for k in kids], index)
         if kids and n > 1:
-            lines.append(f"    _t{i} = {c}\n")
+            statements.append(f"_t{i} = {c}")
             c = f"_t{i}"
         codes.append(c)
-    lines.append("    return (" + "".join(codes[r] + ", " for r in roots) + ")\n")
-    return "".join(lines)
+    return tuple(statements), tuple(codes[r] for r in roots)
 
 
 def compile_exprs(exprs: Sequence[Expr],
@@ -671,11 +675,18 @@ def compile_exprs(exprs: Sequence[Expr],
     arithmetic identical to evaluate() term for term, and a stack (N, n) to
     (N, k), within 1e-12 * (1 + |value|) of the one-point values.  Its
     ``point`` attribute is the list entry point: a sequence of n values to
-    a tuple of k.
+    a tuple of k.  ``body`` and ``roots`` are the generated statements and
+    root expressions over the locals ``_x0 … _x{n-1}`` (``n_vars`` of them),
+    and ``rk4`` holds the RK4 loop that sim.integrate builds on them.
     """
     k = len(exprs)
+    statements, roots = _body(exprs, var_names)
+    names = "".join(f"_x{i}, " for i in range(len(var_names)))
+    source = ("def _f(_x):\n" + (f"    ({names}) = _x\n" if names else "")
+              + "".join(f"    {s}\n" for s in statements)
+              + "    return (" + "".join(r + ", " for r in roots) + ")\n")
     namespace = {"_rp": rational_power}
-    exec(compile(_source(exprs, var_names), "<nisyn-expr>", "exec"), namespace)
+    exec(compile(source, "<nisyn-expr>", "exec"), namespace)
     f = namespace["_f"]
 
     def point(values):
@@ -695,4 +706,6 @@ def compile_exprs(exprs: Sequence[Expr],
         return out.T
 
     fn.point = point
+    fn.body, fn.roots, fn.n_vars = statements, roots, len(var_names)
+    fn.rk4 = None
     return fn

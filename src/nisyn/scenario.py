@@ -96,25 +96,30 @@ class UncertaintyBlock:
             self.x_sigma0 = [0.0] * self.n_sigma
 
 
+_FINITE_POSITIVE = {"finite": True, "positive": True}
+
+
 @dataclass
 class SimulationBlock:
     x0: list
-    dt: float = field(default=1e-3, metadata={"finite": True, "positive": True})
-    t_end: float = field(default=10.0,
-                         metadata={"finite": True, "positive": True})
+    dt: float = field(default=1e-3, metadata=_FINITE_POSITIVE)
+    t_end: float = field(default=10.0, metadata=_FINITE_POSITIVE)
     input: dict = field(default_factory=lambda: {"kind": "zero"})
     seed: int = field(default=0, metadata={"minimum": 0})
 
 
 @dataclass
 class VerificationBlock:
-    dissipation_tol: float = 1e-3
-    w_decrease_tol: Optional[float] = None  # defaults to 10*dt at use site
+    dissipation_tol: float = field(default=1e-3, metadata=_FINITE_POSITIVE)
+    # defaults to 10*dt at use site
+    w_decrease_tol: Optional[float] = field(default=None,
+                                            metadata=_FINITE_POSITIVE)
     sampling_box: Optional[list] = None
     samples: int = field(default=20000, metadata={"minimum": 0})
     pd_seed: int = field(default=0, metadata={"minimum": 0})
-    convergence_threshold: float = 0.08
-    nominal_convergence_threshold: Optional[float] = None
+    convergence_threshold: float = field(default=0.08, metadata=_FINITE_POSITIVE)
+    nominal_convergence_threshold: Optional[float] = field(
+        default=None, metadata=_FINITE_POSITIVE)
     settle_window: float = field(default=1.0,
                                  metadata={"finite": True, "minimum": 0})
     input_signals: Optional[list] = None
@@ -159,8 +164,11 @@ def _coerce(tp, value, key: str):
 
 def _check_bounds(f, value, subject: str) -> None:
     """The bounds that field ``f``'s metadata declares; ``subject`` starts
-    the error message and names the field."""
+    the error message and names the field; None (an absent Optional
+    value) has no bounds."""
     meta = f.metadata
+    if value is None:
+        return
     if meta.get("finite") and not math.isfinite(value):
         raise ScenarioError(f"{subject} must be a finite number, got {value!r}")
     if meta.get("positive") and not value > 0:

@@ -88,20 +88,47 @@ def _items(prefix: str, count: int) -> str:
     return "".join(f"{prefix}{i}, " for i in range(count))
 
 
+def _k_update(n: int) -> list:
+    """The RK4 update of the n state locals from the stages' k locals: the
+    array form's float operations, in its order."""
+    return [f"s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} "
+            f"+ k4_{i})" for i in range(n)]
+
+
+def _read_inputs(names: Sequence[str]) -> list:
+    """Row k of the ``inputs`` memoryview, one float per name."""
+    return [f"{name} = inputs[k, {j}]" for j, name in enumerate(names)]
+
+
+def _store(n: int) -> list:
+    """The norm check of the new state, then its write into row k + 1 of the
+    ``states`` memoryview."""
+    s = _items("s", n)
+    return [f"h = hypot({s})",
+            "if not h <= bound or h == inf:",
+            f"    return k, ({s})",
+            "row = k + 1"] + [f"states[row, {i}] = s{i}" for i in range(n)]
+
+
 @functools.lru_cache(maxsize=None)
 def _rk4_loop(n: int, p: int) -> Callable:
-    """The RK4 loop for n states and p inputs, generated once per shape.
+    """The RK4 loop for n states and p inputs that calls its field, generated
+    once per shape.  It runs a plain rhs(x, u) and, for one step, a compiled
+    field whose inlined loop raised on Python floats (through ``point``).
 
     ``loop(field, states, inputs, x, k, n_steps, dt, bound)`` steps from
     state ``x`` at step ``k``, with the state in n local floats and row k of
-    ``inputs`` in p (one row at a time: a list of every row would raise the
-    peak memory), and writes each new state into row k + 1 of ``states``.
-    It returns ``(n_steps, x)`` at the end, or ``(k, x)`` with the state
-    after step k as soon as its norm is nan, inf or above ``bound``; the
-    caller classifies that state and resumes from k + 1 when it is not an
-    error.  The arithmetic is the array form's, operation for operation.
+    ``inputs`` in p, and writes each new state into row k + 1 of ``states``.
+    ``states`` and ``inputs`` are memoryviews of the float64 arrays, whose
+    items read and write Python floats without numpy calls (a list of every
+    input row would raise the peak memory).  It returns ``(n_steps, x)`` at
+    the end, or ``(k, x)`` with the state after step k as soon as its norm
+    is nan, inf or above ``bound``; the caller classifies that state and
+    resumes from k + 1 when it is not an error.  The arithmetic is the
+    array form's, operation for operation.
     """
     s, u = _items("s", n), _items("u", p)
+    inputs = _read_inputs([f"u{j}" for j in range(p)])
 
     def stage(j: int, scale: str) -> str:
         x = "".join(f"s{i} + {scale} * k{j - 1}_{i}, " for i in range(n))
@@ -113,22 +140,89 @@ def _rk4_loop(n: int, p: int) -> Callable:
         "    sixth = dt / 6.0\n",
         f"    ({s}) = x\n",
         "    for k in range(k0, n_steps):\n",
-        f"        ({u}) = inputs[k].tolist()\n" if p else "",
+        *(f"        {line}\n" for line in inputs),
         f"        ({_items('k1_', n)}) = field(({s}{u}))\n",
         stage(2, "half"), stage(3, "half"), stage(4, "dt"),
     ]
-    lines += [f"        s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} "
-              f"+ 2.0 * k3_{i} + k4_{i})\n" for i in range(n)]
-    lines += [
-        f"        h = hypot({s})\n",
-        "        if not h <= bound or h == inf:\n",
-        f"            return k, ({s})\n",
-        f"        states[k + 1] = ({s})\n",
-        f"    return n_steps, ({s})\n",
-    ]
+    lines += [f"        {line}\n" for line in _k_update(n) + _store(n)]
+    lines.append(f"    return n_steps, ({s})\n")
     namespace = {"hypot": math.hypot, "inf": math.inf}
     exec(compile("".join(lines), f"<nisyn-rk4-{n}-{p}>", "exec"), namespace)
     return namespace["_loop"]
+
+
+def _float_root(x: float, num: int, den: int) -> float:
+    """expr.rational_power on a Python float, the only type the inlined loop
+    gives it."""
+    r = abs(x) ** (num / den)
+    if num % 2 == 0:
+        return r
+    return -r if x < 0 else r
+
+
+# A body of at most this many characters (statements and roots) is copied
+# into each of the four stages; a longer one runs once per pass of a loop
+# over the stages.  Three more copies cost about 1.5 ms of compile() per
+# 1000 characters and save about 1 µs per step (2-vCPU host), so copies of
+# a 2000-character body pay for themselves after about 3000 steps.
+_UNROLL_CHARS = 2000
+
+
+def _inlined_loop(field, n: int, p: int) -> Callable:
+    """The RK4 loop of one compile_exprs field, built on first use and kept
+    in ``field.rk4``.  Each stage assigns its arguments to the field's
+    variable locals, runs the field's body inline and binds its roots.
+
+    ``loop(states, inputs, x, k, n_steps, dt, bound)`` behaves as
+    _rk4_loop's, and returns ``(k, None)`` when the body raises
+    ZeroDivisionError or OverflowError in step k; the state is then still
+    step k's, in row k of ``states``.  A short body is copied into the four
+    stages, which bind the roots to ``kJ_i``; a long one runs in a loop over
+    the stages that sums the roots with weights 1, 2, 2, 1 from -0.0, the
+    same float operations as ``k1 + 2.0 * k2 + 2.0 * k3 + k4``.
+    """
+    if field.n_vars != n + p or len(field.roots) != n:
+        raise ValueError(
+            f"the field maps {field.n_vars} values to {len(field.roots)}, but "
+            f"the run has {n} states and {p} inputs")
+    if field.rk4 is not None:
+        return field.rk4
+    body, roots = list(field.body), field.roots
+    lines = [f"_x{i} = s{i}" for i in range(n)]
+    unroll = sum(map(len, field.body + roots)) <= _UNROLL_CHARS
+    if unroll:
+        for j, scale in ((1, "half"), (2, "half"), (3, "dt"), (4, None)):
+            lines += body + [f"k{j}_{i} = {r}" for i, r in enumerate(roots)]
+            if scale:
+                lines += [f"_x{i} = s{i} + {scale} * k{j}_{i}" for i in range(n)]
+        lines += _k_update(n)
+    else:
+        lines += [f"a{i} = -0.0" for i in range(n)]
+        lines.append("for w, scale in passes:")
+        lines += [f"    {line}" for line in body]
+        lines += [f"    r{i} = {r}" for i, r in enumerate(roots)]
+        lines += [f"    a{i} = a{i} + w * r{i}" for i in range(n)]
+        lines += [f"    _x{i} = s{i} + scale * r{i}" for i in range(n)]
+        lines += [f"s{i} = s{i} + sixth * a{i}" for i in range(n)]
+    source = "".join([
+        "def _loop(states, inputs, x, k0, n_steps, dt, bound):\n",
+        "    half = 0.5 * dt\n",
+        "    sixth = dt / 6.0\n",
+        "" if unroll else
+        "    passes = ((1.0, half), (2.0, half), (2.0, dt), (1.0, 0.0))\n",
+        f"    ({_items('s', n)}) = x\n",
+        "    try:\n",
+        "        for k in range(k0, n_steps):\n",
+        *(f"            {line}\n" for line in
+          _read_inputs([f"_x{n + j}" for j in range(p)]) + lines + _store(n)),
+        "    except (ZeroDivisionError, OverflowError):\n",
+        "        return k, None\n",
+        f"    return n_steps, ({_items('s', n)})\n",
+    ])
+    namespace = {"hypot": math.hypot, "inf": math.inf, "_rp": _float_root}
+    exec(compile(source, "<nisyn-rk4-field>", "exec"), namespace)
+    field.rk4 = namespace["_loop"]
+    return field.rk4
 
 
 def integrate(rhs: Callable,
@@ -141,11 +235,16 @@ def integrate(rhs: Callable,
               blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
     """Integrate x' = rhs(x, u(t)) with classical RK4 at fixed step.
 
-    ``rhs`` is a compile_exprs field over the state followed by the input
-    (called through its ``point``), or a callable rhs(x, u) on ndarrays
-    (adapted once).  Either runs in the one RK4 loop generated for its
-    shape (n states, p inputs), which holds the state in n Python floats
-    and does the same operations in the same order as on float64 arrays.
+    ``rhs`` is a compile_exprs field over the state followed by the input,
+    or a callable rhs(x, u) on ndarrays.  A compiled field runs in its own
+    RK4 loop, generated with its body inline in each stage and kept on the
+    field; a plain callable is adapted once and runs in the loop generated
+    for its shape (n states, p inputs), which calls it.  Both hold the state
+    in n Python floats and do the same operations in the same order as on
+    float64 arrays.  When the inlined body raises ZeroDivisionError or
+    OverflowError in a step, that one step runs through the shape's loop
+    and the field's ``point``, whose retry on numpy scalars gives inf or
+    nan as before, and the inlined loop resumes at the next step.
     The input is open-loop and zero-order-hold at the grid times
     t_k = k*dt, so it is sampled once per run: ``input_fn`` maps the (N,)
     time grid to an (N, p) array (None means p = 0), and any other shape is
@@ -159,11 +258,6 @@ def integrate(rhs: Callable,
         raise ValueError("t_end must be at least one step")
     x = np.array(x0, dtype=float).tolist()
     n = len(x)
-    field = getattr(rhs, "point", None)
-    if field is None:
-        def field(xu):
-            return np.asarray(rhs(np.array(xu[:n]), np.array(xu[n:])),
-                              dtype=float).tolist()
     n_steps = int(round(t_end / dt))
     t_grid = np.arange(n_steps + 1) * dt
     if input_fn is None:
@@ -174,11 +268,28 @@ def integrate(rhs: Callable,
             raise ValueError(
                 f"input_fn gave shape {inputs.shape} on a time grid of shape "
                 f"{t_grid.shape}; a signal maps times (N,) to inputs (N, p)")
+    p = inputs.shape[1]
+    if getattr(rhs, "body", None) is not None:
+        loop = _inlined_loop(rhs, n, p)
+    else:
+        point = getattr(rhs, "point", None)
+        if point is None:
+            def point(xu):
+                return np.asarray(rhs(np.array(xu[:n]), np.array(xu[n:])),
+                                  dtype=float).tolist()
+        loop = functools.partial(_rk4_loop(n, p), point)
     states = np.empty((n_steps + 1, n))
     states[0] = x
-    loop = _rk4_loop(n, inputs.shape[1])
-    k, x = loop(field, states, inputs, x, 0, n_steps, dt, blowup_norm)
+    rows, row_inputs = memoryview(states), memoryview(inputs)
+    k, x = loop(rows, row_inputs, x, 0, n_steps, dt, blowup_norm)
     while k < n_steps:
+        if x is None:  # the inlined body raised in step k: redo it via point
+            done, x = _rk4_loop(n, p)(rhs.point, rows, row_inputs,
+                                      states[k].tolist(), k, k + 1, dt,
+                                      blowup_norm)
+            if done > k:
+                k, x = loop(rows, row_inputs, x, done, n_steps, dt, blowup_norm)
+                continue
         norm = math.hypot(*x)  # nan or inf when a state is
         if not math.isfinite(norm) and not all(map(math.isfinite, x)):
             raise IntegrationError("non-finite state encountered", k + 1, states[k])
@@ -188,11 +299,11 @@ def integrate(rhs: Callable,
                 k + 1, states[k])
         # finite states whose norm overflows, under an infinite bound
         states[k + 1] = x
-        k, x = loop(field, states, inputs, x, k + 1, n_steps, dt, blowup_norm)
+        k, x = loop(rows, row_inputs, x, k + 1, n_steps, dt, blowup_norm)
     if state_names is None:
         state_names = tuple(f"x{i + 1}" for i in range(n))
     if input_names is None:
-        input_names = tuple(f"u{i + 1}" for i in range(inputs.shape[1]))
+        input_names = tuple(f"u{i + 1}" for i in range(p))
     return Trajectory(t=t_grid, states=states, inputs=inputs,
                       state_names=tuple(state_names),
                       input_names=tuple(input_names))

@@ -12,7 +12,7 @@ from nisyn.expr import (
     add, compile_exprs, differentiate, evaluate, fold_constants, mul,
     normalize, parse_expr, rational_power, substitute, to_string, variables,
 )
-from nisyn.expr import _source
+from nisyn.expr import _body
 
 
 # --- parsing ----------------------------------------------------------------
@@ -372,8 +372,9 @@ def test_list_entry_point_matches_numpy_scalars_bit_for_bit(e, g, seed):
 def test_shared_subtrees_are_computed_once():
     x, y = Var("x"), Var("y")
     shared = Sum((x, Pow(y, Fraction(1, 3))))
-    src = _source([mul(shared, shared), Neg(Sum((x, Pow(y, Fraction(1, 3)))))],
-                  ["x", "y"])
+    statements, roots = _body(
+        [mul(shared, shared), Neg(Sum((x, Pow(y, Fraction(1, 3)))))], ["x", "y"])
+    src = "\n".join(statements + roots)
     assert src.count("_rp(") == 1  # the copy is matched by structure
     assert src.count("_t") == 4  # one binding, three uses
     fn = compile_exprs([mul(shared, shared), Neg(shared)], ["x", "y"])

@@ -735,6 +735,53 @@ def test_main_simulate_rejects_a_bad_time_override(tmp_path, capsys, flag, value
     assert capsys.readouterr().err == f"error: {flag} overrides {problem}\n"
 
 
+_VERIFY_BOUNDS = [
+    (key, value, problem)
+    for key in ("dissipation_tol", "w_decrease_tol", "convergence_threshold",
+                "nominal_convergence_threshold")
+    for value, problem in ((float("inf"), "must be a finite number, got inf"),
+                           (float("nan"), "must be a finite number, got nan"),
+                           (0, "must be positive, got 0.0"),
+                           (-1, "must be positive, got -1.0"))]
+
+
+@pytest.mark.parametrize("key, value, problem", _VERIFY_BOUNDS)
+def test_a_bad_verification_tolerance_or_threshold_exits_2(tmp_path, capsys, key,
+                                                          value, problem):
+    data = _fast_scenario()
+    data["verification"][key] = value
+    message = f"field {key!r} of the verification block {problem}"
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == message
+    path = _write(tmp_path, data)
+    assert main(["verify", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("inf", "must be a finite number, got inf"),
+    ("nan", "must be a finite number, got nan"),
+    ("0", "must be positive, got 0.0"),
+    ("-1", "must be positive, got -1.0"),
+])
+def test_main_verify_rejects_a_bad_tol_override(tmp_path, capsys, value, problem):
+    path = _write(tmp_path, _fast_scenario())
+    assert main(["verify", "--scenario", path, "--out", str(tmp_path / "o"),
+                 "--tol", value]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --tol overrides verification.dissipation_tol and {problem}\n"
+
+
+def test_absent_optional_verification_thresholds_load_as_none():
+    data = _fast_scenario()
+    data["verification"]["w_decrease_tol"] = None
+    data["verification"]["nominal_convergence_threshold"] = None
+    ver = scenario_from_dict(data).verification
+    assert ver.w_decrease_tol is None and ver.nominal_convergence_threshold is None
+
+
 def test_zero_settle_window_loads():
     data = _fast_scenario()
     data["verification"]["settle_window"] = 0

@@ -1,6 +1,7 @@
 """Integrator, dissipation checkers, convergence metrics, CSV export."""
 
 import csv
+import dis
 import math
 import re
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import nisyn.sim as sim
 from nisyn.expr import compile_exprs, parse_expr
 from nisyn.sim import (
     DivergenceError, IntegrationError, Trajectory, bandlimited_signal,
@@ -152,6 +154,7 @@ def _loops_for_identity(example_cl):
     ic = Interconnection(example_cl, _example_unc())
     yield ic._rhs_fn, np.concatenate([X0, [0.5, -0.5]]), zero_signal(0)
     yield example_cl._rhs_fn, X0, catalog_multisine
+    yield _example_unc()._f_fn, np.array([0.5, -0.5]), catalog_multisine
     for _ in range(10):
         plant, spec = random_plant_and_spec(rng)
         cl = synthesize(plant, spec)
@@ -191,7 +194,7 @@ def _field(exprs, names):
     return compile_exprs([parse_expr(e, names) for e in exprs], names)
 
 
-@pytest.mark.parametrize("exprs, names, x0, signal", [
+_GENERATED = [
     # n = 1, p = 0
     (["-x - x^3/3"], ["x"], [0.7], zero_signal(0)),
     # n = 2, p = 3
@@ -202,7 +205,13 @@ def _field(exprs, names):
     (["x2", "x3 - x1*u4", "-x1 - x2 - x3 + u1 + u2*u3"],
      ["x1", "x2", "x3", "u1", "u2", "u3", "u4"], [1.0, 0.0, -0.5],
      multisine_signal(np.full((4, 1), 0.3), [[0.5], [0.8], [1.3], [2.1]], seed=5)),
-])
+    # every stage is -0.0, and -0.0 + sixth * (sum of the stages) keeps the sign
+    # only if that sum is -0.0 too
+    (["x"], ["x"], [-0.0], zero_signal(0)),
+]
+
+
+@pytest.mark.parametrize("exprs, names, x0, signal", _GENERATED)
 def test_generated_loop_matches_the_array_loop_bit_for_bit(exprs, names, x0, signal):
     field = _field(exprs, names)
     want = _rk4_on_arrays(field, x0, 1.0, 1e-2, signal)
@@ -226,6 +235,43 @@ def test_a_field_with_the_wrong_number_of_values_is_a_value_error(rhs):
         integrate(rhs, [1.0, 2.0], 1.0, 0.1)
 
 
+@pytest.mark.parametrize("exprs, names, signal", [
+    (["x1", "x2"], ["x1", "x2", "u1"], None),  # one variable too many
+    (["x1", "x2"], ["x1", "x2"], step_signal([1.0])),  # one too few
+    (["x1", "x2", "u1"], ["x1", "x2", "u1"], step_signal([1.0])),  # 3 values
+    (["x1"], ["x1", "x2", "u1"], step_signal([1.0])),  # 1 value
+])
+def test_a_field_of_the_wrong_size_is_a_value_error_before_its_loop_is_built(
+        exprs, names, signal):
+    field = _field(exprs, names)
+    with pytest.raises(ValueError, match="but the run has 2 states and"):
+        integrate(field, [1.0, 2.0], 1.0, 0.1, input_fn=signal)
+    assert field.rk4 is None
+
+
+_RETRIED = [
+    # 1/(1/x) is x on floats except at 0, where floats raise and numpy
+    # scalars give 1/inf = 0: the first step is retried, the rest resumes
+    (["(x^(-1))^(-1) + 1"], ["x"], [0.0], zero_signal(0)),
+    (["(x1^(-1))^(-1) + u1", "x1 - x2^(1/3)"], ["x1", "x2", "u1"], [0.0, 0.5],
+     multisine_signal([[0.3, 0.1]], [[0.5, 1.3]], seed=2)),
+]
+
+
+@pytest.mark.parametrize("exprs, names, x0, signal", _RETRIED)
+def test_a_float_failure_retries_one_step_on_numpy_scalars_and_resumes(
+        exprs, names, x0, signal):
+    field = _field(exprs, names)
+    input_fn = None if len(names) == len(x0) else signal
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        got = integrate(field, x0, 2.0, 0.1, input_fn=input_fn).states
+    with np.errstate(divide="ignore"):
+        want = _rk4_on_arrays(field, x0, 2.0, 0.1, signal)
+    assert np.isfinite(want).all() and want[-1, 0] > 0.2  # x1 left 0
+    assert got.tobytes() == want.tobytes()
+    assert field.rk4 is not None
+
+
 def _first_failure(rhs, x0, t_end, dt, bound):
     """(step, last good state) of the first state of the array-form RK4 run
     that is non-finite or whose norm exceeds ``bound``."""
@@ -243,8 +289,7 @@ def _nan_past(level):
     return lambda x, u: np.array([np.nan]) if x[0] > level else np.array([1.0])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("rhs, x0, t_end, dt, bound, cls, step", [
+_FAILURES = [
     (_nan_past(0.8), [0.49], 1.0, 0.1, 1e6, IntegrationError, 4),
     (_field(["x^3 - x^3 + 1"], ["x"]), [1e120], 1.0, 0.1, np.inf,
      IntegrationError, 1),
@@ -254,7 +299,17 @@ def _nan_past(level):
      DivergenceError, 576),
     (lambda x, u: np.array([x[0], 2.0 * x[1]]), [1.0, -1.0], 100.0, 0.01, 1e5,
      DivergenceError, 576),
-])
+    # x reaches 0 exactly in the fourth stage of step 8: floats raise, and
+    # the retry on numpy scalars gives inf - inf
+    (_field(["x^(-1) - x^(-1) - 1"], ["x"]), [1.0], 2.0, 0.125, 1e6,
+     IntegrationError, 8),
+    (_field(["x^(-1/3) - x^(-1/3) - 1"], ["x"]), [1.0], 2.0, 0.125, np.inf,
+     IntegrationError, 8),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rhs, x0, t_end, dt, bound, cls, step", _FAILURES)
 def test_failures_keep_their_class_step_and_last_state(rhs, x0, t_end, dt, bound,
                                                        cls, step):
     with pytest.raises(IntegrationError) as err:
@@ -264,6 +319,25 @@ def test_failures_keep_their_class_step_and_last_state(rhs, x0, t_end, dt, bound
     want_step, want_state = _first_failure(rhs, x0, t_end, dt, bound)
     assert err.value.step == want_step
     assert err.value.last_state.tobytes() == want_state.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_loop_over_the_stages_passes_the_unrolled_loops_checks(example_cl,
+                                                                   monkeypatch):
+    """Every field built with one copy of its body in a loop over the stages,
+    the form of a long body, through the checks of the four-copy form."""
+    monkeypatch.setattr(sim, "_UNROLL_CHARS", -1)
+    for case in _FAILURES:
+        if hasattr(case[0], "rk4"):
+            monkeypatch.setattr(case[0], "rk4", None)
+        test_failures_keep_their_class_step_and_last_state(*case)
+    monkeypatch.setattr(example_cl._rhs_fn, "rk4", None)
+    test_list_loop_matches_the_array_loop_bit_for_bit(example_cl)
+    for case in _GENERATED:
+        test_generated_loop_matches_the_array_loop_bit_for_bit(*case)
+    for case in _RETRIED:
+        test_a_float_failure_retries_one_step_on_numpy_scalars_and_resumes(*case)
+    assert example_cl._rhs_fn.rk4.__code__.co_varnames.count("passes") == 1
 
 
 def test_an_overflowing_norm_of_finite_states_under_an_infinite_bound_runs_on():
@@ -277,16 +351,37 @@ def test_an_overflowing_norm_of_finite_states_under_an_infinite_bound_runs_on():
         assert err.value.step == 1
 
 
-def test_fields_of_one_shape_share_one_cached_loop():
+def test_a_body_longer_than_the_bound_runs_in_a_loop_over_the_stages(monkeypatch):
+    field = _field(["x2", "-x1 - x2^3 + x1^(1/3)*u1"], ["x1", "x2", "u1"])
+    size = sum(map(len, field.body + field.roots))
+    for bound, copies in ((size, 4), (size - 1, 1)):
+        monkeypatch.setattr(sim, "_UNROLL_CHARS", bound)
+        monkeypatch.setattr(field, "rk4", None)
+        integrate(field, [1.0, 0.0], 0.5, 0.1, input_fn=step_signal([0.5]))
+        roots = [i for i in dis.get_instructions(field.rk4) if i.argval == "_rp"]
+        assert len(roots) == copies
+
+
+def test_a_field_builds_its_loop_once_and_plain_callables_share_one(monkeypatch):
     a = _field(["-x1 + u1", "x1 - x2"], ["x1", "x2", "u1"])
-    b = _field(["x2", "-x1 - x2^3 + u1"], ["x1", "x2", "u1"])
     signal = step_signal([0.5])
-    integrate(a, [1.0, 0.0], 0.5, 0.1, input_fn=signal)
     before = _rk4_loop.cache_info()
+    first = integrate(a, [1.0, 0.0], 0.5, 0.1, input_fn=signal).states
+    loop = a.rk4
+    assert loop is not None
+    monkeypatch.setattr(sim, "compile", None, raising=False)  # a build would fail
+    again = integrate(a, [1.0, 0.0], 0.5, 0.1, input_fn=signal).states
+    assert a.rk4 is loop and again.tobytes() == first.tobytes()
+    monkeypatch.undo()
+    assert _rk4_loop.cache_info() == before  # no shape loop for a field
+    b = _field(["x2", "-x1 - x2^3 + u1"], ["x1", "x2", "u1"])
     integrate(b, [1.0, 0.0], 0.5, 0.1, input_fn=signal)
+    assert b.rk4 is not loop  # no loop is shared across fields
     integrate(lambda x, u: -x, [1.0, 0.0], 0.5, 0.1, input_fn=signal)
+    middle = _rk4_loop.cache_info()
+    integrate(lambda x, u: x, [1.0, 0.0], 0.5, 0.1, input_fn=signal)
     after = _rk4_loop.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    assert (after.hits, after.misses) == (middle.hits + 1, middle.misses)
     assert _rk4_loop(2, 1) is _rk4_loop(2, 1)
 
 
