@@ -2,15 +2,17 @@
 """Run the full pipeline (analyze, synthesize, verify, simulate) on the
 bundled example scenario and write all artifacts to an output directory.
 
-Equivalent to `nisyn reproduce-example`; exits nonzero if any check fails.
+Equivalent to `nisyn reproduce-example`; exits 1 if any check fails and 2,
+with one `error:` line, on a usage or scenario error such as a `--dt` that
+is not a finite positive number.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from nisyn.cli import bundled_scenario_path, run_reproduce
-from nisyn.scenario import load_scenario
+from nisyn.cli import _USAGE_ERRORS, bundled_scenario_path, run_reproduce
+from nisyn.scenario import load_scenario, override
 
 
 def main() -> int:
@@ -20,10 +22,14 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
-    scn = load_scenario(bundled_scenario_path())
-    if args.dt is not None:
-        scn.simulation.dt = args.dt
-    report = run_reproduce(scn, Path(args.out), jobs=args.jobs)
+    try:
+        scn = load_scenario(bundled_scenario_path())
+        if args.dt is not None:
+            override(scn, "simulation", "dt", args.dt, "--dt")
+        report = run_reproduce(scn, Path(args.out), jobs=args.jobs)
+    except _USAGE_ERRORS as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     for stage, rep in report["stages"].items():
         print(f"{stage}: {'PASS' if rep.get('passed') else 'FAIL'}")
     if report["passed"]:

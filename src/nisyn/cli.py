@@ -25,7 +25,7 @@ from .lyapunov import (
 )
 from .scenario import (
     Scenario, ScenarioError, build_general_form, build_plant,
-    build_uncertainty, input_catalog, load_scenario, override,
+    build_uncertainty, check_bounds, input_catalog, load_scenario, override,
     resolve_synthesis_spec, sampling_box,
 )
 from .sim import (
@@ -82,9 +82,11 @@ class Pipeline:
     plant -> stability verdict -> spec -> closed loop -> uncertainty ->
     interconnection.  Of the trajectories it keeps only the two that more
     than one stage reads: the interconnection run and the closed-loop run
-    under ``simulation.input``."""
+    under ``simulation.input``.  The scenario's field bounds are checked
+    when the pipeline is built, so they hold for a scenario made in code."""
 
     def __init__(self, scn: Scenario):
+        check_bounds(scn)
         self.scn = scn
 
     @cached_property
@@ -342,11 +344,7 @@ def run_verify(scn: Scenario | Pipeline, jobs: int = 1) -> dict:
     scn, closed_loop, unc = pipe.scn, pipe.closed_loop, pipe.uncertainty
     pipe.x0  # a malformed x0 is a usage error before any check runs
     ver, sim = scn.verification, scn.simulation
-    if ver.dissipation_tol <= 0:
-        raise ScenarioError("dissipation_tol must be positive")
     w_tol = ver.w_decrease_tol if ver.w_decrease_tol is not None else 10.0 * sim.dt
-    if w_tol <= 0:
-        raise ScenarioError("w_decrease_tol must be positive")
     n_plant = pipe.plant.n_states
     checks: dict = {}
 

@@ -31,9 +31,9 @@ subtree that occurs more than once to a local ``_tN`` ahead of the
 bottom-up, so no subtree is hashed whole.  The callable keeps that body
 (``body``, ``roots``, ``n_vars``), which the integrator inlines into its
 RK4 loop without a second pass over the tree.  One point runs on Python
-floats: the callable passes ``x.tolist()``, and its ``point`` attribute is
-that list entry point, through which the integrator retries a step whose
-inlined body raised.  Python floats raise
+floats: the callable passes ``x.tolist()`` to its ``point`` attribute, the
+one-point entry point, which the integrator also calls on float64 arrays
+to redo a step whose inlined body raised.  Python floats raise
 ZeroDivisionError or OverflowError where numpy gives inf, so when the float
 call raises either, the point is evaluated again on numpy float64 scalars:
 there is one failure mode, inf or nan with numpy's RuntimeWarning.  (A

@@ -3,11 +3,14 @@
 A scenario is a JSON document with named blocks; expressions are strings in
 the repository grammar.  The block dataclasses below are the schema: a field
 is read from the key of its name (or ``metadata["key"]``), takes its default
-when the key is absent, and is coerced by its annotation (a ``list`` or
-``dict`` field must be a JSON array or object); a field with a
-``metadata["minimum"]`` may not be below it, one marked ``"positive"`` must
-be above 0, and one marked ``"finite"`` may not be NaN or infinite.  Keys
-(fields marked * are optional):
+when the key is absent, and must be of its annotation's JSON type: an
+array for ``list``, an object for ``dict``, a string for ``str``, a number
+that is not a boolean for ``float``, and an integer or an integral float
+for ``int``.  A field with a ``metadata["minimum"]`` may not be below it,
+one marked ``"positive"`` must be above 0, and one marked ``"finite"`` may
+not be NaN or infinite; check_bounds applies these bounds when a scenario
+is loaded and when cli.Pipeline is built on it, and override on each
+command-line value.  Keys (fields marked * are optional):
 
     name*
     plant:        m, p1, p2, A11 (nested row-major array), p (expressions)
@@ -50,11 +53,15 @@ __all__ = [
     "load_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
     "build_plant", "resolve_synthesis_spec", "build_uncertainty",
     "build_general_form", "sampling_box", "default_input_catalog", "override",
+    "check_bounds",
 ]
 
 
 class ScenarioError(Exception):
     pass
+
+
+_FINITE_POSITIVE = {"finite": True, "positive": True}
 
 
 @dataclass
@@ -70,7 +77,8 @@ class PlantBlock:
 class SpecBlock:
     p_matrix: object = field(default="auto", metadata={"key": "P"})
     v2: str = field(default="default", metadata={"key": "V2"})
-    lam: Optional[float] = field(default=None, metadata={"key": "lambda"})
+    lam: Optional[float] = field(
+        default=None, metadata={"key": "lambda", "finite": True, "minimum": 0})
     target: str = "OSNI"
 
 
@@ -88,15 +96,12 @@ class UncertaintyBlock:
     f_sigma: list
     h_sigma: list
     v_sigma: str = field(metadata={"key": "V_sigma"})
-    epsilon_sigma: float
+    epsilon_sigma: float = field(metadata=_FINITE_POSITIVE)
     x_sigma0: Optional[list] = None
 
     def __post_init__(self):
         if self.x_sigma0 is None:
             self.x_sigma0 = [0.0] * self.n_sigma
-
-
-_FINITE_POSITIVE = {"finite": True, "positive": True}
 
 
 @dataclass
@@ -147,19 +152,28 @@ def _key(f) -> str:
     return f.metadata.get("key", f.name)
 
 
+# The JSON types that a field of each annotation takes, and their name.
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), list: ((list,), "a JSON array"),
+               dict: ((dict,), "a JSON object")}
+
+
 def _coerce(tp, value, key: str):
-    """A JSON value as the annotated type; Optional keeps null as None."""
+    """A JSON value as the annotated type; Optional keeps null as None.  A
+    value must be of one of the annotation's JSON types, where a boolean is
+    not a number and an integral float is an integer."""
     if get_origin(tp) is Union:
         return None if value is None else _coerce(get_args(tp)[0], value, key)
     if is_dataclass(tp):
         return _block_from_dict(tp, value, key)
-    if tp in (list, dict) and not isinstance(value, tp):
-        kind = "array" if tp is list else "object"
-        raise ScenarioError(f"field {key!r} must be a JSON {kind}")
-    if tp is int and (isinstance(value, bool) or
-                      (isinstance(value, float) and not value.is_integer())):
-        raise ScenarioError(f"field {key!r} must be an integer, got {value!r}")
-    return value if tp is object else tp(value)
+    if tp is object:
+        return value
+    if tp is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    types, kind = _JSON_TYPES[tp]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ScenarioError(f"field {key!r} must be {kind}, got {value!r}")
+    return tp(value)
 
 
 def _check_bounds(f, value, subject: str) -> None:
@@ -185,11 +199,21 @@ def _block_from_dict(cls, raw, block: str):
     for f in fields(cls):
         key = _key(f)
         if key in raw:
-            value = values[f.name] = _coerce(f.type, raw[key], key)
-            _check_bounds(f, value, f"field {key!r} of the {block} block")
+            values[f.name] = _coerce(f.type, raw[key], key)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ScenarioError(f"{block} block is missing required field {key!r}")
     return cls(**values)
+
+
+def check_bounds(scn: Scenario) -> None:
+    """Every bound that a field of a block declares, as when the scenario is
+    loaded, and so also on a scenario built or changed in code."""
+    for b in fields(scn):
+        block = getattr(scn, b.name)
+        if is_dataclass(block):
+            for f in fields(block):
+                _check_bounds(f, getattr(block, f.name),
+                              f"field {_key(f)!r} of the {_key(b)} block")
 
 
 def override(scn: Scenario, block: str, name: str, value, option: str) -> None:
@@ -204,9 +228,11 @@ def override(scn: Scenario, block: str, name: str, value, option: str) -> None:
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
-        return _block_from_dict(Scenario, data, "scenario")
+        scn = _block_from_dict(Scenario, data, "scenario")
     except (TypeError, ValueError, OverflowError) as err:
         raise ScenarioError(f"malformed scenario: {err}") from err
+    check_bounds(scn)
+    return scn
 
 
 def scenario_to_dict(block) -> dict:
@@ -268,8 +294,6 @@ def resolve_synthesis_spec(scn: Scenario, plant: NormalFormPlant) -> SynthesisSp
     if lam is None:
         lam = 1.0 if block.target == "OSNI" else 0.0
     lam = float(lam)
-    if lam < 0:
-        raise ScenarioError("lambda must be nonnegative")
     if block.target == "OSNI" and lam <= 0:
         raise ScenarioError("the OSNI target requires lambda > 0")
     if isinstance(block.p_matrix, str):

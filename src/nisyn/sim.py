@@ -18,10 +18,10 @@ and, for interconnections, the composite decrease
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -88,69 +88,6 @@ def _items(prefix: str, count: int) -> str:
     return "".join(f"{prefix}{i}, " for i in range(count))
 
 
-def _k_update(n: int) -> list:
-    """The RK4 update of the n state locals from the stages' k locals: the
-    array form's float operations, in its order."""
-    return [f"s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} "
-            f"+ k4_{i})" for i in range(n)]
-
-
-def _read_inputs(names: Sequence[str]) -> list:
-    """Row k of the ``inputs`` memoryview, one float per name."""
-    return [f"{name} = inputs[k, {j}]" for j, name in enumerate(names)]
-
-
-def _store(n: int) -> list:
-    """The norm check of the new state, then its write into row k + 1 of the
-    ``states`` memoryview."""
-    s = _items("s", n)
-    return [f"h = hypot({s})",
-            "if not h <= bound or h == inf:",
-            f"    return k, ({s})",
-            "row = k + 1"] + [f"states[row, {i}] = s{i}" for i in range(n)]
-
-
-@functools.lru_cache(maxsize=None)
-def _rk4_loop(n: int, p: int) -> Callable:
-    """The RK4 loop for n states and p inputs that calls its field, generated
-    once per shape.  It runs a plain rhs(x, u) and, for one step, a compiled
-    field whose inlined loop raised on Python floats (through ``point``).
-
-    ``loop(field, states, inputs, x, k, n_steps, dt, bound)`` steps from
-    state ``x`` at step ``k``, with the state in n local floats and row k of
-    ``inputs`` in p, and writes each new state into row k + 1 of ``states``.
-    ``states`` and ``inputs`` are memoryviews of the float64 arrays, whose
-    items read and write Python floats without numpy calls (a list of every
-    input row would raise the peak memory).  It returns ``(n_steps, x)`` at
-    the end, or ``(k, x)`` with the state after step k as soon as its norm
-    is nan, inf or above ``bound``; the caller classifies that state and
-    resumes from k + 1 when it is not an error.  The arithmetic is the
-    array form's, operation for operation.
-    """
-    s, u = _items("s", n), _items("u", p)
-    inputs = _read_inputs([f"u{j}" for j in range(p)])
-
-    def stage(j: int, scale: str) -> str:
-        x = "".join(f"s{i} + {scale} * k{j - 1}_{i}, " for i in range(n))
-        return f"        ({_items(f'k{j}_', n)}) = field(({x}{u}))\n"
-
-    lines = [
-        "def _loop(field, states, inputs, x, k0, n_steps, dt, bound):\n",
-        "    half = 0.5 * dt\n",
-        "    sixth = dt / 6.0\n",
-        f"    ({s}) = x\n",
-        "    for k in range(k0, n_steps):\n",
-        *(f"        {line}\n" for line in inputs),
-        f"        ({_items('k1_', n)}) = field(({s}{u}))\n",
-        stage(2, "half"), stage(3, "half"), stage(4, "dt"),
-    ]
-    lines += [f"        {line}\n" for line in _k_update(n) + _store(n)]
-    lines.append(f"    return n_steps, ({s})\n")
-    namespace = {"hypot": math.hypot, "inf": math.inf}
-    exec(compile("".join(lines), f"<nisyn-rk4-{n}-{p}>", "exec"), namespace)
-    return namespace["_loop"]
-
-
 def _float_root(x: float, num: int, den: int) -> float:
     """expr.rational_power on a Python float, the only type the inlined loop
     gives it."""
@@ -168,18 +105,42 @@ def _float_root(x: float, num: int, den: int) -> float:
 _UNROLL_CHARS = 2000
 
 
-def _inlined_loop(field, n: int, p: int) -> Callable:
-    """The RK4 loop of one compile_exprs field, built on first use and kept
-    in ``field.rk4``.  Each stage assigns its arguments to the field's
-    variable locals, runs the field's body inline and binds its roots.
+def _plain_field(rhs: Callable, n: int, p: int) -> SimpleNamespace:
+    """A plain rhs(x, u) in the shape of a compile_exprs field: its body
+    unpacks ``_call`` (its ``point``, which passes the state and the input
+    as ndarrays) into its roots, so a result of the wrong length is the
+    unpack's ValueError."""
+    def point(xu):
+        return np.asarray(rhs(np.array(xu[:n]), np.array(xu[n:])),
+                          dtype=float).tolist()
 
-    ``loop(states, inputs, x, k, n_steps, dt, bound)`` behaves as
-    _rk4_loop's, and returns ``(k, None)`` when the body raises
-    ZeroDivisionError or OverflowError in step k; the state is then still
-    step k's, in row k of ``states``.  A short body is copied into the four
+    return SimpleNamespace(
+        body=(f"({_items('_r', n)}) = _call(({_items('_x', n + p)}))",),
+        roots=tuple(f"_r{i}" for i in range(n)), n_vars=n + p, rk4=None,
+        point=point)
+
+
+def _inlined_loop(field, n: int, p: int) -> Callable:
+    """The RK4 loop of a compile_exprs field or a _plain_field, built on
+    first use and kept in ``field.rk4``.  Each stage assigns its arguments
+    to the field's variable locals ``_x0 …``, runs the field's body inline
+    and binds its roots.
+
+    ``loop(states, inputs, x, k, n_steps, dt, bound)`` steps from state
+    ``x`` at step ``k``, with the state in n local floats and row k of
+    ``inputs`` in p, and writes each new state into row k + 1 of ``states``.
+    ``states`` and ``inputs`` are memoryviews of the float64 arrays, whose
+    items read and write Python floats without numpy calls (a list of every
+    input row would raise the peak memory).  It returns ``(n_steps, x)`` at
+    the end, ``(k, x)`` with the state after step k as soon as its norm is
+    nan, inf or above ``bound``, and ``(k, None)`` when the body raises
+    ZeroDivisionError or OverflowError in step k, whose state is then still
+    in row k of ``states``; the caller classifies that state, or redoes that
+    step, and resumes from k + 1.  A short body is copied into the four
     stages, which bind the roots to ``kJ_i``; a long one runs in a loop over
     the stages that sums the roots with weights 1, 2, 2, 1 from -0.0, the
-    same float operations as ``k1 + 2.0 * k2 + 2.0 * k3 + k4``.
+    same float operations as ``k1 + 2.0 * k2 + 2.0 * k3 + k4``.  The
+    arithmetic is the array form's, operation for operation.
     """
     if field.n_vars != n + p or len(field.roots) != n:
         raise ValueError(
@@ -187,15 +148,17 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
             f"the run has {n} states and {p} inputs")
     if field.rk4 is not None:
         return field.rk4
-    body, roots = list(field.body), field.roots
-    lines = [f"_x{i} = s{i}" for i in range(n)]
+    body, roots, s = list(field.body), field.roots, _items("s", n)
+    lines = [f"_x{n + j} = inputs[k, {j}]" for j in range(p)]
+    lines += [f"_x{i} = s{i}" for i in range(n)]
     unroll = sum(map(len, field.body + roots)) <= _UNROLL_CHARS
     if unroll:
         for j, scale in ((1, "half"), (2, "half"), (3, "dt"), (4, None)):
             lines += body + [f"k{j}_{i} = {r}" for i, r in enumerate(roots)]
             if scale:
                 lines += [f"_x{i} = s{i} + {scale} * k{j}_{i}" for i in range(n)]
-        lines += _k_update(n)
+        lines += [f"s{i} = s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} "
+                  f"+ k4_{i})" for i in range(n)]
     else:
         lines += [f"a{i} = -0.0" for i in range(n)]
         lines.append("for w, scale in passes:")
@@ -204,25 +167,43 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
         lines += [f"    a{i} = a{i} + w * r{i}" for i in range(n)]
         lines += [f"    _x{i} = s{i} + scale * r{i}" for i in range(n)]
         lines += [f"s{i} = s{i} + sixth * a{i}" for i in range(n)]
+    # the norm check of the new state, then its write into row k + 1
+    lines += [f"h = hypot({s})", "if not h <= bound or h == inf:",
+              f"    return k, ({s})", "row = k + 1"]
+    lines += [f"states[row, {i}] = s{i}" for i in range(n)]
     source = "".join([
         "def _loop(states, inputs, x, k0, n_steps, dt, bound):\n",
         "    half = 0.5 * dt\n",
         "    sixth = dt / 6.0\n",
         "" if unroll else
         "    passes = ((1.0, half), (2.0, half), (2.0, dt), (1.0, 0.0))\n",
-        f"    ({_items('s', n)}) = x\n",
+        f"    ({s}) = x\n",
         "    try:\n",
         "        for k in range(k0, n_steps):\n",
-        *(f"            {line}\n" for line in
-          _read_inputs([f"_x{n + j}" for j in range(p)]) + lines + _store(n)),
+        *(f"            {line}\n" for line in lines),
         "    except (ZeroDivisionError, OverflowError):\n",
         "        return k, None\n",
-        f"    return n_steps, ({_items('s', n)})\n",
+        f"    return n_steps, ({s})\n",
     ])
-    namespace = {"hypot": math.hypot, "inf": math.inf, "_rp": _float_root}
+    namespace = {"hypot": math.hypot, "inf": math.inf, "_rp": _float_root,
+                 "_call": field.point}
     exec(compile(source, "<nisyn-rk4-field>", "exec"), namespace)
     field.rk4 = namespace["_loop"]
     return field.rk4
+
+
+def _array_step(point: Callable, x: np.ndarray, u: np.ndarray,
+                dt: float) -> list:
+    """One RK4 step in array form, each stage through ``point`` on numpy
+    float64: the step that a loop leaves when its float body raises."""
+    def f(s):
+        return np.array(point(np.concatenate([s, u])), dtype=float)
+
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return (x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tolist()
 
 
 def integrate(rhs: Callable,
@@ -236,15 +217,15 @@ def integrate(rhs: Callable,
     """Integrate x' = rhs(x, u(t)) with classical RK4 at fixed step.
 
     ``rhs`` is a compile_exprs field over the state followed by the input,
-    or a callable rhs(x, u) on ndarrays.  A compiled field runs in its own
-    RK4 loop, generated with its body inline in each stage and kept on the
-    field; a plain callable is adapted once and runs in the loop generated
-    for its shape (n states, p inputs), which calls it.  Both hold the state
-    in n Python floats and do the same operations in the same order as on
-    float64 arrays.  When the inlined body raises ZeroDivisionError or
-    OverflowError in a step, that one step runs through the shape's loop
-    and the field's ``point``, whose retry on numpy scalars gives inf or
-    nan as before, and the inlined loop resumes at the next step.
+    or a callable rhs(x, u) on ndarrays, which becomes a field whose body
+    calls it.  Each field runs in its own RK4 loop, generated with its body
+    inline in each stage: a compiled field keeps its loop, a plain callable
+    gets a new one per call.  The loop holds the state in n Python floats
+    and does the same operations in the same order as on float64 arrays.
+    When the body raises ZeroDivisionError or OverflowError in a step, that
+    one step is done again in array form, through the field's ``point`` on
+    numpy float64, which gives inf or nan with numpy's RuntimeWarning
+    instead; the loop then resumes on Python floats at the next step.
     The input is open-loop and zero-order-hold at the grid times
     t_k = k*dt, so it is sampled once per run: ``input_fn`` maps the (N,)
     time grid to an (N, p) array (None means p = 0), and any other shape is
@@ -269,27 +250,16 @@ def integrate(rhs: Callable,
                 f"input_fn gave shape {inputs.shape} on a time grid of shape "
                 f"{t_grid.shape}; a signal maps times (N,) to inputs (N, p)")
     p = inputs.shape[1]
-    if getattr(rhs, "body", None) is not None:
-        loop = _inlined_loop(rhs, n, p)
-    else:
-        point = getattr(rhs, "point", None)
-        if point is None:
-            def point(xu):
-                return np.asarray(rhs(np.array(xu[:n]), np.array(xu[n:])),
-                                  dtype=float).tolist()
-        loop = functools.partial(_rk4_loop(n, p), point)
+    if getattr(rhs, "body", None) is None:
+        rhs = _plain_field(rhs, n, p)
+    loop = _inlined_loop(rhs, n, p)
     states = np.empty((n_steps + 1, n))
     states[0] = x
     rows, row_inputs = memoryview(states), memoryview(inputs)
     k, x = loop(rows, row_inputs, x, 0, n_steps, dt, blowup_norm)
     while k < n_steps:
-        if x is None:  # the inlined body raised in step k: redo it via point
-            done, x = _rk4_loop(n, p)(rhs.point, rows, row_inputs,
-                                      states[k].tolist(), k, k + 1, dt,
-                                      blowup_norm)
-            if done > k:
-                k, x = loop(rows, row_inputs, x, done, n_steps, dt, blowup_norm)
-                continue
+        if x is None:  # the float body raised in step k
+            x = _array_step(rhs.point, states[k], inputs[k], dt)
         norm = math.hypot(*x)  # nan or inf when a state is
         if not math.isfinite(norm) and not all(map(math.isfinite, x)):
             raise IntegrationError("non-finite state encountered", k + 1, states[k])
@@ -297,7 +267,8 @@ def integrate(rhs: Callable,
             raise DivergenceError(
                 f"state norm {norm:.3e} exceeded blow-up bound {blowup_norm:.3e}",
                 k + 1, states[k])
-        # finite states whose norm overflows, under an infinite bound
+        # a redone step, or finite states whose norm overflows under an
+        # infinite bound
         states[k + 1] = x
         k, x = loop(rows, row_inputs, x, k + 1, n_steps, dt, blowup_norm)
     if state_names is None:

@@ -182,6 +182,21 @@ def test_int_field_accepts_an_integral_float():
     assert scenario_from_dict(data).plant.m == 1
 
 
+@pytest.mark.parametrize("block, key, value, message", [
+    ("simulation", "t_end", True, "field 't_end' must be a number, got True"),
+    ("simulation", "dt", "0.01", "field 'dt' must be a number, got '0.01'"),
+    ("plant", "m", "1", "field 'm' must be an integer, got '1'"),
+    ("spec", "V2", 5, "field 'V2' must be a string, got 5"),
+])
+def test_number_and_string_fields_take_only_their_json_type(block, key, value,
+                                                            message):
+    data = _fast_scenario()
+    data[block][key] = value
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == message
+
+
 def test_main_rejects_fractional_int_field(tmp_path, capsys):
     data = _fast_scenario()
     data["plant"]["m"] = 1.9
@@ -189,6 +204,23 @@ def test_main_rejects_fractional_int_field(tmp_path, capsys):
     assert main(["analyze", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == \
         "error: field 'm' must be an integer, got 1.9\n"
+
+
+def test_a_pipeline_checks_the_bounds_of_a_scenario_changed_in_code():
+    scn = scenario_from_dict(_fast_scenario())
+    ver = scn.verification
+    ver.dissipation_tol = ver.convergence_threshold = float("inf")
+    ver.nominal_convergence_threshold = float("inf")
+    with pytest.raises(ScenarioError) as err:
+        run_verify(scn)
+    assert str(err.value) == \
+        "field 'dissipation_tol' of the verification block must be a finite " \
+        "number, got inf"
+    scn = scenario_from_dict(_fast_scenario())
+    scn.simulation.dt = -1.0
+    with pytest.raises(ScenarioError, match="^field 'dt' of the simulation "
+                                            "block must be positive, got -1.0$"):
+        nisyn.cli.Pipeline(scn)
 
 
 def test_scenario_that_is_not_an_object_is_rejected():
@@ -799,6 +831,28 @@ def test_main_writes_report_with_failure_witness(tmp_path):
     assert report["v2_positive_definite"]["witness"] is not None
 
 
+@pytest.mark.parametrize("command, block, key, value, message", [
+    ("synthesize", "spec", "lambda", float("inf"),
+     "field 'lambda' of the spec block must be a finite number, got inf"),
+    ("synthesize", "spec", "lambda", float("nan"),
+     "field 'lambda' of the spec block must be a finite number, got nan"),
+    ("synthesize", "spec", "lambda", -1.0,
+     "field 'lambda' of the spec block must be at least 0, got -1.0"),
+    ("verify", "uncertainty", "epsilon_sigma", float("inf"),
+     "field 'epsilon_sigma' of the uncertainty block must be a finite number, "
+     "got inf"),
+    ("verify", "uncertainty", "epsilon_sigma", 0,
+     "field 'epsilon_sigma' of the uncertainty block must be positive, got 0.0"),
+])
+def test_main_rejects_lambda_and_epsilon_sigma_out_of_bounds(
+        tmp_path, capsys, command, block, key, value, message):
+    data = _fast_scenario()
+    data[block][key] = value
+    assert main([command, "--scenario", _write(tmp_path, data),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_main_reproduce_tampered_scenario_fails(tmp_path):
     tampered = _fast_scenario()
     tampered["regression"]["u1"] = ["4*z1*xi1*xi2 - 4*xi1^3*xi2^2 + 4/3*xi1^(1/3)"]
@@ -820,6 +874,24 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "EQUIVALENT" in proc.stdout
+
+
+@pytest.mark.parametrize("dt, message", [
+    ("nan", "must be a finite number, got nan"),
+    ("-0.01", "must be positive, got -0.01"),
+])
+def test_reproduce_script_rejects_a_bad_dt(tmp_path, dt, message):
+    src = os.path.dirname(os.path.dirname(nisyn.cli.__file__))
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "reproduce_example.py")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, script, "--dt", dt, "--out", str(tmp_path / "r")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: --dt overrides simulation.dt and {message}\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

@@ -16,7 +16,7 @@ from nisyn.sim import (
     check_dissipation, check_w_decrease, convergence_metrics, integrate,
     multisine_signal, signal_from_spec, simulate_closed_loop,
     simulate_interconnection, simulate_uncertainty, step_signal,
-    write_columns_csv, write_trajectory_csv, zero_signal, _rk4_loop,
+    write_columns_csv, write_trajectory_csv, zero_signal,
 )
 from nisyn.synthesis import SynthesisError, SynthesisSpec, storage_value, synthesize
 from nisyn.uncertainty import Interconnection, OsniUncertainty, UncertaintyError
@@ -362,10 +362,9 @@ def test_a_body_longer_than_the_bound_runs_in_a_loop_over_the_stages(monkeypatch
         assert len(roots) == copies
 
 
-def test_a_field_builds_its_loop_once_and_plain_callables_share_one(monkeypatch):
+def test_a_field_builds_its_loop_once_and_shares_it_with_no_other_field(monkeypatch):
     a = _field(["-x1 + u1", "x1 - x2"], ["x1", "x2", "u1"])
     signal = step_signal([0.5])
-    before = _rk4_loop.cache_info()
     first = integrate(a, [1.0, 0.0], 0.5, 0.1, input_fn=signal).states
     loop = a.rk4
     assert loop is not None
@@ -373,16 +372,28 @@ def test_a_field_builds_its_loop_once_and_plain_callables_share_one(monkeypatch)
     again = integrate(a, [1.0, 0.0], 0.5, 0.1, input_fn=signal).states
     assert a.rk4 is loop and again.tobytes() == first.tobytes()
     monkeypatch.undo()
-    assert _rk4_loop.cache_info() == before  # no shape loop for a field
     b = _field(["x2", "-x1 - x2^3 + u1"], ["x1", "x2", "u1"])
     integrate(b, [1.0, 0.0], 0.5, 0.1, input_fn=signal)
     assert b.rk4 is not loop  # no loop is shared across fields
-    integrate(lambda x, u: -x, [1.0, 0.0], 0.5, 0.1, input_fn=signal)
-    middle = _rk4_loop.cache_info()
-    integrate(lambda x, u: x, [1.0, 0.0], 0.5, 0.1, input_fn=signal)
-    after = _rk4_loop.cache_info()
-    assert (after.hits, after.misses) == (middle.hits + 1, middle.misses)
-    assert _rk4_loop(2, 1) is _rk4_loop(2, 1)
+
+
+@pytest.mark.parametrize("exprs, names, x0, signal", _RETRIED)
+def test_a_redone_step_resumes_the_loop_on_python_floats(monkeypatch, exprs,
+                                                         names, x0, signal):
+    field = _field(exprs, names)
+    input_fn = None if len(names) == len(x0) else signal
+    sim._inlined_loop(field, len(x0), len(names) - len(x0))
+    loop, resumed = field.rk4, []
+
+    def spy(states, inputs, x, k0, *rest):
+        if k0 > 0:
+            resumed.append((k0, {type(v) for v in x}))
+        return loop(states, inputs, x, k0, *rest)
+
+    monkeypatch.setattr(field, "rk4", spy)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        integrate(field, x0, 2.0, 0.1, input_fn=input_fn)
+    assert resumed == [(1, {float})]
 
 
 @pytest.mark.parametrize("x0, signal, error", [
