@@ -9,7 +9,6 @@ under the output directory.  Exit codes: 0 all requested checks passed,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -322,11 +321,14 @@ def _pooled_signal_check(scn: Scenario, block: str, spec: dict) -> dict:
 
 def _signal_checks(pipe: Pipeline, block: str, jobs: int) -> list:
     """One report entry per catalog signal.  Runs in a process pool of at
-    most one worker per signal and per CPU when that is more than one."""
+    most one worker per signal and per CPU when that is more than one; the
+    pool module is imported only then, since it loads ``logging``."""
     signals = pipe.signals
     workers = min(jobs, len(signals), os.cpu_count() or 1)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_pooled_signal_check, pipe.scn, block, s)
                        for s in signals]
             results = [f.result() for f in futures]

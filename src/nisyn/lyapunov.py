@@ -4,7 +4,9 @@ classify_stability() sorts a real matrix into Hurwitz / marginally stable /
 unstable, deciding semisimplicity of imaginary-axis eigenvalues through the
 numerical rank of A - lambda*I rather than a Jordan form.
 lyapunov_certificate() then constructs P > 0 with A^T P + P A <= 0 and
-verifies it post hoc by direct multiplication.
+verifies it post hoc by direct multiplication; it is the only user of
+scipy.linalg, which it imports when called, so a scenario that gives its
+own P never loads scipy.
 sampled_positive_definite() checks f(0) = 0 and f > 0 on scrambled Halton
 points of a box, drawn by _halton(), a numpy copy of scipy's sampler.
 """
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "Classification", "CriticalEigenvalue", "StabilityVerdict",
@@ -168,6 +169,8 @@ def lyapunov_certificate(a, verdict: StabilityVerdict) -> np.ndarray:
     skew-symmetric form, then assemble P = T^-T diag(P_h, I) T^-1.
     The result is always verified by direct multiplication.
     """
+    import scipy.linalg as sla
+
     a = _as_square(a)
     if verdict.classification is Classification.UNSTABLE:
         raise StabilityError("no Lyapunov certificate exists for an unstable matrix")
@@ -181,6 +184,8 @@ def lyapunov_certificate(a, verdict: StabilityVerdict) -> np.ndarray:
 
 
 def _marginal_certificate(a, tol):
+    import scipy.linalg as sla
+
     n = a.shape[0]
     t, q, sdim = sla.schur(a, output="real", sort=lambda re, im: re < -tol)
     s = int(sdim)

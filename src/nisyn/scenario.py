@@ -8,9 +8,9 @@ array for ``list``, an object for ``dict``, a string for ``str``, a number
 that is not a boolean for ``float``, and an integer or an integral float
 for ``int``.  A field with a ``metadata["minimum"]`` may not be below it,
 one marked ``"positive"`` must be above 0, and one marked ``"finite"`` may
-not be NaN or infinite; check_bounds applies these bounds when a scenario
-is loaded and when cli.Pipeline is built on it, and override on each
-command-line value.  Keys (fields marked * are optional):
+not be NaN or infinite; check_bounds checks these types (without
+coercion) and bounds when a scenario is loaded and when cli.Pipeline is
+built on it, and override on each command-line value.  Keys (fields marked * are optional):
 
     name*
     plant:        m, p1, p2, A11 (nested row-major array), p (expressions)
@@ -170,10 +170,23 @@ def _coerce(tp, value, key: str):
         return value
     if tp is int and isinstance(value, float) and value.is_integer():
         value = int(value)
+    _check_type(tp, value, key)
+    return tp(value)
+
+
+def _check_type(tp, value, key: str) -> None:
+    """``value`` is of one of the JSON types of annotation ``tp``, as it is,
+    where a boolean is not a number; Optional also takes None.  Annotations
+    without a JSON type (a block, ``object``) are not checked here."""
+    if get_origin(tp) is Union:
+        if value is None:
+            return
+        tp = get_args(tp)[0]
+    if tp not in _JSON_TYPES:
+        return
     types, kind = _JSON_TYPES[tp]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ScenarioError(f"field {key!r} must be {kind}, got {value!r}")
-    return tp(value)
 
 
 def _check_bounds(f, value, subject: str) -> None:
@@ -206,13 +219,17 @@ def _block_from_dict(cls, raw, block: str):
 
 
 def check_bounds(scn: Scenario) -> None:
-    """Every bound that a field of a block declares, as when the scenario is
-    loaded, and so also on a scenario built or changed in code."""
+    """The JSON type and every bound that a field of a block declares, as
+    when the scenario is loaded, and so also on a scenario built or changed
+    in code.  Nothing is coerced: a value set in code must already be of
+    the type loading gives (an int, not 2.0, for an integer field)."""
     for b in fields(scn):
         block = getattr(scn, b.name)
         if is_dataclass(block):
             for f in fields(block):
-                _check_bounds(f, getattr(block, f.name),
+                value = getattr(block, f.name)
+                _check_type(f.type, value, _key(f))
+                _check_bounds(f, value,
                               f"field {_key(f)!r} of the {_key(b)} block")
 
 

@@ -21,19 +21,18 @@ supports the feedback laws
 which render the loop from the new input v to y negative imaginary with
 output strictness epsilon = min(1, lambda).  alpha is substituted into V
 symbolically before differentiation so the emitted laws are closed-form
-expressions.
+expressions.  A11^{-1} comes from numpy alone, so importing this module
+does not load scipy.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .expr import (
     Const, Expr, Neg, Pow, Product, Sum, Var, add, compile_exprs,
@@ -140,18 +139,16 @@ class NormalFormPlant:
         return self.z_names + self.xi1_names + self.xi2_names + self.xi3_names
 
     @cached_property
-    def _a11_lu(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(self.a11)
-        diag = np.abs(np.diag(lu))
-        if diag.min() <= 100 * np.finfo(float).eps * max(1.0, diag.max()):
-            raise SingularMatrixError("A11 is singular or numerically singular")
-        return lu, piv
-
-    @cached_property
     def a11_inverse(self) -> np.ndarray:
-        return sla.lu_solve(self._a11_lu, np.eye(self.m))
+        """A11^-1.  SingularMatrixError when sigma_min <= 100 eps
+        max(1, sigma_max), that is when a change of A11 by 100 roundings of
+        max(1, ||A11||) (2-norm) makes it singular."""
+        sigma = np.linalg.svd(self.a11, compute_uv=False)
+        if sigma[-1] <= 100 * np.finfo(float).eps * max(1.0, sigma[0]):
+            raise SingularMatrixError(
+                f"A11 is singular or numerically singular: sigma_min = "
+                f"{sigma[-1]:.3e}, sigma_max = {sigma[0]:.3e}")
+        return np.linalg.solve(self.a11, np.eye(self.m))
 
 
 def default_v2(plant: NormalFormPlant) -> Expr:

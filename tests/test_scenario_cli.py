@@ -1,5 +1,6 @@
 """Scenario round-trips, builders, CLI subcommands and exit codes."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -221,6 +222,43 @@ def test_a_pipeline_checks_the_bounds_of_a_scenario_changed_in_code():
     with pytest.raises(ScenarioError, match="^field 'dt' of the simulation "
                                             "block must be positive, got -1.0$"):
         nisyn.cli.Pipeline(scn)
+
+
+@pytest.mark.parametrize("block, name, value, message", [
+    ("simulation", "dt", "0.01", "field 'dt' must be a number, got '0.01'"),
+    ("plant", "m", "1", "field 'm' must be an integer, got '1'"),
+    # nothing is coerced in code: 1.0 stays a float, not the integer 1
+    ("plant", "m", 1.0, "field 'm' must be an integer, got 1.0"),
+    ("simulation", "t_end", True, "field 't_end' must be a number, got True"),
+    ("simulation", "dt", None, "field 'dt' must be a number, got None"),
+])
+def test_a_pipeline_checks_the_json_types_of_a_scenario_changed_in_code(
+        block, name, value, message):
+    scn = scenario_from_dict(_fast_scenario())
+    setattr(getattr(scn, block), name, value)
+    with pytest.raises(ScenarioError) as err:
+        run_verify(scn)
+    assert str(err.value) == message
+
+
+def test_numpy_scalars_in_code_pass_only_as_python_numbers(tmp_path):
+    # np.float64 is a float, so it is a number and runs as the float does;
+    # np.int64 and np.float32 are not Python numbers and would not save as
+    # JSON, so they are refused as a string would be
+    want = scenario_from_dict(_fast_scenario())
+    got = scenario_from_dict(_fast_scenario())
+    got.simulation.dt = np.float64(want.simulation.dt)
+    assert run_simulate(want, tmp_path / "want")["passed"]
+    assert run_simulate(got, tmp_path / "got")["passed"]
+    assert (tmp_path / "got" / "trajectory.csv").read_bytes() == \
+        (tmp_path / "want" / "trajectory.csv").read_bytes()
+    for name, value, kind in (("seed", np.int64(3), "an integer"),
+                              ("dt", np.float32(0.01), "a number")):
+        scn = scenario_from_dict(_fast_scenario())
+        setattr(scn.simulation, name, value)
+        with pytest.raises(ScenarioError) as err:
+            nisyn.cli.Pipeline(scn)
+        assert str(err.value) == f"field {name!r} must be {kind}, got {value!r}"
 
 
 def test_scenario_that_is_not_an_object_is_rejected():
@@ -556,7 +594,7 @@ class _RecordingPool:
     (None, 4, []),        # unknown CPU count: one process, no pool
 ])
 def test_verify_pool_size_is_capped(monkeypatch, cpus, jobs, sizes):
-    monkeypatch.setattr(nisyn.cli.concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -903,6 +941,56 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
          "sys.modules if m.startswith('scipy.stats')))"],
         capture_output=True, text=True, env=env, check=True)
     assert proc.stdout == "[]\n"
+
+
+def _src_env() -> dict:
+    src = os.path.dirname(os.path.dirname(nisyn.cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_the_process_pool():
+    # scipy.linalg is imported by the P = "auto" certificate only, and
+    # concurrent.futures by verify at --jobs > 1 only
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nisyn.cli; print(sorted(m for m in "
+         "sys.modules if m.startswith(('scipy', 'concurrent'))))"],
+        capture_output=True, text=True, env=_src_env(), check=True)
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("data", [DEGENERATE_P1, VECTOR_MARGINAL],
+                         ids=["hurwitz", "marginal"])
+def test_main_verify_auto_certificate_in_a_fresh_interpreter(tmp_path, data):
+    # in this process scipy may already be loaded; a fresh one shows that
+    # the certificate's own imports work
+    data = json.loads(json.dumps(data))
+    data["simulation"]["t_end"] = 0.5
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nisyn.cli", "verify", "--scenario", path,
+         "--out", str(out)], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "verify.json").read_text())["passed"]
+
+
+def test_main_synthesize_refuses_an_ill_conditioned_a11(tmp_path, capsys):
+    # analyze calls this plant equivalent (both eigenvalues are -1), but
+    # A11 is one rounding from singular, so synthesis refuses A11^-1
+    data = {"plant": {"m": 2, "p1": 1, "p2": 1,
+                      "A11": [[-1.0, 1e8], [0.0, -1.0]],
+                      "p": ["xi1^2", "xi2^2"]},
+            "spec": {"P": [[1.0, 0.0], [0.0, 1.0]]},
+            "simulation": {"x0": [0.0, 0.0, 1.0, 0.0, 0.0]}}
+    path = _write(tmp_path, data)
+    out = str(tmp_path / "o")
+    assert main(["analyze", "--scenario", path, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["synthesize", "--scenario", path, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: A11 is singular or numerically singular: sigma_min = "
+        "1.000e-08, sigma_max = 1.000e+08\n")
 
 
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "verify",

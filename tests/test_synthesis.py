@@ -137,6 +137,41 @@ def test_synthesize_rejects_singular_a11():
         synthesize(plant, SynthesisSpec([[1.0]], default_v2(plant)))
 
 
+def _plant_with_a11(a11):
+    a11 = np.asarray(a11, dtype=float)
+    return NormalFormPlant(a11=a11, p=(parse_expr("0", []),) * a11.shape[0],
+                           p1=1, p2=1)
+
+
+@pytest.mark.parametrize("a11, sigmas", [
+    ([[0.0]], r"sigma_min = 0\.000e\+00, sigma_max = 0\.000e\+00"),
+    # rank 2
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+     r"sigma_min = \d\.\d{3}e-1\d, sigma_max = 1\.685e\+01"),
+    # LU pivots and eigenvalues are (-1, -1), but sigma_min/sigma_max is
+    # 1e-16: 1e-8 in the zero entry, one rounding of ||A11||, makes A11
+    # singular, so the rule refuses it where the LU pivots did not
+    ([[-1.0, 1e8], [0.0, -1.0]],
+     r"sigma_min = 1\.000e-08, sigma_max = 1\.000e\+08"),
+])
+def test_a11_inverse_rejects_numerically_singular(a11, sigmas):
+    with pytest.raises(SingularMatrixError, match="^A11 is singular or "
+                       "numerically singular: " + sigmas + "$"):
+        _plant_with_a11(a11).a11_inverse
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_a11_inverse_is_an_inverse(m):
+    # singular values in [1, 10] between two random rotations
+    rng = np.random.default_rng(m)
+    q1, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    q2, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    a11 = q1 @ np.diag(rng.uniform(1.0, 10.0, m)) @ q2
+    inv = _plant_with_a11(a11).a11_inverse
+    assert np.abs(a11 @ inv - np.eye(m)).max() <= 1e-13
+    assert np.abs(inv @ a11 - np.eye(m)).max() <= 1e-13
+
+
 def test_storage_zero_at_origin(example_cl):
     assert storage_value(np.zeros(4), example_cl) == 0.0
 
