@@ -302,6 +302,10 @@ def _primes(count: int) -> list:
     return primes
 
 
+# the longest table of low-digit sums that _halton builds per dimension
+_HALTON_TABLE = 4096
+
+
 def _halton(d: int, samples: int, seed: int) -> np.ndarray:
     """The first ``samples`` points of the Owen-scrambled Halton sequence in
     [0, 1)^d, bit for bit those of ``scipy.stats.qmc.Halton(d=d,
@@ -309,14 +313,22 @@ def _halton(d: int, samples: int, seed: int) -> np.ndarray:
 
     Dimension i uses the i-th prime b as base.  One ``default_rng(seed)``
     shuffles, dimension after dimension, ``ceil(54 / log2 b) - 1`` copies of
-    ``arange(b)``, one per digit position.  A point is the digit-wise
-    radical inverse through those permutations, summed from the lowest digit
-    up as scipy's loop does; a digit position past every index's last digit
-    adds ``perm[0] * scale`` to all points.
+    ``arange(b)``, one per digit position j; ``terms[j]`` is that
+    permutation times b^-(j+1).  Point i is the sum over j of ``terms[j]``
+    at digit j of i, added from the lowest digit up as scipy's loop adds
+    it, and a position past every index's last digit adds ``terms[j][0]``.
+
+    No digit is computed: digit j of i is (i // b^j) mod b, so its term is
+    constant over blocks of b^j indices.  The low digits, while b^k <=
+    _HALTON_TABLE, are summed once over a period of b^k indices, each digit
+    onto the sums below it, and this table is added period by period into
+    the row of zeros.  Each higher digit adds one value per block through a
+    (blocks, b^j) view of the row.  Each point so gets scipy's additions in
+    scipy's order, and nothing of size ``samples`` is allocated besides the
+    output.
     """
     rng = np.random.default_rng(seed)
     out = np.zeros((d, samples))
-    index = np.arange(samples)
     for row, base in zip(out, _primes(d)):
         count = math.ceil(54 / math.log2(base)) - 1
         perms = np.repeat(np.arange(base)[None], count, axis=0)
@@ -329,14 +341,30 @@ def _halton(d: int, samples: int, seed: int) -> np.ndarray:
         digits = 1
         while base ** digits < samples:
             digits += 1
-        quotient = index
-        for j, term in enumerate(terms):
+        table = np.zeros(1)
+        low = 0
+        while low < digits and table.size * base <= _HALTON_TABLE:
+            table = np.tile(table, base) + np.repeat(terms[low], table.size)
+            low += 1
+        head, tail = _periods(row, table.size)
+        head += table
+        tail += table[:tail.size]
+        for j in range(low, count):
             if j < digits:
-                quotient, remainder = np.divmod(quotient, base)
-                row += term[remainder]
+                period = base ** j
+                head, tail = _periods(row, period)
+                vals = terms[j][np.arange(-(-samples // period)) % base]
+                head += vals[:len(head), None]
+                tail += vals[-1]  # the partial last block, if there is one
             else:
-                row += term[0]
+                row += terms[j][0]
     return out.T
+
+
+def _periods(row: np.ndarray, period: int):
+    """``row`` as a (full periods, period) view and the partial tail."""
+    full = row.size // period
+    return row[:full * period].reshape(full, period), row[full * period:]
 
 
 def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
@@ -361,7 +389,10 @@ def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
 
     points = np.zeros((1 + 2 * n + int(samples), n))
     points[1:1 + 2 * n] = 1e-6 * np.vstack([np.eye(n), -np.eye(n)])
-    points[1 + 2 * n:] = _halton(n, int(samples), seed) * (hi - lo) + lo
+    drawn = points[1 + 2 * n:]
+    drawn[...] = _halton(n, int(samples), seed)
+    drawn *= hi - lo
+    drawn += lo
     values = np.asarray(f(points), dtype=float)
     if values.shape != (len(points),):
         raise ValueError(f"f gave shape {values.shape}, not one value per point")

@@ -222,9 +222,18 @@ def check_bounds(scn: Scenario) -> None:
     """The JSON type and every bound that a field of a block declares, as
     when the scenario is loaded, and so also on a scenario built or changed
     in code.  Nothing is coerced: a value set in code must already be of
-    the type loading gives (an int, not 2.0, for an integer field)."""
+    the type loading gives (an int, not 2.0, for an integer field).  A
+    block field must hold its block, or None where it is Optional."""
     for b in fields(scn):
         block = getattr(scn, b.name)
+        tp = b.type
+        if get_origin(tp) is Union:
+            if block is None:
+                continue
+            tp = get_args(tp)[0]
+        if is_dataclass(tp) and not isinstance(block, tp):
+            raise ScenarioError(f"the {_key(b)} block must be of type "
+                                f"{tp.__name__}, got {block!r}")
         if is_dataclass(block):
             for f in fields(block):
                 value = getattr(block, f.name)

@@ -1,5 +1,7 @@
 """Stability classifier, Lyapunov certificates and sampled positivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,14 @@ def test_primes():
 @pytest.mark.parametrize("d, samples, seed", [
     (1, 10, 0), (1, 1, 0), (3, 1, 4), (6, 0, 5), (2, 1025, 5), (4, 2000, 3),
     (6, 100_000, 12345), (7, 6000, 99), (12, 20_000, 1), (20, 3000, 2),
+    # the edges of base 2's 4096-point table and of its blocks, of base 3's
+    # blocks (3^8 = 6561), and fewer points than the base (37, at d = 12)
+    (1, 2, 3), (1, 4095, 8), (2, 4096, 9), (3, 4097, 10), (2, 6561, 11),
+    (2, 6562, 12), (5, 8193, 13), (2, 65537, 14), (12, 30, 15),
+] + [  # 20 seeded random cases: d <= 15, samples <= 30000
+    (int(d), int(samples), int(seed)) for d, samples, seed in
+    np.random.default_rng(2024).integers([1, 0, 0], [16, 30_001, 2**31],
+                                         size=(20, 3))
 ])
 def test_halton_equals_scipy_bit_for_bit(d, samples, seed):
     from scipy.stats import qmc
@@ -205,6 +215,17 @@ def test_halton_equals_scipy_bit_for_bit(d, samples, seed):
     got = _halton(d, samples, seed)
     assert got.shape == want.shape == (samples, d)
     assert got.tobytes() == want.tobytes()
+
+
+def test_halton_allocates_nothing_but_its_output():
+    tracemalloc.start()
+    try:
+        got = _halton(6, 100_000, 12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == 4_800_000
+    assert peak <= got.nbytes + 500_000
 
 
 def test_halton_rows_are_pinned():

@@ -17,7 +17,7 @@ from nisyn.cli import (
 )
 from nisyn.scenario import (
     RegressionBlock, ScenarioError, SpecBlock, VerificationBlock, build_plant,
-    default_input_catalog, load_scenario, resolve_synthesis_spec, sampling_box,
+    check_bounds, default_input_catalog, load_scenario, resolve_synthesis_spec, sampling_box,
     scenario_from_dict, save_scenario,
 )
 
@@ -239,6 +239,56 @@ def test_a_pipeline_checks_the_json_types_of_a_scenario_changed_in_code(
     with pytest.raises(ScenarioError) as err:
         run_verify(scn)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("block, run, kind", [
+    ("simulation", run_verify, "SimulationBlock"),
+    ("verification", run_verify, "VerificationBlock"),
+    ("plant", run_analyze, "PlantBlock"),
+])
+def test_a_pipeline_refuses_a_required_block_replaced_in_code(block, run, kind):
+    scn = scenario_from_dict(_fast_scenario())
+    setattr(scn, block, None)
+    with pytest.raises(ScenarioError) as err:
+        run(scn)
+    assert str(err.value) == \
+        f"the {block} block must be of type {kind}, got None"
+
+
+@pytest.mark.parametrize("command, block, kind", [
+    ("verify", "simulation", "SimulationBlock"),
+    ("verify", "verification", "VerificationBlock"),
+    ("analyze", "plant", "PlantBlock"),
+])
+def test_main_refuses_a_required_block_replaced_in_code(
+        tmp_path, capsys, monkeypatch, command, block, kind):
+    def load(path):
+        scn = scenario_from_dict(_fast_scenario())
+        setattr(scn, block, None)
+        return scn
+    monkeypatch.setattr(nisyn.cli, "load_scenario", load)
+    out = tmp_path / "o"
+    assert main([command, "--scenario", "unused.json", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: the {block} block must be of type {kind}, got None\n"
+    assert not out.exists()
+
+
+def test_a_pipeline_refuses_an_optional_block_of_another_type():
+    scn = scenario_from_dict(_fast_scenario())
+    scn.uncertainty = {"n_sigma": 1}
+    with pytest.raises(ScenarioError) as err:
+        nisyn.cli.Pipeline(scn)
+    assert str(err.value) == "the uncertainty block must be of type " \
+        "UncertaintyBlock, got {'n_sigma': 1}"
+
+
+@pytest.mark.parametrize("block", ["general_form", "uncertainty", "regression"])
+def test_optional_blocks_set_to_none_in_code_stay_valid(block):
+    scn = scenario_from_dict(_fast_scenario())
+    setattr(scn, block, None)
+    check_bounds(scn)
+    assert run_analyze(scn)["passed"]
 
 
 def test_numpy_scalars_in_code_pass_only_as_python_numbers(tmp_path):
