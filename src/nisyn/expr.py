@@ -26,11 +26,14 @@ compile_exprs() is the one evaluator, for a point or a stack of points; the
 tree walker evaluate() is its reference and serves one-point origin checks.
 It emits one straight-line function for the whole vector: it unpacks its
 argument into the locals ``_x0 … _x{n-1}`` once, then binds every non-leaf
-subtree that occurs more than once to a local ``_tN`` ahead of the
-``return``; subtrees are matched on (kind, payload, child numbers), numbered
-bottom-up, so no subtree is hashed whole.  The callable keeps that body
-(``body``, ``roots``, ``n_vars``), which the integrator inlines into its
-RK4 loop without a second pass over the tree.  One point runs on Python
+subtree that occurs more than once, and every non-leaf base of a
+fractional power, to a local ``_tN`` ahead of the ``return``; subtrees are
+matched on (kind, payload, child numbers), numbered bottom-up, so no
+subtree is hashed whole.  The same pass gives a float form of that body,
+in which each fractional power is a conditional expression instead of a
+call to rational_power; the callable keeps it (``body``, ``roots``,
+``n_vars``), and the integrator inlines it into its RK4 loop without a
+second pass over the tree.  One point runs on Python
 floats: the callable passes ``x.tolist()`` to its ``point`` attribute, the
 one-point entry point, which the integrator also calls on float64 arrays
 to redo a step whose inlined body raised.  Python floats raise
@@ -439,12 +442,27 @@ def _exact_rational_pow(value: Fraction, exponent: Fraction) -> Optional[Fractio
 def fold_constants(e: Expr) -> Expr:
     """Fold constant subexpressions with exact rational arithmetic.
 
-    Evaluation-equivalent to the input; not a canonical form.
+    Evaluation-equivalent to the input; not a canonical form.  A subtree
+    object reached more than once (differentiate reuses factors) is folded
+    once and its result shared.
     """
+    folded: dict = {}  # id -> (node, result); the node keeps its id valid
+
+    def fold(e: Expr) -> Expr:
+        hit = folded.get(id(e))
+        if hit is None:
+            hit = folded[id(e)] = (e, _fold(e, fold))
+        return hit[1]
+
+    return fold(e)
+
+
+def _fold(e: Expr, fold: Callable[[Expr], Expr]) -> Expr:
+    """One node of fold_constants, given the folding of its children."""
     if isinstance(e, (Var, Const)):
         return e
     if isinstance(e, Neg):
-        c = fold_constants(e.child)
+        c = fold(e.child)
         if isinstance(c, Const):
             return Const(-c.value)
         if isinstance(c, Neg):
@@ -454,7 +472,7 @@ def fold_constants(e: Expr) -> Expr:
         total = Fraction(0)
         rest: list = []
         for t in e.terms:
-            ft = fold_constants(t)
+            ft = fold(t)
             parts = ft.terms if isinstance(ft, Sum) else (ft,)
             for p in parts:
                 if isinstance(p, Const):
@@ -468,7 +486,7 @@ def fold_constants(e: Expr) -> Expr:
         coef = Fraction(1)
         rest = []
         for f in e.factors:
-            ff = fold_constants(f)
+            ff = fold(f)
             if isinstance(ff, Neg):
                 coef = -coef
                 ff = ff.child
@@ -488,7 +506,7 @@ def fold_constants(e: Expr) -> Expr:
             return Neg(mul(*rest))
         return mul(Const(coef), *rest)
     if isinstance(e, Pow):
-        b = fold_constants(e.base)
+        b = fold(e.base)
         if e.exponent == 0:
             return Const(Fraction(1))
         if e.exponent == 1:
@@ -634,7 +652,11 @@ def _code(e: Expr, kids: Sequence[str], index: Mapping[str, int]) -> str:
         except KeyError:
             raise ExprError(f"variable {e.name!r} not in compilation scope") from None
     if isinstance(e, Const):
-        return repr(float(e.value))
+        try:
+            return repr(float(e.value))
+        except OverflowError:
+            raise ExprError(f"constant {_frac_str(e.value)} is beyond the "
+                            "float range") from None
     if isinstance(e, Neg):
         return f"(-{kids[0]})"
     if isinstance(e, Sum):
@@ -650,21 +672,51 @@ def _code(e: Expr, kids: Sequence[str], index: Mapping[str, int]) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _float_power(base: str, exponent: Fraction) -> str:
+    """rational_power inlined for a Python float: ``base`` is a name or a
+    literal, since it is read twice."""
+    try:
+        r = f"abs({base}) ** {exponent.numerator / exponent.denominator!r}"
+    except OverflowError:
+        raise ExprError(f"exponent {_frac_str(exponent)} is beyond the "
+                        "float range") from None
+    return f"(-({r}) if {base} < 0 else {r})" if exponent.numerator % 2 else r
+
+
 def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
-    """The straight-line body over the locals ``_x0 … _x{n-1}``: the
-    statements that bind every non-leaf subtree used more than once to a
-    local ``_tN``, and the code of each root."""
+    """The straight-line bodies over the locals ``_x0 … _x{n-1}``, as
+    ``(statements, roots)`` twice: the statements that bind to a local
+    ``_tN`` every non-leaf subtree used more than once and every non-leaf
+    base of a fractional power, then the code of each root.  The first
+    form calls ``_rp`` (rational_power) for a fractional power and runs on
+    arrays; the second, the float form, inlines it as a conditional
+    expression and runs on floats.  Both come from one numbering of the
+    subtrees and share every string outside the fractional powers and the
+    subtrees above them."""
     index = {n: i for i, n in enumerate(var_names)}
     roots, nodes, uses = _subtrees(exprs)
+    bases = {kids[0] for e, kids in nodes
+             if isinstance(e, Pow) and e.exponent.denominator != 1}
     statements: list = []
+    float_statements: list = []
     codes: list = []
+    float_codes: list = []
     for i, ((e, kids), n) in enumerate(zip(nodes, uses)):
         c = _code(e, [codes[k] for k in kids], index)
-        if kids and n > 1:
+        if isinstance(e, Pow) and e.exponent.denominator != 1:
+            f = _float_power(float_codes[kids[0]], e.exponent)
+        elif any(float_codes[k] is not codes[k] for k in kids):
+            f = _code(e, [float_codes[k] for k in kids], index)
+        else:
+            f = c
+        if kids and (n > 1 or i in bases):
             statements.append(f"_t{i} = {c}")
-            c = f"_t{i}"
+            float_statements.append(statements[-1] if f is c else f"_t{i} = {f}")
+            c = f = f"_t{i}"
         codes.append(c)
-    return tuple(statements), tuple(codes[r] for r in roots)
+        float_codes.append(f)
+    return ((tuple(statements), tuple(codes[r] for r in roots)),
+            (tuple(float_statements), tuple(float_codes[r] for r in roots)))
 
 
 def compile_exprs(exprs: Sequence[Expr],
@@ -675,12 +727,14 @@ def compile_exprs(exprs: Sequence[Expr],
     arithmetic identical to evaluate() term for term, and a stack (N, n) to
     (N, k), within 1e-12 * (1 + |value|) of the one-point values.  Its
     ``point`` attribute is the list entry point: a sequence of n values to
-    a tuple of k.  ``body`` and ``roots`` are the generated statements and
-    root expressions over the locals ``_x0 … _x{n-1}`` (``n_vars`` of them),
-    and ``rk4`` holds the RK4 loop that sim.integrate builds on them.
+    a tuple of k.  ``body`` and ``roots`` are the float form of the
+    generated statements and root expressions over the locals
+    ``_x0 … _x{n-1}`` (``n_vars`` of them), with each fractional power
+    inlined, so they run on Python floats only; ``rk4`` holds the RK4 loop
+    that sim.integrate builds on them.
     """
     k = len(exprs)
-    statements, roots = _body(exprs, var_names)
+    (statements, roots), float_body = _body(exprs, var_names)
     names = "".join(f"_x{i}, " for i in range(len(var_names)))
     source = ("def _f(_x):\n" + (f"    ({names}) = _x\n" if names else "")
               + "".join(f"    {s}\n" for s in statements)
@@ -706,6 +760,6 @@ def compile_exprs(exprs: Sequence[Expr],
         return out.T
 
     fn.point = point
-    fn.body, fn.roots, fn.n_vars = statements, roots, len(var_names)
+    (fn.body, fn.roots), fn.n_vars = float_body, len(var_names)
     fn.rk4 = None
     return fn

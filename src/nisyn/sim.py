@@ -88,13 +88,9 @@ def _items(prefix: str, count: int) -> str:
     return "".join(f"{prefix}{i}, " for i in range(count))
 
 
-def _float_root(x: float, num: int, den: int) -> float:
-    """expr.rational_power on a Python float, the only type the inlined loop
-    gives it."""
-    r = abs(x) ** (num / den)
-    if num % 2 == 0:
-        return r
-    return -r if x < 0 else r
+def _at(offset: str, i: int) -> str:
+    """The flat index of item i of the row that starts at ``offset``."""
+    return f"{offset} + {i}" if i else offset
 
 
 # A body of at most this many characters (statements and roots) is copied
@@ -124,14 +120,18 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
     """The RK4 loop of a compile_exprs field or a _plain_field, built on
     first use and kept in ``field.rk4``.  Each stage assigns its arguments
     to the field's variable locals ``_x0 …``, runs the field's body inline
-    and binds its roots.
+    and binds its roots.  A compiled field's body is its float form, whose
+    fractional powers are conditional expressions, so a stage calls no
+    function but ``abs``.
 
     ``loop(states, inputs, x, k, n_steps, dt, bound)`` steps from state
     ``x`` at step ``k``, with the state in n local floats and row k of
     ``inputs`` in p, and writes each new state into row k + 1 of ``states``.
-    ``states`` and ``inputs`` are memoryviews of the float64 arrays, whose
-    items read and write Python floats without numpy calls (a list of every
-    input row would raise the peak memory).  It returns ``(n_steps, x)`` at
+    ``states`` and ``inputs`` are flat (1-D) memoryviews of the float64
+    arrays, row after row, whose items read and write Python floats without
+    numpy calls (a list of every input row would raise the peak memory);
+    the loop keeps the offsets of its input row and of its state row as
+    running sums, ``ki += p`` and ``row += n``.  It returns ``(n_steps, x)`` at
     the end, ``(k, x)`` with the state after step k as soon as its norm is
     nan, inf or above ``bound``, and ``(k, None)`` when the body raises
     ZeroDivisionError or OverflowError in step k, whose state is then still
@@ -149,7 +149,8 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
     if field.rk4 is not None:
         return field.rk4
     body, roots, s = list(field.body), field.roots, _items("s", n)
-    lines = [f"_x{n + j} = inputs[k, {j}]" for j in range(p)]
+    lines = [f"_x{n + j} = inputs[{_at('ki', j)}]" for j in range(p)]
+    lines += [f"ki += {p}"] if p else []
     lines += [f"_x{i} = s{i}" for i in range(n)]
     unroll = sum(map(len, field.body + roots)) <= _UNROLL_CHARS
     if unroll:
@@ -169,8 +170,8 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
         lines += [f"s{i} = s{i} + sixth * a{i}" for i in range(n)]
     # the norm check of the new state, then its write into row k + 1
     lines += [f"h = hypot({s})", "if not h <= bound or h == inf:",
-              f"    return k, ({s})", "row = k + 1"]
-    lines += [f"states[row, {i}] = s{i}" for i in range(n)]
+              f"    return k, ({s})", f"row += {n}"]
+    lines += [f"states[{_at('row', i)}] = s{i}" for i in range(n)]
     source = "".join([
         "def _loop(states, inputs, x, k0, n_steps, dt, bound):\n",
         "    half = 0.5 * dt\n",
@@ -178,6 +179,7 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
         "" if unroll else
         "    passes = ((1.0, half), (2.0, half), (2.0, dt), (1.0, 0.0))\n",
         f"    ({s}) = x\n",
+        f"    ki, row = k0 * {p}, k0 * {n}\n",
         "    try:\n",
         "        for k in range(k0, n_steps):\n",
         *(f"            {line}\n" for line in lines),
@@ -185,8 +187,7 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
         "        return k, None\n",
         f"    return n_steps, ({s})\n",
     ])
-    namespace = {"hypot": math.hypot, "inf": math.inf, "_rp": _float_root,
-                 "_call": field.point}
+    namespace = {"hypot": math.hypot, "inf": math.inf, "_call": field.point}
     exec(compile(source, "<nisyn-rk4-field>", "exec"), namespace)
     field.rk4 = namespace["_loop"]
     return field.rk4
@@ -255,8 +256,10 @@ def integrate(rhs: Callable,
     loop = _inlined_loop(rhs, n, p)
     states = np.empty((n_steps + 1, n))
     states[0] = x
-    rows, row_inputs = memoryview(states), memoryview(inputs)
-    k, x = loop(rows, row_inputs, x, 0, n_steps, dt, blowup_norm)
+    # flat views: reshape copies only an input array that no 1-D view spans
+    flat = memoryview(states.reshape(-1))
+    flat_inputs = memoryview(inputs.reshape(-1))
+    k, x = loop(flat, flat_inputs, x, 0, n_steps, dt, blowup_norm)
     while k < n_steps:
         if x is None:  # the float body raised in step k
             x = _array_step(rhs.point, states[k], inputs[k], dt)
@@ -270,7 +273,7 @@ def integrate(rhs: Callable,
         # a redone step, or finite states whose norm overflows under an
         # infinite bound
         states[k + 1] = x
-        k, x = loop(rows, row_inputs, x, k + 1, n_steps, dt, blowup_norm)
+        k, x = loop(flat, flat_inputs, x, k + 1, n_steps, dt, blowup_norm)
     if state_names is None:
         state_names = tuple(f"x{i + 1}" for i in range(n))
     if input_names is None:

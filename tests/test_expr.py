@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from nisyn.expr import (
-    Const, EvalError, Expr, Neg, ParseError, Pow, Product, Sum, Var,
+    Const, EvalError, Expr, ExprError, Neg, ParseError, Pow, Product, Sum, Var,
     add, compile_exprs, differentiate, evaluate, fold_constants, mul,
     normalize, parse_expr, rational_power, substitute, to_string, variables,
 )
@@ -372,13 +372,34 @@ def test_list_entry_point_matches_numpy_scalars_bit_for_bit(e, g, seed):
 def test_shared_subtrees_are_computed_once():
     x, y = Var("x"), Var("y")
     shared = Sum((x, Pow(y, Fraction(1, 3))))
-    statements, roots = _body(
+    forms = _body(
         [mul(shared, shared), Neg(Sum((x, Pow(y, Fraction(1, 3)))))], ["x", "y"])
-    src = "\n".join(statements + roots)
-    assert src.count("_rp(") == 1  # the copy is matched by structure
-    assert src.count("_t") == 4  # one binding, three uses
+    for (statements, roots), power in zip(forms, ("_rp(", " < 0 else ")):
+        src = "\n".join(statements + roots)
+        assert src.count(power) == 1  # the copy is matched by structure
+        assert src.count("_t") == 4  # one binding, three uses
     fn = compile_exprs([mul(shared, shared), Neg(shared)], ["x", "y"])
     assert fn(np.array([1.0, 8.0])).tolist() == [9.0, -3.0]
+
+
+@pytest.mark.parametrize("e, message", [
+    (mul(Const(10 ** 400), Var("x")), f"constant {10 ** 400} is beyond the float range"),
+    (fold_constants(parse_expr("10^400*x", ["x"])),
+     f"constant {10 ** 400} is beyond the float range"),
+    (Pow(Var("x"), Fraction(10 ** 400, 3)),
+     f"exponent {10 ** 400}/3 is beyond the float range"),
+], ids=["constant", "folded constant", "exponent"])
+def test_a_number_beyond_the_float_range_is_an_expr_error(e, message):
+    with pytest.raises(ExprError) as err:
+        compile_exprs([e], ["x"])
+    assert str(err.value) == message
+
+
+def test_fold_constants_folds_a_shared_subtree_object_once():
+    shared = parse_expr("2*3*x + y^(1/3)", ["x", "y"])
+    folded = fold_constants(mul(shared, shared))
+    assert folded.factors[0] is folded.factors[1]
+    assert folded == fold_constants(mul(shared, parse_expr("2*3*x + y^(1/3)", ["x", "y"])))
 
 
 @pytest.mark.parametrize("text, value, warning", [

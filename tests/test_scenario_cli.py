@@ -1092,6 +1092,31 @@ def test_main_simulate_non_finite_gain_exits_2(tmp_path, capsys):
     assert not (out / "applied_inputs.csv").exists()
 
 
+_HUGE = "1" + "0" * 400  # a 401-digit integer, beyond the float range
+
+
+@pytest.mark.parametrize("command, block", [
+    ("synthesize", "spec"), ("verify", "spec"), ("synthesize", "regression"),
+    ("simulate", "general_form"),
+])
+def test_main_rejects_a_constant_beyond_the_float_range(tmp_path, capsys, command,
+                                                        block):
+    data = _fast_scenario()
+    if block == "spec":
+        data["spec"]["V2"] += f" + {_HUGE}*xi1^4"
+    elif block == "regression":
+        data["regression"]["u1"][0] += f" + {_HUGE}*xi1"
+    else:
+        del data["uncertainty"]
+        del data["regression"]
+        data["general_form"] = {"j1": [f"{_HUGE}*xi1"], "j2": ["0"],
+                                "l1": [["1", "0"]], "l2": [["0", "1"]]}
+    path = _write(tmp_path, data)
+    assert main([command, "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: constant {_HUGE} is beyond the float range\n"
+
+
 @pytest.mark.parametrize("block", ["verification", "regression"])
 def test_main_rejects_block_that_is_not_an_object(tmp_path, capsys, block):
     path = _write(tmp_path, _fast_scenario(**{block: []}))

@@ -130,6 +130,27 @@ def test_integrate_samples_the_input_once_on_the_grid():
     assert integrate(lambda x, u: -x, [1.0], 1.0, 0.1).inputs.shape == (11, 0)
 
 
+def test_an_input_array_in_any_layout_integrates_to_the_same_bytes():
+    field = _field(["x2", "-x1 - x2 + u1*u2", "u1 - x3"],
+                   ["x1", "x2", "x3", "u1", "u2"])
+    signal = multisine_signal([[0.3, 0.1], [0.2, 0.4]], [[0.5, 1.3], [0.8, 2.1]],
+                              seed=8)
+    layouts = {
+        "C": signal,
+        "Fortran": lambda t: np.asfortranarray(signal(t)),
+        # every other column of u1 u1 u2 u2
+        "strided": lambda t: np.repeat(signal(t), 2, axis=1)[:, ::2],
+    }
+    runs = {name: integrate(field, [0.5, -0.5, 0.1], 1.0, 1e-2, input_fn=fn)
+            for name, fn in layouts.items()}
+    assert runs["C"].inputs.flags.c_contiguous
+    assert not runs["Fortran"].inputs.flags.c_contiguous
+    assert not runs["strided"].inputs.flags.c_contiguous
+    for traj in runs.values():
+        assert traj.inputs.tobytes() == runs["C"].inputs.tobytes()
+        assert traj.states.tobytes() == runs["C"].states.tobytes()
+
+
 def _rk4_on_arrays(field, x0, t_end, dt, signal):
     """The array form of the RK4 step, with the field on numpy float64
     scalars: the reference the list loop must match bit for bit."""
@@ -208,6 +229,23 @@ _GENERATED = [
     # every stage is -0.0, and -0.0 + sixth * (sum of the stages) keeps the sign
     # only if that sum is -0.0 too
     (["x"], ["x"], [-0.0], zero_signal(0)),
+    # rational powers, inlined as conditional expressions in the loop: an odd
+    # numerator whose base crosses zero
+    (["x2", "-x1^(1/3) - x2"], ["x1", "x2"], [0.3, -0.8], zero_signal(0)),
+    # an even numerator whose base crosses zero
+    (["x2", "-x1 - x1^(2/3)*x2 + u1"], ["x1", "x2", "u1"], [-0.2, 0.6],
+     multisine_signal([[0.3, 0.2]], [[0.7, 1.9]], seed=4)),
+    # a negative exponent on a compound base bounded away from 0
+    (["(x1^2 + 1)^(-1/3) - x2", "x1 - x2"], ["x1", "x2"], [-0.4, 0.5],
+     zero_signal(0)),
+    # a compound base (bound to a local) that crosses zero
+    (["x2 - (x1 - x2)^(5/3)", "-x1 + u1"], ["x1", "x2", "u1"], [0.2, 0.5],
+     multisine_signal([[0.4]], [[1.1]], seed=6)),
+    # a base that starts at -0.0, which is not below 0: each stage is +0.0,
+    # so the first step leaves -0.0 for +0.0
+    (["x^(1/3)"], ["x"], [-0.0], zero_signal(0)),
+    # ... and one that leaves zero at 0.5
+    (["-x1^(1/3) + u1"], ["x1", "u1"], [-0.0], step_signal([0.2], 0.5)),
 ]
 
 
@@ -222,6 +260,22 @@ def test_generated_loop_matches_the_array_loop_bit_for_bit(exprs, names, x0, sig
         got = integrate(rhs, x0, 1.0, 1e-2, input_fn=input_fn).states
         assert got.shape == (101, n)
         assert got.tobytes() == want.tobytes()
+
+
+def test_no_loop_of_a_compiled_field_calls_a_function_for_a_rational_power(
+        example_cl, monkeypatch):
+    fields = [(example_cl._rhs_fn, X0, 2), (_example_unc()._f_fn, [0.5, -0.5], 2),
+              (Interconnection(example_cl, _example_unc())._rhs_fn,
+               np.concatenate([X0, [0.5, -0.5]]), 0)]
+    fields += [(_field(exprs, names), x0, len(names) - len(x0))
+               for exprs, names, x0, _ in _GENERATED]
+    for bound in (sim._UNROLL_CHARS, -1):  # four copies, then one
+        monkeypatch.setattr(sim, "_UNROLL_CHARS", bound)
+        for field, x0, p in fields:
+            monkeypatch.setattr(field, "rk4", None)
+            names = sim._inlined_loop(field, len(x0), p).__code__.co_names
+            assert "_rp" not in names and "_float_root" not in names
+    assert not hasattr(sim, "_float_root")
 
 
 @pytest.mark.parametrize("rhs", [
@@ -358,8 +412,9 @@ def test_a_body_longer_than_the_bound_runs_in_a_loop_over_the_stages(monkeypatch
         monkeypatch.setattr(sim, "_UNROLL_CHARS", bound)
         monkeypatch.setattr(field, "rk4", None)
         integrate(field, [1.0, 0.0], 0.5, 0.1, input_fn=step_signal([0.5]))
-        roots = [i for i in dis.get_instructions(field.rk4) if i.argval == "_rp"]
-        assert len(roots) == copies
+        # x1^(1/3) reads abs twice in each copy of the body
+        loads = [i for i in dis.get_instructions(field.rk4) if i.argval == "abs"]
+        assert len(loads) == 2 * copies
 
 
 def test_a_field_builds_its_loop_once_and_shares_it_with_no_other_field(monkeypatch):
