@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import weakref
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -25,7 +26,7 @@ from .lyapunov import (
 from .scenario import (
     Scenario, ScenarioError, build_general_form, build_plant,
     build_uncertainty, check_bounds, input_catalog, load_scenario, override,
-    resolve_synthesis_spec, sampling_box,
+    resolve_synthesis_spec, sampling_box, scenario_to_dict,
 )
 from .sim import (
     IntegrationError, check_dissipation, check_w_decrease,
@@ -76,17 +77,53 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
 
 # --- pipeline -------------------------------------------------------------------
 
+# The stage products of each live scenario that a pipeline was built on, by
+# id(scenario): (its saved form then, the products).  An entry holds nothing
+# of the scenario itself and leaves when the scenario is freed.
+_PRODUCTS: dict = {}
+
+
+def _products(scn: Scenario) -> dict:
+    """The products dict that every pipeline on ``scn`` shares while the
+    scenario's saved form stays equal; a new one whenever it has changed.  A
+    scenario that cannot be saved gets a dict that is kept nowhere else."""
+    try:
+        saved = json.dumps(scenario_to_dict(scn), sort_keys=True)
+    except (TypeError, ValueError):
+        return {}
+    key = id(scn)
+    entry = _PRODUCTS.get(key)
+    if entry is not None and entry[0] == saved:
+        return entry[1]
+    if entry is None:
+        weakref.finalize(scn, _PRODUCTS.pop, key, None)
+    products: dict = {}
+    _PRODUCTS[key] = saved, products
+    return products
+
+
 class Pipeline:
     """One scenario's chain, built on first use and shared by every stage:
     plant -> stability verdict -> spec -> closed loop -> uncertainty ->
     interconnection.  Of the trajectories it keeps only the two that more
     than one stage reads: the interconnection run and the closed-loop run
     under ``simulation.input``.  The scenario's field bounds are checked
-    when the pipeline is built, so they hold for a scenario made in code."""
+    when the pipeline is built, so they hold for a scenario made in code.
+
+    Every pipeline built on one Scenario object shares these products, so
+    stage functions called in turn on it synthesize once and integrate each
+    kept run once.  A pipeline built after the scenario was edited (any
+    change to its saved form) builds them anew, and a scenario that cannot
+    be saved shares nothing.  The products refer to no Scenario object, so
+    they are freed with the scenario, and neither a copy nor a pickle of
+    the scenario carries them."""
+
+    __slots__ = ("scn", "__dict__")  # __dict__ is the shared products
 
     def __init__(self, scn: Scenario):
         check_bounds(scn)
         self.scn = scn
+        self.__dict__ = _products(scn)
 
     @cached_property
     def plant(self):
@@ -314,22 +351,34 @@ def _write_applied_inputs(gform, plant, closed_loop, traj, out_dir: Path) -> Pat
 
 # --- verify ---------------------------------------------------------------------
 
-def _pooled_signal_check(scn: Scenario, block: str, spec: dict) -> dict:
-    """Pool task: builds the worker process's own pipeline."""
-    return Pipeline(scn).signal_check(block, spec)
+_worker_scn = None  # a pool worker's scenario, set once by _init_worker
+
+
+def _init_worker(scn: Scenario) -> None:
+    """Pool initializer: the scenario of every task this worker runs."""
+    global _worker_scn
+    _worker_scn = scn
+
+
+def _pooled_signal_check(block: str, spec: dict) -> dict:
+    """Pool task: one signal's check on the worker's pipeline, which its
+    tasks share (a forked worker starts with what its parent had built)."""
+    return Pipeline(_worker_scn).signal_check(block, spec)
 
 
 def _signal_checks(pipe: Pipeline, block: str, jobs: int) -> list:
     """One report entry per catalog signal.  Runs in a process pool of at
     most one worker per signal and per CPU when that is more than one; the
-    pool module is imported only then, since it loads ``logging``."""
+    pool module is imported only then, since it loads ``logging``.  The
+    scenario goes to each worker once, and each task sends one signal."""
     signals = pipe.signals
     workers = min(jobs, len(signals), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_pooled_signal_check, pipe.scn, block, s)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(pipe.scn,)) as pool:
+            futures = [pool.submit(_pooled_signal_check, block, s)
                        for s in signals]
             results = [f.result() for f in futures]
     else:

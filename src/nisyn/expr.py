@@ -41,7 +41,9 @@ ZeroDivisionError or OverflowError where numpy gives inf, so when the float
 call raises either, the point is evaluated again on numpy float64 scalars:
 there is one failure mode, inf or nan with numpy's RuntimeWarning.  (A
 subexpression of constants alone, such as ``0^(-1)``, is Python floats on
-both paths and raises on both.)
+both paths and raises on both.)  A power whose base holds no variable is
+compiled to the literal of its value, and one whose value is beyond the
+float range is an ExprError at compile time.
 """
 
 from __future__ import annotations
@@ -672,6 +674,20 @@ def _code(e: Expr, kids: Sequence[str], index: Mapping[str, int]) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _const_power(e: Pow) -> Optional[str]:
+    """The literal of a power whose base holds no variable, computed by the
+    float operations that its code would run on every call (evaluate() runs
+    the same ones).  None for a zero base under a negative exponent: that
+    code is kept, and raises ZeroDivisionError."""
+    try:
+        return repr(evaluate(e, {}))
+    except OverflowError:
+        raise ExprError(f"power {to_string(e)} is beyond the float "
+                        "range") from None
+    except ZeroDivisionError:
+        return None
+
+
 def _float_power(base: str, exponent: Fraction) -> str:
     """rational_power inlined for a Python float: ``base`` is a name or a
     literal, since it is read twice."""
@@ -687,7 +703,8 @@ def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
     """The straight-line bodies over the locals ``_x0 … _x{n-1}``, as
     ``(statements, roots)`` twice: the statements that bind to a local
     ``_tN`` every non-leaf subtree used more than once and every non-leaf
-    base of a fractional power, then the code of each root.  The first
+    base of a fractional power, then the code of each root.  A power of
+    a base without variables is the literal of its value.  The first
     form calls ``_rp`` (rational_power) for a fractional power and runs on
     arrays; the second, the float form, inlines it as a conditional
     expression and runs on floats.  Both come from one numbering of the
@@ -701,7 +718,15 @@ def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
     float_statements: list = []
     codes: list = []
     float_codes: list = []
+    constant: set = set()  # the subtrees that hold no variable
     for i, ((e, kids), n) in enumerate(zip(nodes, uses)):
+        if not isinstance(e, Var) and constant.issuperset(kids):
+            constant.add(i)
+            literal = _const_power(e) if isinstance(e, Pow) else None
+            if literal is not None:  # a leaf, as a constant is
+                codes.append(literal)
+                float_codes.append(literal)
+                continue
         c = _code(e, [codes[k] for k in kids], index)
         if isinstance(e, Pow) and e.exponent.denominator != 1:
             f = _float_power(float_codes[kids[0]], e.exponent)

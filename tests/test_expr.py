@@ -395,6 +395,26 @@ def test_a_number_beyond_the_float_range_is_an_expr_error(e, message):
     assert str(err.value) == message
 
 
+def test_a_power_of_constants_compiles_to_its_value():
+    e = parse_expr("2^(1/3)*x + 3^(-2) - 5^(2/3)*2^5 + (-3)^(5/3)*(1 + x)", ["x"])
+    fn = compile_exprs([e], ["x"])
+    assert "**" not in fn.roots[0] and "_rp" not in fn.roots[0]
+    for x in (-1.5, 0.0, 0.7):
+        assert fn.point([x]) == (evaluate(e, {"x": x}),)  # bit for bit
+    assert fn(np.array([[0.7]]))[0, 0] == evaluate(e, {"x": 0.7})
+
+
+@pytest.mark.parametrize("text, power", [
+    ("10^400*x", "10^400"), ("x + 10^(1201/3)", "10^(1201/3)"),
+    ("2^1100*x", "2^1100"), ("(-10)^401*x", "(-10)^401"),
+])
+def test_a_power_of_constants_beyond_the_float_range_is_an_expr_error(text,
+                                                                       power):
+    with pytest.raises(ExprError) as err:
+        compile_exprs([parse_expr(text, ["x"])], ["x"])
+    assert str(err.value) == f"power {power} is beyond the float range"
+
+
 def test_fold_constants_folds_a_shared_subtree_object_once():
     shared = parse_expr("2*3*x + y^(1/3)", ["x", "y"])
     folded = fold_constants(mul(shared, shared))

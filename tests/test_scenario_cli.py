@@ -1,10 +1,14 @@
 """Scenario round-trips, builders, CLI subcommands and exit codes."""
 
 import concurrent.futures
+import copy
+import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
@@ -17,8 +21,8 @@ from nisyn.cli import (
 )
 from nisyn.scenario import (
     RegressionBlock, ScenarioError, SpecBlock, VerificationBlock, build_plant,
-    check_bounds, default_input_catalog, load_scenario, resolve_synthesis_spec, sampling_box,
-    scenario_from_dict, save_scenario,
+    check_bounds, default_input_catalog, load_scenario, override,
+    resolve_synthesis_spec, sampling_box, scenario_from_dict, save_scenario,
 )
 
 MINIMAL = {
@@ -620,11 +624,14 @@ def test_verify_jobs_parallel_matches_serial():
 
 
 class _RecordingPool:
-    """Stand-in for the process pool: records its size, runs tasks inline."""
+    """Stand-in for the process pool: records its size, runs its initializer
+    and tasks inline."""
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -669,6 +676,123 @@ def test_reproduce_builds_once_and_matches_simulate(tmp_path, monkeypatch):
     assert run_simulate(scenario_from_dict(data), tmp_path / "s")["passed"]
     assert (tmp_path / "r" / "trajectory.csv").read_bytes() == \
         (tmp_path / "s" / "trajectory.csv").read_bytes()
+
+
+# --- stage products shared across stage calls on one scenario -------------------
+
+def _loop_scenario() -> dict:
+    """The fast scenario without its uncertainty, so that simulate exports
+    the closed-loop run under ``simulation.input``, a catalog signal."""
+    data = _fast_scenario()
+    del data["uncertainty"]
+    data["simulation"]["input"] = data["verification"]["input_signals"][1]
+    return data
+
+
+def _simulate(scn, out_dir) -> tuple:
+    """run_simulate's report without its output path, and the CSV bytes."""
+    report = run_simulate(scn, out_dir)
+    csv = out_dir / "trajectory.csv"
+    assert report.pop("trajectory_csv") == str(csv)
+    return report, csv.read_bytes()
+
+
+def _count_calls(monkeypatch, *names) -> dict:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(nisyn.cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nisyn.cli, name, counted)
+    return calls
+
+
+def test_verify_then_simulate_synthesize_once_and_match_fresh_scenarios(
+        tmp_path, monkeypatch):
+    data = _loop_scenario()
+    want_verify = run_verify(scenario_from_dict(data))
+    want_simulate = _simulate(scenario_from_dict(data), tmp_path / "fresh")
+    calls = _count_calls(monkeypatch, "synthesize", "simulate_closed_loop")
+    scn = scenario_from_dict(data)
+    assert run_verify(scn) == want_verify
+    assert _simulate(scn, tmp_path / "kept") == want_simulate
+    # one run per catalog signal; simulate exports verify's run of the input
+    signals = data["verification"]["input_signals"]
+    assert calls == {"synthesize": 1, "simulate_closed_loop": len(signals)}
+
+
+def _edit_x0(scn):
+    scn.simulation.x0[0] = 0.5
+
+
+def _edit_input(scn):
+    scn.simulation.input["amplitude"][1] = -0.3
+
+
+def _override_dt(scn):
+    override(scn, "simulation", "dt", 0.002, "--dt")
+
+
+@pytest.mark.parametrize("edit", [_edit_x0, _edit_input, _override_dt])
+def test_a_stage_call_after_an_edit_rebuilds(tmp_path, edit):
+    data = _loop_scenario()
+    scn = scenario_from_dict(data)
+    before = _simulate(scn, tmp_path / "before")
+    edit(scn)
+    fresh = scenario_from_dict(copy.deepcopy(data))
+    edit(fresh)
+    after = _simulate(scn, tmp_path / "after")
+    assert after == _simulate(fresh, tmp_path / "fresh")
+    assert after[1] != before[1]
+
+
+def test_a_stage_call_after_a_block_is_removed_refuses_it(tmp_path):
+    scn = scenario_from_dict(_loop_scenario())
+    run_simulate(scn, tmp_path / "o")
+    scn.simulation = None
+    with pytest.raises(ScenarioError) as err:
+        run_simulate(scn, tmp_path / "o")
+    assert str(err.value) == \
+        "the simulation block must be of type SimulationBlock, got None"
+
+
+def test_pipelines_share_products_only_on_a_saveable_scenario():
+    scn = scenario_from_dict(_loop_scenario())
+    Pipeline = nisyn.cli.Pipeline
+    assert Pipeline(scn).closed_loop is Pipeline(scn).closed_loop
+    # an ndarray P does not save as JSON, so nothing is shared
+    scn.spec.p_matrix = np.eye(1)
+    assert Pipeline(scn).closed_loop is not Pipeline(scn).closed_loop
+
+
+def test_kept_runs_are_freed_with_the_scenario(tmp_path):
+    scn = scenario_from_dict(_loop_scenario())
+    run_simulate(scn, tmp_path / "o")
+    run = weakref.ref(nisyn.cli.Pipeline(scn).input_run)
+    gc.disable()
+    try:
+        assert run() is not None
+        del scn
+        assert run() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
+
+
+def test_pooled_verify_after_serial_verify_matches_it(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    scn = scenario_from_dict(_fast_scenario())
+    serial = run_verify(scn)
+    assert serial["passed"]
+    assert run_verify(scn, jobs=2) == serial
+
+
+def test_a_used_scenario_copies_and_pickles(tmp_path):
+    scn = scenario_from_dict(_loop_scenario())
+    run_verify(scn)
+    for again in (copy.deepcopy(scn), pickle.loads(pickle.dumps(scn))):
+        assert again == scn
+        assert _simulate(again, tmp_path / "again") == \
+            _simulate(scn, tmp_path / "scn")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1115,6 +1239,21 @@ def test_main_rejects_a_constant_beyond_the_float_range(tmp_path, capsys, comman
     assert main([command, "--scenario", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == \
         f"error: constant {_HUGE} is beyond the float range\n"
+
+
+@pytest.mark.parametrize("block", ["spec", "regression"])
+def test_main_synthesize_rejects_a_power_beyond_the_float_range(tmp_path, capsys,
+                                                               block):
+    data = _fast_scenario()
+    if block == "spec":
+        data["spec"]["V2"] = "xi1^(4/3)+xi2^2 + 10^400*xi1^4"
+    else:
+        data["regression"]["u1"][0] += " + 10^400*xi1"
+    path = _write(tmp_path, data)
+    assert main(["synthesize", "--scenario", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "error: power 10^400 is beyond the float range\n"
 
 
 @pytest.mark.parametrize("block", ["verification", "regression"])
