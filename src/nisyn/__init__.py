@@ -18,7 +18,7 @@ from .lyapunov import (
     lyapunov_certificate, sampled_positive_definite,
 )
 from .synthesis import (
-    NormalFormPlant, SynthesisSpec, ClosedLoopSystem, GeneralForm,
+    Dissipative, NormalFormPlant, SynthesisSpec, ClosedLoopSystem, GeneralForm,
     synthesize, storage_value, closed_loop_rhs, reduce_general_form,
     default_v2,
 )
@@ -26,7 +26,7 @@ from .uncertainty import (
     OsniUncertainty, Interconnection, interconnection_rhs, composite_storage,
 )
 from .sim import (
-    Trajectory, integrate, simulate_closed_loop, simulate_uncertainty,
+    Trajectory, integrate, simulate, simulate_closed_loop, simulate_uncertainty,
     simulate_interconnection, check_dissipation, check_w_decrease,
     convergence_metrics, write_trajectory_csv,
     zero_signal, step_signal, multisine_signal, bandlimited_signal,

@@ -35,9 +35,9 @@ from .sim import (
     write_trajectory_csv,
 )
 from .synthesis import (
-    SynthesisError, reduce_general_form, storage_value, synthesize,
+    SynthesisError, reduce_general_form, synthesize,
 )
-from .uncertainty import Interconnection, UncertaintyError, composite_storage
+from .uncertainty import Interconnection, UncertaintyError
 
 SCHEMA_VERSION = 1
 
@@ -188,27 +188,23 @@ class Pipeline:
         catalog signal.  The loop passes on the inequality of its target, the
         uncertainty on OSNI; a run that diverges gives a failed entry."""
         sim = self.scn.simulation
-        tol = self.scn.verification.dissipation_tol
         try:
             if block == "closed_loop":
-                cl = self.closed_loop
+                system, target = self.closed_loop, self.scn.spec.target
                 traj = (self.input_run if spec == sim.input
                         else self._closed_loop_run(spec))
-                rep = check_dissipation(traj, lambda s: storage_value(s, cl),
-                                        cl.epsilon, tol)
-                passed = (rep.osni_pass if self.scn.spec.target == "OSNI"
-                          else rep.ni_pass)
             else:
-                unc = self.uncertainty
-                signal = signal_from_spec(spec, unc.n_outputs, sim.seed)
-                traj = simulate_uncertainty(unc, self.scn.uncertainty.x_sigma0,
+                system, target = self.uncertainty, "OSNI"
+                signal = signal_from_spec(spec, system.n_outputs, sim.seed)
+                traj = simulate_uncertainty(system, self.scn.uncertainty.x_sigma0,
                                             sim.t_end, sim.dt, signal=signal)
-                rep = check_dissipation(traj, unc.storage, unc.epsilon_sigma,
-                                        tol)
-                passed = rep.osni_pass
         except IntegrationError as err:
             return _diverged(err)
-        return {**rep.as_dict(), "passed": passed}
+        (_, epsilon), = system.strictness
+        rep = check_dissipation(traj, system.storage, epsilon,
+                                self.scn.verification.dissipation_tol)
+        return {**rep.as_dict(),
+                "passed": rep.osni_pass if target == "OSNI" else rep.ni_pass}
 
 
 def _diverged(err: IntegrationError) -> dict:
@@ -399,10 +395,14 @@ def run_verify(scn: Scenario | Pipeline, jobs: int = 1) -> dict:
     n_plant = pipe.plant.n_states
     checks: dict = {}
 
+    def positivity(system, box) -> dict:
+        """Sampled positivity of the system's storage on the box."""
+        return _positivity(sampled_positive_definite(
+            system.storage, box, ver.samples, ver.pd_seed))
+
     # storage positivity on the plant box
-    checks["storage_positive_definite"] = _positivity(sampled_positive_definite(
-        lambda x: storage_value(x, closed_loop), sampling_box(scn, n_plant),
-        ver.samples, ver.pd_seed))
+    checks["storage_positive_definite"] = positivity(
+        closed_loop, sampling_box(scn, n_plant))
 
     # closed-loop dissipation over the input catalog
     checks["closed_loop_dissipation"] = _signal_checks(pipe, "closed_loop", jobs)
@@ -412,12 +412,9 @@ def run_verify(scn: Scenario | Pipeline, jobs: int = 1) -> dict:
             pipe, "uncertainty", jobs)
         ic = pipe.interconnection
         joint_box = sampling_box(scn, ic.n_states)
-        checks["uncertainty_storage_positive_definite"] = _positivity(
-            sampled_positive_definite(unc.storage, joint_box[n_plant:],
-                                      ver.samples, ver.pd_seed))
-        checks["composite_storage_positive_definite"] = _positivity(
-            sampled_positive_definite(lambda s: composite_storage(s, ic),
-                                      joint_box, ver.samples, ver.pd_seed))
+        checks["uncertainty_storage_positive_definite"] = positivity(
+            unc, joint_box[n_plant:])
+        checks["composite_storage_positive_definite"] = positivity(ic, joint_box)
         try:
             traj = pipe.interconnection_run
         except IntegrationError as err:

@@ -704,7 +704,8 @@ def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
     ``(statements, roots)`` twice: the statements that bind to a local
     ``_tN`` every non-leaf subtree used more than once and every non-leaf
     base of a fractional power, then the code of each root.  A power of
-    a base without variables is the literal of its value.  The first
+    a base without variables is the literal of its value, and a subtree
+    read only there is not bound.  The first
     form calls ``_rp`` (rational_power) for a fractional power and runs on
     arrays; the second, the float form, inlines it as a conditional
     expression and runs on floats.  Both come from one numbering of the
@@ -712,21 +713,29 @@ def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
     subtrees above them."""
     index = {n: i for i, n in enumerate(var_names)}
     roots, nodes, uses = _subtrees(exprs)
-    bases = {kids[0] for e, kids in nodes
-             if isinstance(e, Pow) and e.exponent.denominator != 1}
+    constant: set = set()  # the subtrees that hold no variable
+    literals: dict = {}  # the powers of those that fold to a literal
+    for i, (e, kids) in enumerate(nodes):
+        if not isinstance(e, Var) and constant.issuperset(kids):
+            constant.add(i)
+            if isinstance(e, Pow) and (literal := _const_power(e)) is not None:
+                literals[i] = literal
+    for i in reversed(range(len(nodes))):  # parents first: drop unread uses
+        if i in literals or not uses[i]:
+            for k in nodes[i][1]:
+                uses[k] -= 1
+    bases = {kids[0] for i, (e, kids) in enumerate(nodes)
+             if isinstance(e, Pow) and e.exponent.denominator != 1
+             and i not in literals}
     statements: list = []
     float_statements: list = []
     codes: list = []
     float_codes: list = []
-    constant: set = set()  # the subtrees that hold no variable
     for i, ((e, kids), n) in enumerate(zip(nodes, uses)):
-        if not isinstance(e, Var) and constant.issuperset(kids):
-            constant.add(i)
-            literal = _const_power(e) if isinstance(e, Pow) else None
-            if literal is not None:  # a leaf, as a constant is
-                codes.append(literal)
-                float_codes.append(literal)
-                continue
+        if i in literals:  # a leaf, as a constant is
+            codes.append(literals[i])
+            float_codes.append(literals[i])
+            continue
         c = _code(e, [codes[k] for k in kids], index)
         if isinstance(e, Pow) and e.exponent.denominator != 1:
             f = _float_power(float_codes[kids[0]], e.exponent)

@@ -2,15 +2,16 @@
 
 Integration is classical fourth-order Runge-Kutta on a uniform grid with
 zero-order-hold inputs, so the derivative estimates used by the checkers
-live on a clean grid.  Storage rates and output rates are estimated by
-second-order finite differences (central in the interior, one-sided at the
-endpoints, as in numpy.gradient) and compared against the dissipation
-inequalities
+live on a clean grid.  ``simulate`` runs any synthesis.Dissipative system.
+Storage and output rates are estimated by second-order finite differences
+(central in the interior, one-sided at the endpoints, as in numpy.gradient)
+and compared against the one inequality S' <= u^T y' - sum_b w_b |y_b'|^2,
+one strictness weight per block of outputs:
 
     NI:    V'  <=  v^T y'
     OSNI:  V'  <=  v^T y' - epsilon |y'|^2
 
-and, for interconnections, the composite decrease
+and, for interconnections (no input, outputs (y, w)), the composite decrease
 
     W'  <=  -epsilon |y'|^2 - epsilon_sigma |w'|^2  <=  0.
 """
@@ -26,13 +27,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .synthesis import ClosedLoopSystem, SynthesisError, storage_value
-from .uncertainty import Interconnection, OsniUncertainty, UncertaintyError, \
-    composite_storage
+from .synthesis import ClosedLoopSystem, Dissipative, SynthesisError, \
+    storage_value
+from .uncertainty import Interconnection, OsniUncertainty, UncertaintyError
 
 __all__ = [
     "IntegrationError", "DivergenceError", "Trajectory",
-    "integrate", "simulate_closed_loop", "simulate_uncertainty",
+    "integrate", "simulate", "simulate_closed_loop", "simulate_uncertainty",
     "simulate_interconnection",
     "DissipationReport", "check_dissipation",
     "WDecreaseReport", "check_w_decrease",
@@ -291,12 +292,45 @@ def _rate(values: np.ndarray, dt: float) -> np.ndarray:
     return np.gradient(values, dt, axis=0, edge_order=2)
 
 
-def _dissipation_residual(t, v_values, inputs, outputs, epsilon):
+def _dissipation_residual(t, storage, inputs, outputs, strictness):
+    """S' - u^T y' + sum_b w_b |y_b'|^2, with one ``(width, weight)`` of
+    ``strictness`` per block of output columns.  The inputs pair with the
+    first output columns; (N, 0) inputs supply nothing."""
     dt = float(t[1] - t[0])
-    vdot = _rate(v_values, dt)
+    sdot = _rate(storage, dt)
     ydot = _rate(outputs, dt)
-    supply = np.sum(inputs * ydot, axis=1)
-    return vdot - supply + epsilon * np.sum(ydot * ydot, axis=1)
+    residual = sdot - np.sum(inputs * ydot[:, :inputs.shape[1]], axis=1)
+    start = 0
+    for width, weight in strictness:
+        block = ydot[:, start:start + width]
+        residual = residual + weight * np.sum(block * block, axis=1)
+        start += width
+    return residual
+
+
+def simulate(system: Dissipative,
+             x0: Sequence[float],
+             t_end: float,
+             dt: float,
+             signal: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+             blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
+    """Run a Dissipative system from ``x0`` under ``signal`` (None: zero) and
+    record its outputs, its storage (as ``V``) and its residual, whose finite
+    differences need at least 3 samples (fewer is a ValueError)."""
+    if signal is None:
+        signal = zero_signal(len(system.input_names))
+    traj = integrate(system._rhs_fn, x0, t_end, dt, input_fn=signal,
+                     state_names=system.state_names,
+                     input_names=system.input_names, blowup_norm=blowup_norm)
+    if traj.n_samples < 3:
+        raise ValueError(
+            f"t_end = {t_end!r} with dt = {dt!r} gives {traj.n_samples} "
+            "samples, but the finite-difference residual needs at least 3")
+    records = system._records_fn(traj.states)
+    traj.V, traj.outputs = records[:, 0], records[:, 1:]
+    traj.residual = _dissipation_residual(traj.t, traj.V, traj.inputs,
+                                          traj.outputs, system.strictness)
+    return traj
 
 
 def simulate_closed_loop(closed_loop: ClosedLoopSystem,
@@ -307,25 +341,12 @@ def simulate_closed_loop(closed_loop: ClosedLoopSystem,
                          blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
     """Simulate the synthesized loop under an input signal and record the
     storage value and OSNI residual along the run."""
-    plant = closed_loop.plant
-    p = plant.n_outputs
-    if signal is None:
-        signal = zero_signal(p)
-    if np.shape(x0) != (plant.n_states,):
+    p = closed_loop.plant.n_outputs
+    if np.shape(x0) != (closed_loop.plant.n_states,):
         raise SynthesisError("closed_loop_rhs: state dimension mismatch")
-    if _input_shape(signal) != (p,):
+    if signal is not None and _input_shape(signal) != (p,):
         raise SynthesisError("closed_loop_rhs: input dimension mismatch")
-    traj = integrate(
-        closed_loop._rhs_fn,
-        x0, t_end, dt, input_fn=signal,
-        state_names=plant.state_names,
-        input_names=closed_loop.v_names,
-        blowup_norm=blowup_norm)
-    traj.outputs = traj.states[:, plant.m:plant.m + p]
-    traj.V = storage_value(traj.states, closed_loop)
-    traj.residual = _dissipation_residual(
-        traj.t, traj.V, traj.inputs, traj.outputs, closed_loop.epsilon)
-    return traj
+    return simulate(closed_loop, x0, t_end, dt, signal, blowup_norm)
 
 
 def simulate_uncertainty(uncertainty: OsniUncertainty,
@@ -336,24 +357,11 @@ def simulate_uncertainty(uncertainty: OsniUncertainty,
                          blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
     """Simulate the uncertainty block alone; the V record holds its own
     storage and the residual its OSNI residual."""
-    p = uncertainty.n_outputs
-    if signal is None:
-        signal = zero_signal(p)
     if np.shape(xs0) != (uncertainty.n_sigma,):
         raise UncertaintyError("uncertainty rhs: state dimension mismatch")
-    if _input_shape(signal) != (p,):
+    if signal is not None and _input_shape(signal) != (uncertainty.n_outputs,):
         raise UncertaintyError("uncertainty rhs: input dimension mismatch")
-    traj = integrate(
-        uncertainty._f_fn,
-        xs0, t_end, dt, input_fn=signal,
-        state_names=uncertainty.state_names,
-        input_names=uncertainty.input_names,
-        blowup_norm=blowup_norm)
-    traj.outputs = uncertainty.output(traj.states)
-    traj.V = uncertainty.storage(traj.states)
-    traj.residual = _dissipation_residual(
-        traj.t, traj.V, traj.inputs, traj.outputs, uncertainty.epsilon_sigma)
-    return traj
+    return simulate(uncertainty, xs0, t_end, dt, signal, blowup_norm)
 
 
 def simulate_interconnection(interconnection: Interconnection,
@@ -365,33 +373,19 @@ def simulate_interconnection(interconnection: Interconnection,
     """Simulate the closed interconnection.  Records the loop storage V, the
     uncertainty storage Vsigma, the composite W and the strong decrease
     residual W' + eps|y'|^2 + eps_sigma|w'|^2 (nonpositive in theory)."""
-    cl = interconnection.closed_loop
-    unc = interconnection.uncertainty
-    plant = cl.plant
-    n = plant.n_states
-    p = plant.n_outputs
+    n = interconnection.closed_loop.plant.n_states
+    p = interconnection.closed_loop.plant.n_outputs
     joint0 = np.concatenate([np.asarray(x0, dtype=float),
                              np.asarray(xs0, dtype=float)])
     if np.shape(x0) != (n,) or joint0.shape != (interconnection.n_states,):
         raise UncertaintyError("interconnection_rhs: dimension mismatch")
-    traj = integrate(
-        interconnection._rhs_fn,
-        joint0, t_end, dt, input_fn=None,
-        state_names=interconnection.joint_names,
-        input_names=tuple(f"w{i + 1}" for i in range(p)),
-        blowup_norm=blowup_norm)
+    traj = simulate(interconnection, joint0, t_end, dt, None, blowup_norm)
     # the applied input of the loop is the uncertainty output w = h(xs)
-    traj.inputs = unc.output(traj.states[:, n:])
-    traj.outputs = traj.states[:, plant.m:plant.m + p]
-    traj.V = storage_value(traj.states[:, :n], cl)
-    traj.v_sigma = unc.storage(traj.states[:, n:])
-    traj.W = composite_storage(traj.states, interconnection)
-    dt_ = traj.dt
-    wdot = _rate(traj.W, dt_)
-    ydot = _rate(traj.outputs, dt_)
-    hdot = _rate(traj.inputs, dt_)
-    traj.residual = (wdot + cl.epsilon * np.sum(ydot * ydot, axis=1)
-                     + unc.epsilon_sigma * np.sum(hdot * hdot, axis=1))
+    traj.W, traj.inputs, traj.outputs = \
+        traj.V, traj.outputs[:, p:], traj.outputs[:, :p]
+    traj.input_names = tuple(f"w{i + 1}" for i in range(p))
+    traj.V = storage_value(traj.states[:, :n], interconnection.closed_loop)
+    traj.v_sigma = interconnection.uncertainty.storage(traj.states[:, n:])
     return traj
 
 
@@ -436,11 +430,11 @@ def check_dissipation(traj: Trajectory,
     v_values = np.asarray(V(traj.states), dtype=float)
     if v_values.shape != (traj.n_samples,):
         raise ValueError(f"V gave shape {v_values.shape}, not one value per state")
-    r_ni = _dissipation_residual(traj.t, v_values, traj.inputs, traj.outputs, 0.0)
-    r_osni = _dissipation_residual(traj.t, v_values, traj.inputs, traj.outputs,
-                                   epsilon)
-    max_ni = float(r_ni.max())
-    max_osni = float(r_osni.max())
+    width = traj.outputs.shape[1]
+    max_ni, max_osni = (
+        float(_dissipation_residual(traj.t, v_values, traj.inputs, traj.outputs,
+                                    ((width, weight),)).max())
+        for weight in (0.0, epsilon))
     return DissipationReport(
         max_residual_ni=max_ni,
         max_residual_osni=max_osni,

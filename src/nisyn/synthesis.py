@@ -41,7 +41,8 @@ from .expr import (
 
 __all__ = [
     "SynthesisError", "SingularMatrixError",
-    "NormalFormPlant", "SynthesisSpec", "ClosedLoopSystem", "GeneralForm",
+    "Dissipative", "NormalFormPlant", "SynthesisSpec", "ClosedLoopSystem",
+    "GeneralForm",
     "block_names", "synthesize", "storage_value",
     "closed_loop_rhs", "reduce_general_form", "default_v2",
 ]
@@ -177,14 +178,45 @@ class SynthesisSpec:
             raise SynthesisError("P must be positive definite")
 
 
+class Dissipative:
+    """A system x' = f(x, u), y = h(x) with storage S(x) and the inequality
+    S' <= u^T y' - sum_b w_b |y_b'|^2 that sim.simulate checks.  A subclass
+    supplies ``state_names``, ``input_names`` (by default none, and then no
+    supply term), ``rhs_exprs`` over both, ``output_exprs`` and
+    ``storage_expr`` over the states, and ``strictness``: one
+    ``(width, weight)`` per block of outputs.
+    """
+
+    input_names: Tuple[str, ...] = ()
+
+    @cached_property
+    def _rhs_fn(self):
+        return compile_exprs(self.rhs_exprs, self.state_names + self.input_names)
+
+    @cached_property
+    def _records_fn(self):
+        """[storage, *outputs] in one compiled call over the states."""
+        return compile_exprs([self.storage_expr, *self.output_exprs],
+                             self.state_names)
+
+    def storage(self, x: np.ndarray):
+        """S at one state (float) or at a stack of states (N,)."""
+        s = self._records_fn(np.asarray(x, dtype=float))[..., 0]
+        return s if s.ndim else float(s)
+
+    def output(self, x: np.ndarray) -> np.ndarray:
+        """y at one state (k,) or at a stack of states (N, k)."""
+        return self._records_fn(np.asarray(x, dtype=float))[..., 1:]
+
+
 @dataclass
-class ClosedLoopSystem:
+class ClosedLoopSystem(Dissipative):
     """Synthesized loop: storage expression, gradients and feedback laws.
 
     ``u1_laws``/``u2_laws`` are the feedback parts only; ``rhs_exprs`` adds
     the new input v, for which an interconnection substitutes the
-    uncertainty output w.  Immutable after synthesis; right-hand-side
-    evaluation is reentrant.
+    uncertainty output w.  Its outputs are y, with strictness epsilon.
+    Immutable after synthesis; right-hand-side evaluation is reentrant.
     """
     plant: NormalFormPlant
     spec: SynthesisSpec
@@ -195,21 +227,20 @@ class ClosedLoopSystem:
     u2_laws: Tuple[Expr, ...]
     epsilon: float
 
-    @cached_property
-    def _storage_fn(self):
-        return compile_exprs([self.storage_expr], self.plant.state_names)
-
-    @cached_property
-    def v_names(self) -> Tuple[str, ...]:
-        return tuple(f"v{i + 1}" for i in range(self.plant.n_outputs))
+    def __post_init__(self):
+        plant = self.plant
+        self.state_names = plant.state_names
+        self.input_names = tuple(f"v{i + 1}" for i in range(plant.n_outputs))
+        self.output_exprs = tuple(Var(n) for n in plant.y_names)
+        self.strictness = ((plant.n_outputs, self.epsilon),)
 
     @cached_property
     def rhs_exprs(self) -> Tuple[Expr, ...]:
-        """The loop's vector field over ``state_names + v_names``.  The rows
-        are built as Sums directly, so they evaluate term for term like
+        """The loop's vector field over ``state_names + input_names``.  The
+        rows are built as Sums directly, so they evaluate term for term like
         ``A11 z + p(y)`` and ``v + law``; zero A11 entries are kept."""
         plant = self.plant
-        v = [Var(n) for n in self.v_names]
+        v = [Var(n) for n in self.input_names]
         dz = tuple(
             Sum((add(*(mul(Const(Fraction(c)), Var(z))
                        for c, z in zip(row, plant.z_names))), p_i))
@@ -218,10 +249,6 @@ class ClosedLoopSystem:
         dxi2 = tuple(Var(n) for n in plant.xi3_names)
         dxi3 = tuple(Sum((vi, law)) for vi, law in zip(v[plant.p1:], self.u2_laws))
         return dz + dxi1 + dxi2 + dxi3
-
-    @cached_property
-    def _rhs_fn(self):
-        return compile_exprs(self.rhs_exprs, self.plant.state_names + self.v_names)
 
     def law_strings(self) -> dict:
         return {
@@ -318,8 +345,7 @@ def storage_value(state: np.ndarray, closed_loop: ClosedLoopSystem):
     state = np.asarray(state, dtype=float)
     if state.shape[-1:] != (closed_loop.plant.n_states,):
         raise SynthesisError("storage_value: dimension mismatch")
-    v = closed_loop._storage_fn(state)[..., 0]
-    return v if v.ndim else float(v)
+    return closed_loop.storage(state)
 
 
 def closed_loop_rhs(state: np.ndarray, v: np.ndarray,

@@ -13,7 +13,8 @@ us = y), the composite storage
     W(z, xi, xs) = V(z, xi) + Vs(xs) - h(xs)^T (xi1, xi2)
 
 decreases along trajectories whenever both sides hold their dissipation
-inequalities.
+inequalities.  The block and the interconnection are synthesis.Dissipative
+systems, which sim.simulate runs as it runs the loop, with one residual.
 """
 
 from __future__ import annotations
@@ -25,18 +26,18 @@ from typing import Tuple
 
 import numpy as np
 
+# compile_exprs stays imported, although the Dissipative base compiles every
+# field here: perfbench's tracer wraps this module's name for it.
 from .expr import (
     Const, Expr, Var, add, compile_exprs, evaluate, fold_constants, mul,
     substitute, variables,
 )
-from .synthesis import ClosedLoopSystem
+from .synthesis import _ORIGIN_TOL, ClosedLoopSystem, Dissipative
 
 __all__ = [
     "UncertaintyError", "OsniUncertainty", "Interconnection",
     "interconnection_rhs", "composite_storage",
 ]
-
-_ORIGIN_TOL = 1e-12
 
 
 class UncertaintyError(Exception):
@@ -44,7 +45,7 @@ class UncertaintyError(Exception):
 
 
 @dataclass
-class OsniUncertainty:
+class OsniUncertainty(Dissipative):
     """Expression-defined uncertainty with declared output strictness."""
     n_sigma: int
     f_sigma: Tuple[Expr, ...]
@@ -66,32 +67,23 @@ class OsniUncertainty:
             raise UncertaintyError("epsilon_sigma must be positive")
         allowed_f = set(self.state_names) | set(self.input_names)
         allowed_h = set(self.state_names)
-        for i, e in enumerate(self.f_sigma):
-            extra = variables(e) - allowed_f
+        entries = ([(f"f_sigma[{i}]", e, allowed_f) for i, e in enumerate(self.f_sigma)]
+                   + [(f"h_sigma[{i}]", e, allowed_h) for i, e in enumerate(self.h_sigma)]
+                   + [("V_sigma", self.v_sigma, allowed_h)])
+        for label, e, allowed in entries:
+            extra = variables(e) - allowed
             if extra:
                 raise UncertaintyError(
-                    f"f_sigma[{i}] references unknown variables {sorted(extra)}")
-        for i, e in enumerate(self.h_sigma):
-            extra = variables(e) - allowed_h
-            if extra:
-                raise UncertaintyError(
-                    f"h_sigma[{i}] references unknown variables {sorted(extra)}")
-        extra = variables(self.v_sigma) - allowed_h
-        if extra:
-            raise UncertaintyError(
-                f"V_sigma references unknown variables {sorted(extra)}")
+                    f"{label} references unknown variables {sorted(extra)}")
         origin = {n: 0.0 for n in allowed_f}
-        for i, e in enumerate(self.f_sigma):
+        for label, e, _ in entries:
             v = evaluate(e, origin)
             if abs(v) > _ORIGIN_TOL:
-                raise UncertaintyError(f"f_sigma[{i}] must vanish at the origin, got {v:.3e}")
-        for i, e in enumerate(self.h_sigma):
-            v = evaluate(e, origin)
-            if abs(v) > _ORIGIN_TOL:
-                raise UncertaintyError(f"h_sigma[{i}] must vanish at the origin, got {v:.3e}")
-        v0 = evaluate(self.v_sigma, origin)
-        if abs(v0) > _ORIGIN_TOL:
-            raise UncertaintyError(f"V_sigma must vanish at the origin, got {v0:.3e}")
+                raise UncertaintyError(f"{label} must vanish at the origin, got {v:.3e}")
+        self.rhs_exprs = self.f_sigma
+        self.output_exprs = self.h_sigma
+        self.storage_expr = self.v_sigma
+        self.strictness = ((self.n_outputs, self.epsilon_sigma),)
 
     @property
     def n_outputs(self) -> int:
@@ -105,54 +97,40 @@ class OsniUncertainty:
     def input_names(self):
         return tuple(f"us{i + 1}" for i in range(self.n_outputs))
 
-    @cached_property
-    def _f_fn(self):
-        return compile_exprs(self.f_sigma, self.state_names + self.input_names)
-
-    @cached_property
-    def _h_fn(self):
-        return compile_exprs(self.h_sigma, self.state_names)
-
-    @cached_property
-    def _v_fn(self):
-        return compile_exprs([self.v_sigma], self.state_names)
-
     def rhs(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return self._f_fn(np.concatenate([xs, us]))
-
-    def output(self, xs: np.ndarray) -> np.ndarray:
-        return self._h_fn(xs)
-
-    def storage(self, xs: np.ndarray):
-        """Vs at one state (float) or at a stack of states (N,)."""
-        v = self._v_fn(xs)[..., 0]
-        return v if v.ndim else float(v)
+        return self._rhs_fn(np.concatenate([xs, us]))
 
 
 @dataclass
-class Interconnection:
+class Interconnection(Dissipative):
     """Positive feedback wiring w = ys, us = y between a synthesized closed
-    loop (running its pure state-feedback laws) and an OSNI uncertainty."""
+    loop (running its pure state-feedback laws) and an OSNI uncertainty.  It
+    has no input, storage W and outputs (y, h(xs)) with strictness (epsilon,
+    epsilon_sigma), so its residual is W' + eps|y'|^2 + eps_sigma|h'|^2."""
     closed_loop: ClosedLoopSystem
     uncertainty: OsniUncertainty
 
     def __post_init__(self):
-        p = self.closed_loop.plant.n_outputs
-        if self.uncertainty.n_outputs != p:
+        cl, unc = self.closed_loop, self.uncertainty
+        p = cl.plant.n_outputs
+        if unc.n_outputs != p:
             raise UncertaintyError(
-                f"uncertainty output dimension {self.uncertainty.n_outputs} "
+                f"uncertainty output dimension {unc.n_outputs} "
                 f"does not match the plant output dimension {p}")
+        self.output_exprs = cl.output_exprs + unc.output_exprs
+        self.strictness = cl.strictness + unc.strictness
 
     @property
     def n_states(self) -> int:
         return self.closed_loop.plant.n_states + self.uncertainty.n_sigma
 
     @cached_property
-    def joint_names(self):
+    def state_names(self):
         return self.closed_loop.plant.state_names + self.uncertainty.state_names
 
     @cached_property
-    def w_expr(self) -> Expr:
+    def storage_expr(self) -> Expr:
+        """W = V + Vs - h(xs)^T y."""
         plant = self.closed_loop.plant
         cross = [mul(Const(Fraction(-1)), h, Var(y))
                  for h, y in zip(self.uncertainty.h_sigma, plant.y_names)]
@@ -160,22 +138,14 @@ class Interconnection:
                                   self.uncertainty.v_sigma, *cross))
 
     @cached_property
-    def _w_fn(self):
-        return compile_exprs([self.w_expr], self.joint_names)
-
-    @cached_property
     def rhs_exprs(self) -> Tuple[Expr, ...]:
-        """Joint vector field over ``joint_names``: the loop's rows with
+        """Joint vector field over ``state_names``: the loop's rows with
         v := h(xs), then f_sigma with us := y."""
         cl, unc = self.closed_loop, self.uncertainty
-        w = dict(zip(cl.v_names, unc.h_sigma))
+        w = dict(zip(cl.input_names, unc.h_sigma))
         us = {u: Var(y) for u, y in zip(unc.input_names, cl.plant.y_names)}
         return (tuple(substitute(e, w) for e in cl.rhs_exprs)
                 + tuple(substitute(f, us) for f in unc.f_sigma))
-
-    @cached_property
-    def _rhs_fn(self):
-        return compile_exprs(self.rhs_exprs, self.joint_names)
 
 
 def interconnection_rhs(joint_state: np.ndarray,
@@ -194,5 +164,4 @@ def composite_storage(joint_state: np.ndarray,
     joint_state = np.asarray(joint_state, dtype=float)
     if joint_state.shape[-1:] != (interconnection.n_states,):
         raise UncertaintyError("composite_storage: dimension mismatch")
-    w = interconnection._w_fn(joint_state)[..., 0]
-    return w if w.ndim else float(w)
+    return interconnection.storage(joint_state)

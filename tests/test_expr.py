@@ -1,5 +1,6 @@
 """Expression language: parser, evaluator, derivative and printer."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -402,6 +403,23 @@ def test_a_power_of_constants_compiles_to_its_value():
     for x in (-1.5, 0.0, 0.7):
         assert fn.point([x]) == (evaluate(e, {"x": x}),)  # bit for bit
     assert fn(np.array([[0.7]]))[0, 0] == evaluate(e, {"x": 0.7})
+
+
+@pytest.mark.parametrize("text, body", [
+    # the power folds to a literal, so its base is never read
+    ("(-8)^(1/3)*x", ()),
+    ("(2+1)^(1/3)*x", ()),
+    # a shared base read only by powers that fold
+    ("(2+1)^(1/3)*x + (2+1)^(5/3)*x", ()),
+    # 0^(-1/3) stays code, whose float form reads its base more than once
+    ("(1-1)^(-1/3)+x", ("_t2 = (1.0 + (-1.0))",)),
+], ids=["negative base", "sum base", "shared base", "zero base"])
+def test_a_constant_base_is_bound_only_where_its_power_stays_code(text, body):
+    fn = compile_exprs([parse_expr(text, ["x"])], ["x"])
+    assert fn.body == body
+    for statement in body:  # every local is read
+        name = statement.split(" = ")[0]
+        assert len(re.findall(rf"\b{name}\b", fn.roots[0])) > 1
 
 
 @pytest.mark.parametrize("text, power", [

@@ -835,6 +835,21 @@ def test_main_reproduce_diverging_interconnection_fails_with_report(tmp_path):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command, jobs", [
+    ("simulate", 1), ("verify", 1), ("verify", 2), ("reproduce-example", 1),
+])
+def test_main_a_horizon_of_one_step_is_a_usage_error(tmp_path, capsys,
+                                                     monkeypatch, command, jobs):
+    # 2 samples; at jobs=2 the pool carries the error back from a worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main([command, "--scenario", str(bundled_scenario_path()),
+                 "--out", str(tmp_path / "o"), "--t-end", "0.0014",
+                 "--dt", "0.001", "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().err == (
+        "error: t_end = 0.0014 with dt = 0.001 gives 2 samples, but the "
+        "finite-difference residual needs at least 3\n")
+
+
 # --- main() exit codes ---------------------------------------------------------
 
 def _write(tmp_path, data, name="scn.json"):

@@ -175,7 +175,7 @@ def _loops_for_identity(example_cl):
     ic = Interconnection(example_cl, _example_unc())
     yield ic._rhs_fn, np.concatenate([X0, [0.5, -0.5]]), zero_signal(0)
     yield example_cl._rhs_fn, X0, catalog_multisine
-    yield _example_unc()._f_fn, np.array([0.5, -0.5]), catalog_multisine
+    yield _example_unc()._rhs_fn, np.array([0.5, -0.5]), catalog_multisine
     for _ in range(10):
         plant, spec = random_plant_and_spec(rng)
         cl = synthesize(plant, spec)
@@ -264,7 +264,7 @@ def test_generated_loop_matches_the_array_loop_bit_for_bit(exprs, names, x0, sig
 
 def test_no_loop_of_a_compiled_field_calls_a_function_for_a_rational_power(
         example_cl, monkeypatch):
-    fields = [(example_cl._rhs_fn, X0, 2), (_example_unc()._f_fn, [0.5, -0.5], 2),
+    fields = [(example_cl._rhs_fn, X0, 2), (_example_unc()._rhs_fn, [0.5, -0.5], 2),
               (Interconnection(example_cl, _example_unc())._rhs_fn,
                np.concatenate([X0, [0.5, -0.5]]), 0)]
     fields += [(_field(exprs, names), x0, len(names) - len(x0))
@@ -477,6 +477,109 @@ def test_simulate_interconnection_checks_lengths_first(example_cl, x0, xs0):
     ic = Interconnection(example_cl, _example_unc())
     with pytest.raises(UncertaintyError, match="interconnection_rhs: dimension mismatch"):
         simulate_interconnection(ic, x0, xs0, 0.1, 1e-2)
+
+
+# --- one simulate and one residual for every Dissipative system ----------------
+
+def _bundled_pipeline():
+    from nisyn.cli import Pipeline, bundled_scenario_path
+    from nisyn.scenario import load_scenario
+    return Pipeline(load_scenario(bundled_scenario_path()))
+
+
+def _catalog_multisine(pipe):
+    spec = next(s for s in pipe.scn.verification.input_signals
+                if s["kind"] == "multisine")
+    return signal_from_spec(spec, 2, pipe.scn.simulation.seed)
+
+
+def _rate(values, dt):
+    return np.gradient(values, dt, axis=0, edge_order=2)
+
+
+def test_each_residual_is_its_former_formula_bit_for_bit():
+    """The bundled loop under the catalog multisine, its uncertainty and
+    their interconnection: simulate's one residual equals, bit for bit, the
+    formula that each system had of its own, recomputed from the records."""
+    pipe = _bundled_pipeline()
+    cl, unc, signal = pipe.closed_loop, pipe.uncertainty, _catalog_multisine(pipe)
+    xs0 = pipe.scn.uncertainty.x_sigma0
+    runs = [(simulate_closed_loop(cl, pipe.x0, 2.0, 1e-3, signal=signal), cl.epsilon),
+            (simulate_uncertainty(unc, xs0, 2.0, 1e-3, signal=signal),
+             unc.epsilon_sigma)]
+    for traj, epsilon in runs:
+        vdot, ydot = _rate(traj.V, traj.dt), _rate(traj.outputs, traj.dt)
+        want = (vdot - np.sum(traj.inputs * ydot, axis=1)
+                + epsilon * np.sum(ydot * ydot, axis=1))
+        assert np.array_equal(traj.residual, want)
+    m, p = cl.plant.m, cl.plant.n_outputs
+    assert np.array_equal(runs[0][0].outputs, runs[0][0].states[:, m:m + p])
+    traj = simulate_interconnection(pipe.interconnection, pipe.x0, xs0, 2.0, 1e-3)
+    wdot = _rate(traj.W, traj.dt)
+    ydot, hdot = _rate(traj.outputs, traj.dt), _rate(traj.inputs, traj.dt)
+    want = (wdot + cl.epsilon * np.sum(ydot * ydot, axis=1)
+            + unc.epsilon_sigma * np.sum(hdot * hdot, axis=1))
+    assert np.array_equal(traj.residual, want)
+
+
+def _gradient_template():
+    """xs' = -grad Vs + us, ys = xs with Vs = xs1^2/2 + xs1^4/4 + xs2^2: OSNI
+    with eps_s = 1 identically, since Vs' - us.ys' + |ys'|^2 =
+    grad.(us - grad) - us.(us - grad) + |us - grad|^2 = 0."""
+    return OsniUncertainty(
+        n_sigma=2,
+        f_sigma=(parse_expr("-xs1 - xs1^3 + us1", XS + US),
+                 parse_expr("-2*xs2 + us2", XS + US)),
+        h_sigma=(parse_expr("xs1", XS), parse_expr("xs2", XS)),
+        v_sigma=parse_expr("1/2*xs1^2 + 1/4*xs1^4 + xs2^2", XS),
+        epsilon_sigma=1.0,
+    )
+
+
+@pytest.mark.parametrize("signal, order, bound", [
+    # a zero-order-hold input changes by O(dt) at each sample, which a
+    # central difference straddles: first order
+    ("multisine", 1, 0.2),
+    # under a constant input the differences are second order
+    ("step", 2, 5.0),
+])
+def test_the_gradient_template_residual_is_finite_difference_error(signal,
+                                                                   order, bound):
+    unc = _gradient_template()
+    u = (_catalog_multisine(_bundled_pipeline()) if signal == "multisine"
+         else step_signal([0.2, 0.2]))
+    peaks = []
+    for dt in (2e-3, 1e-3):
+        traj = sim.simulate(unc, [0.5, -0.5], 5.0, dt, signal=u)
+        peaks.append(float(np.abs(traj.residual).max()))
+        assert peaks[-1] <= bound * dt ** order
+    assert 0.9 * 2 ** order <= peaks[0] / peaks[1] <= 1.1 * 2 ** order
+
+
+def test_the_gradient_template_identity_in_sympy():
+    sp = pytest.importorskip("sympy")
+    from test_expr import _to_sympy
+    unc = _gradient_template()
+    xs = [sp.Symbol(n, real=True) for n in XS]
+    us = [sp.Symbol(n, real=True) for n in US]
+    f = [_to_sympy(e, sp) for e in unc.f_sigma]
+    vs = _to_sympy(unc.v_sigma, sp)
+    ydot = [sum(sp.diff(_to_sympy(h, sp), x) * fi for x, fi in zip(xs, f))
+            for h in unc.h_sigma]
+    residual = (sum(sp.diff(vs, x) * fi for x, fi in zip(xs, f))
+                - sum(u * yd for u, yd in zip(us, ydot))
+                + unc.epsilon_sigma * sum(yd ** 2 for yd in ydot))
+    assert sp.expand(residual) == 0
+
+
+@pytest.mark.parametrize("t_end, samples", [(0.0014, 2), (0.001, 2)])
+def test_simulate_needs_three_samples_for_the_residual(example_cl, t_end, samples):
+    with pytest.raises(ValueError) as err:
+        sim.simulate(example_cl, X0, t_end, 1e-3)
+    assert str(err.value) == (
+        f"t_end = {t_end!r} with dt = 0.001 gives {samples} samples, but the "
+        "finite-difference residual needs at least 3")
+    assert sim.simulate(example_cl, X0, 0.002, 1e-3).n_samples == 3
 
 
 # --- closed-loop / uncertainty / interconnection simulation -------------------

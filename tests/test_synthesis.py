@@ -545,7 +545,7 @@ def test_compiled_field_of_an_m2_loop_matches_sympy():
                             p1=1, p2=1)
     cl = synthesize(plant, SynthesisSpec(p_matrix, parse_expr("xi1^(4/3) + xi2^2",
                                                               y_names), lam=0.5))
-    names = plant.state_names + cl.v_names
+    names = plant.state_names + cl.input_names
     assert _body(cl.rhs_exprs, names)[0][0]  # shared subtrees are bound to locals
 
     z1, z2, xi1, xi2, xi3, v1, v2 = syms = sp.symbols(" ".join(names), real=True)
