@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import weakref
+from dataclasses import asdict
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -25,8 +26,9 @@ from .lyapunov import (
 )
 from .scenario import (
     Scenario, ScenarioError, build_general_form, build_plant,
-    build_uncertainty, check_bounds, input_catalog, load_scenario, override,
-    resolve_synthesis_spec, sampling_box, scenario_to_dict,
+    build_uncertainty, check_bounds, initial_state, input_catalog,
+    load_scenario, override, resolve_synthesis_spec, sampling_box,
+    scenario_to_dict,
 )
 from .sim import (
     IntegrationError, check_dissipation, check_w_decrease,
@@ -159,11 +161,8 @@ class Pipeline:
 
     @cached_property
     def x0(self) -> np.ndarray:
-        x0 = np.asarray(self.scn.simulation.x0, dtype=float)
-        if x0.shape != (self.plant.n_states,):
-            raise ScenarioError(
-                f"x0 must have {self.plant.n_states} entries, got {x0.size}")
-        return x0
+        return initial_state(self.scn.simulation.x0, "x0", "simulation",
+                             self.plant.n_states)
 
     @cached_property
     def interconnection_run(self):
@@ -201,9 +200,9 @@ class Pipeline:
         except IntegrationError as err:
             return _diverged(err)
         (_, epsilon), = system.strictness
-        rep = check_dissipation(traj, system.storage, epsilon,
+        rep = check_dissipation(traj, epsilon,
                                 self.scn.verification.dissipation_tol)
-        return {**rep.as_dict(),
+        return {**asdict(rep),
                 "passed": rep.osni_pass if target == "OSNI" else rep.ni_pass}
 
 
@@ -318,7 +317,7 @@ def run_simulate(scn: Scenario | Pipeline, out_dir: Path) -> dict:
         dt=sim.dt,
         t_end=sim.t_end,
         interconnected=unc is not None,
-        convergence=metrics.as_dict(),
+        convergence=asdict(metrics),
         passed=True,
     )
     if unc is not None:
@@ -420,9 +419,9 @@ def run_verify(scn: Scenario | Pipeline, jobs: int = 1) -> dict:
         except IntegrationError as err:
             checks["w_decrease"] = checks["convergence"] = _diverged(err)
         else:
-            checks["w_decrease"] = check_w_decrease(traj, w_tol).as_dict()
-            conv = convergence_metrics(traj, ver.convergence_threshold,
-                                       ver.settle_window).as_dict()
+            checks["w_decrease"] = asdict(check_w_decrease(traj, w_tol))
+            conv = asdict(convergence_metrics(traj, ver.convergence_threshold,
+                                              ver.settle_window))
             conv["passed"] = bool(conv["final_norm"] <= ver.convergence_threshold)
             if ver.nominal_convergence_threshold is not None:
                 nominal = float(np.linalg.norm(traj.states[-1, :n_plant]))

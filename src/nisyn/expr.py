@@ -60,7 +60,7 @@ __all__ = [
     "ExprError", "ParseError", "EvalError",
     "parse_expr", "evaluate", "differentiate", "fold_constants",
     "to_string", "normalize", "variables", "substitute", "compile_exprs",
-    "rational_power", "add", "mul", "const",
+    "rational_power", "add", "mul",
 ]
 
 
@@ -137,10 +137,6 @@ class Pow:
 
 
 Expr = Union[Var, Const, Neg, Sum, Product, Pow]
-
-
-def const(value) -> Const:
-    return Const(Fraction(value))
 
 
 def add(*terms: Expr) -> Expr:

@@ -53,7 +53,7 @@ __all__ = [
     "load_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
     "build_plant", "resolve_synthesis_spec", "build_uncertainty",
     "build_general_form", "sampling_box", "default_input_catalog", "override",
-    "check_bounds",
+    "check_bounds", "initial_state",
 ]
 
 
@@ -196,13 +196,24 @@ def _check_bounds(f, value, subject: str) -> None:
     meta = f.metadata
     if value is None:
         return
-    if meta.get("finite") and not math.isfinite(value):
-        raise ScenarioError(f"{subject} must be a finite number, got {value!r}")
+    if meta.get("finite"):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise _too_large(subject) from None
+        if not finite:
+            raise ScenarioError(f"{subject} must be a finite number, got {value!r}")
     if meta.get("positive") and not value > 0:
         raise ScenarioError(f"{subject} must be positive, got {value!r}")
     if "minimum" in meta and value < meta["minimum"]:
         raise ScenarioError(f"{subject} must be at least {meta['minimum']}, "
                             f"got {value!r}")
+
+
+def _too_large(subject: str) -> ScenarioError:
+    """The error for an integer beyond the float range in a float field."""
+    return ScenarioError(f"{subject} must be a finite number, got an int too "
+                         "large to convert to float")
 
 
 def _block_from_dict(cls, raw, block: str):
@@ -212,7 +223,10 @@ def _block_from_dict(cls, raw, block: str):
     for f in fields(cls):
         key = _key(f)
         if key in raw:
-            values[f.name] = _coerce(f.type, raw[key], key)
+            try:
+                values[f.name] = _coerce(f.type, raw[key], key)
+            except OverflowError:  # float() of an integer beyond its range
+                raise _too_large(f"field {key!r} of the {block} block") from None
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ScenarioError(f"{block} block is missing required field {key!r}")
     return cls(**values)
@@ -360,10 +374,24 @@ def build_uncertainty(scn: Scenario) -> Optional[OsniUncertainty]:
         raise ScenarioError(f"invalid uncertainty expression: {err}") from err
     except Exception as err:
         raise ScenarioError(f"invalid uncertainty block: {err}") from err
-    if len(block.x_sigma0) != block.n_sigma:
-        raise ScenarioError(
-            f"x_sigma0 must have {block.n_sigma} entries, got {len(block.x_sigma0)}")
+    initial_state(block.x_sigma0, "x_sigma0", "uncertainty", block.n_sigma)
     return unc
+
+
+def initial_state(values, key: str, block: str, size: int) -> np.ndarray:
+    """The initial state in field ``key`` of the ``block`` block as ``size``
+    floats, all finite."""
+    subject = f"field {key!r} of the {block} block"
+    try:
+        x = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or x.shape != (size,):
+        raise ScenarioError(f"{subject} must be a list of {size} numbers, "
+                            f"got {values!r}")
+    if not np.isfinite(x).all():
+        raise ScenarioError(f"{subject} must hold finite numbers, got {values!r}")
+    return x
 
 
 def build_general_form(scn: Scenario, plant: NormalFormPlant) -> Optional[GeneralForm]:

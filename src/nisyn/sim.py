@@ -27,8 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .synthesis import ClosedLoopSystem, Dissipative, SynthesisError, \
-    storage_value
+from .synthesis import ClosedLoopSystem, Dissipative, SynthesisError
 from .uncertainty import Interconnection, OsniUncertainty, UncertaintyError
 
 __all__ = [
@@ -384,12 +383,15 @@ def simulate_interconnection(interconnection: Interconnection,
     traj.W, traj.inputs, traj.outputs = \
         traj.V, traj.outputs[:, p:], traj.outputs[:, :p]
     traj.input_names = tuple(f"w{i + 1}" for i in range(p))
-    traj.V = storage_value(traj.states[:, :n], interconnection.closed_loop)
+    traj.V = interconnection.closed_loop.storage(traj.states[:, :n])
     traj.v_sigma = interconnection.uncertainty.storage(traj.states[:, n:])
     return traj
 
 
 # --- checkers ----------------------------------------------------------------
+
+# A report's fields are its keys in the JSON reports, which cli writes with
+# dataclasses.asdict: a field added here is a key added there.
 
 @dataclass(frozen=True)
 class DissipationReport:
@@ -401,38 +403,26 @@ class DissipationReport:
     epsilon: float
     tol: float
 
-    def as_dict(self) -> dict:
-        return {
-            "max_residual_ni": self.max_residual_ni,
-            "max_residual_osni": self.max_residual_osni,
-            "ni_pass": self.ni_pass,
-            "osni_pass": self.osni_pass,
-            "epsilon": self.epsilon,
-            "tol": self.tol,
-        }
 
-
-def check_dissipation(traj: Trajectory,
-                      V: Callable[[np.ndarray], np.ndarray],
-                      epsilon: float,
+def check_dissipation(traj: Trajectory, epsilon: float,
                       tol: float) -> DissipationReport:
-    """Evaluate V along the trajectory and test both dissipation residuals.
+    """Test both dissipation residuals on the storage V and the outputs that
+    simulate recorded along the run.
 
     V' and y' are second-order finite differences on the recorded grid,
-    independent of any symbolic gradient; V maps the (N, n) state stack to N values.
+    independent of any symbolic gradient.
     """
     if traj.n_samples < 3:
         raise ValueError("trajectory too short for central differences")
     if traj.outputs is None:
         raise ValueError("trajectory has no recorded outputs")
+    if traj.V is None:
+        raise ValueError("trajectory has no recorded storage V")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    v_values = np.asarray(V(traj.states), dtype=float)
-    if v_values.shape != (traj.n_samples,):
-        raise ValueError(f"V gave shape {v_values.shape}, not one value per state")
     width = traj.outputs.shape[1]
     max_ni, max_osni = (
-        float(_dissipation_residual(traj.t, v_values, traj.inputs, traj.outputs,
+        float(_dissipation_residual(traj.t, traj.V, traj.inputs, traj.outputs,
                                     ((width, weight),)).max())
         for weight in (0.0, epsilon))
     return DissipationReport(
@@ -455,17 +445,6 @@ class WDecreaseReport:
     monotone: bool
     passed: bool
     tol: float
-
-    def as_dict(self) -> dict:
-        return {
-            "max_wdot": self.max_wdot,
-            "max_strong_residual": self.max_strong_residual,
-            "w_start": self.w_start,
-            "w_end": self.w_end,
-            "monotone": self.monotone,
-            "passed": self.passed,
-            "tol": self.tol,
-        }
 
 
 def check_w_decrease(traj: Trajectory, tol: float) -> WDecreaseReport:
@@ -499,14 +478,6 @@ class ConvergenceMetrics:
     settled_time: Optional[float]
     threshold: float
     window: float
-
-    def as_dict(self) -> dict:
-        return {
-            "final_norm": self.final_norm,
-            "settled_time": self.settled_time,
-            "threshold": self.threshold,
-            "window": self.window,
-        }
 
 
 def convergence_metrics(traj: Trajectory, threshold: float,

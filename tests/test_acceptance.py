@@ -29,7 +29,7 @@ from nisyn.sim import (
     simulate_uncertainty,
 )
 from nisyn.synthesis import (
-    NormalFormPlant, SynthesisSpec, storage_value, synthesize,
+    NormalFormPlant, SynthesisSpec, synthesize,
 )
 from nisyn.uncertainty import Interconnection, composite_storage
 
@@ -109,8 +109,7 @@ def test_criterion_3_nominal_osni_certification(bundle):
                                       scn.simulation.seed)
             traj = simulate_closed_loop(cl, scn.simulation.x0, 10.0, 1e-3,
                                         signal=signal)
-            rep = check_dissipation(traj, lambda s: storage_value(s, cl),
-                                    epsilon=1.0, tol=1e-3)
+            rep = check_dissipation(traj, epsilon=1.0, tol=1e-3)
             assert rep.osni_pass, sig_spec
             assert time.perf_counter() - start < 10.0, sig_spec
 
@@ -124,7 +123,7 @@ def test_criterion_4_uncertainty_osni_certification(bundle):
                                       scn.simulation.seed)
             traj = simulate_uncertainty(unc, scn.uncertainty.x_sigma0,
                                         10.0, 1e-3, signal=signal)
-            rep = check_dissipation(traj, unc.storage, epsilon=1.0, tol=1e-3)
+            rep = check_dissipation(traj, epsilon=1.0, tol=1e-3)
             assert rep.osni_pass, sig_spec
 
 
@@ -234,8 +233,7 @@ def test_criterion_8_mutation_sensitivity(bundle):
         v2 = parse_expr("xi1^(4/3)+xi2^2", ["xi1", "xi2"])
         mutant = synthesize(plant, SynthesisSpec([[1.0]], v2, lam=0.0))
         traj = simulate_closed_loop(mutant, scn.simulation.x0, 10.0, 1e-3)
-        rep = check_dissipation(traj, lambda s: storage_value(s, mutant),
-                                epsilon=1.0, tol=1e-3)
+        rep = check_dissipation(traj, epsilon=1.0, tol=1e-3)
         assert not rep.osni_pass
         assert rep.ni_pass
 
@@ -248,8 +246,7 @@ def test_criterion_8_mutation_sensitivity(bundle):
             u1_laws=tuple(fold_constants(Neg(e)) for e in cl.u1_laws),
             u2_laws=cl.u2_laws, epsilon=cl.epsilon)
         traj = simulate_closed_loop(flipped, scn.simulation.x0, 0.05, 1e-3)
-        rep = check_dissipation(traj, lambda s: storage_value(s, flipped),
-                                epsilon=0.0, tol=1e-3)
+        rep = check_dissipation(traj, epsilon=0.0, tol=1e-3)
         assert not rep.ni_pass
 
 

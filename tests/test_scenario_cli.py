@@ -181,6 +181,34 @@ def test_float_field_beyond_the_float_range_is_rejected():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("block, key, name", [
+    ("simulation", "dt", "dt"),
+    ("spec", "lambda", "lam"),
+    ("uncertainty", "epsilon_sigma", "epsilon_sigma"),
+])
+def test_an_int_beyond_the_float_range_names_its_field_and_block(
+        tmp_path, capsys, block, key, name):
+    message = (f"field {key!r} of the {block} block must be a finite number, "
+               "got an int too large to convert to float")
+    data = _fast_scenario()
+    data[block][key] = 10 ** 400
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == message
+    path = _write(tmp_path, data)
+    assert main(["verify", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the same value set in code, where no float() conversion ran
+    scn = scenario_from_dict(_fast_scenario())
+    setattr(getattr(scn, block), name, 10 ** 400)
+    with pytest.raises(ScenarioError) as err:
+        check_bounds(scn)
+    assert str(err.value) == message
+    with pytest.raises(ScenarioError) as err:
+        run_verify(scn)
+    assert str(err.value) == message
+
+
 def test_int_field_accepts_an_integral_float():
     data = _fast_scenario()
     data["plant"]["m"] = 1.0
@@ -858,6 +886,35 @@ def _write(tmp_path, data, name="scn.json"):
     return str(path)
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("block, key, index, value", [
+    ("simulation", "x0", 0, float("nan")),
+    ("uncertainty", "x_sigma0", 1, float("inf")),
+])
+def test_main_refuses_a_non_finite_initial_state(tmp_path, capsys, command,
+                                                 block, key, index, value):
+    data = _fast_scenario()
+    data[block][key][index] = value
+    path = _write(tmp_path, data)  # as NaN or Infinity, which JSON loading reads
+    out = tmp_path / "o"
+    assert main([command, "--scenario", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: field {key!r} of the {block} block must hold finite numbers, "
+        f"got {data[block][key]!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x0", [[3.0, 1.0, -1.0], [[3.0, 1.0], [-1.0, 2.0]],
+                                ["3", 1.0, -1.0, "a"], [10 ** 400, 1.0, -1.0, 2.0]])
+def test_an_initial_state_must_be_a_list_of_state_size_numbers(x0):
+    data = _fast_scenario()
+    data["simulation"]["x0"] = x0
+    with pytest.raises(ScenarioError) as err:
+        run_simulate(scenario_from_dict(data), None)
+    assert str(err.value) == ("field 'x0' of the simulation block must be a "
+                              f"list of 4 numbers, got {x0!r}")
+
+
 def test_main_analyze_exit_codes(tmp_path):
     ok = _write(tmp_path, _fast_scenario())
     assert main(["analyze", "--scenario", ok, "--out", str(tmp_path / "o1")]) == 0
@@ -1119,6 +1176,22 @@ def test_reproduce_script_rejects_a_bad_dt(tmp_path, dt, message):
     assert proc.returncode == 2
     assert proc.stderr == f"error: --dt overrides simulation.dt and {message}\n"
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--dt", "0"], "--dt overrides simulation.dt and must be positive, got 0.0"),
+    (["--dt", "nan"],
+     "--dt overrides simulation.dt and must be a finite number, got nan"),
+    (["--t-end", "0.001"], "t_end = 0.001 with dt = 0.001 gives 2 samples, but "
+                           "the finite-difference residual needs at least 3"),
+])
+def test_convergence_study_refuses_a_bad_step_or_horizon(args, message):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "convergence_study.py")
+    proc = subprocess.run([sys.executable, script, *args],
+                          capture_output=True, text=True, env=_src_env())
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

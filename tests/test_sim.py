@@ -586,8 +586,7 @@ def test_simulate_needs_three_samples_for_the_residual(example_cl, t_end, sample
 
 def test_closed_loop_zero_input_dissipation(example_cl):
     traj = simulate_closed_loop(example_cl, X0, 10.0, 1e-3)
-    rep = check_dissipation(traj, lambda s: storage_value(s, example_cl),
-                            epsilon=example_cl.epsilon, tol=1e-3)
+    rep = check_dissipation(traj, epsilon=example_cl.epsilon, tol=1e-3)
     assert rep.osni_pass and rep.ni_pass
     assert rep.max_residual_osni <= 1e-3
 
@@ -596,8 +595,7 @@ def test_closed_loop_multisine_dissipation(example_cl):
     sig = multisine_signal([[0.2, 0.1], [0.2, 0.1]],
                            [[0.4, 0.9], [0.4, 0.9]], seed=7)
     traj = simulate_closed_loop(example_cl, X0, 10.0, 1e-3, signal=sig)
-    rep = check_dissipation(traj, lambda s: storage_value(s, example_cl),
-                            epsilon=1.0, tol=1e-3)
+    rep = check_dissipation(traj, epsilon=1.0, tol=1e-3)
     assert rep.osni_pass
     # equality-tight storage: NI residual is negative but close to zero
     assert rep.max_residual_ni <= 0.0
@@ -607,7 +605,7 @@ def test_uncertainty_dissipation():
     unc = _example_unc()
     sig = step_signal([0.2, 0.2])
     traj = simulate_uncertainty(unc, np.zeros(2), 10.0, 1e-3, signal=sig)
-    rep = check_dissipation(traj, unc.storage, epsilon=1.0, tol=1e-3)
+    rep = check_dissipation(traj, epsilon=1.0, tol=1e-3)
     assert rep.osni_pass
 
 
@@ -661,8 +659,7 @@ def test_mutation_dropped_damping_fails_osni(example_plant):
     v2 = parse_expr("xi1^(4/3)+xi2^2", ["xi1", "xi2"])
     cl0 = synthesize(example_plant, SynthesisSpec([[1.0]], v2, lam=0.0))
     traj = simulate_closed_loop(cl0, X0, 10.0, 1e-3)
-    rep = check_dissipation(traj, lambda s: storage_value(s, cl0),
-                            epsilon=1.0, tol=1e-3)
+    rep = check_dissipation(traj, epsilon=1.0, tol=1e-3)
     assert not rep.osni_pass
     assert rep.ni_pass
 
@@ -683,8 +680,7 @@ def test_mutation_sign_flip_fails_ni(example_cl, example_plant):
         epsilon=example_cl.epsilon,
     )
     traj = simulate_closed_loop(flipped, X0, 0.05, 1e-3)
-    rep = check_dissipation(traj, lambda s: storage_value(s, flipped),
-                            epsilon=0.0, tol=1e-3)
+    rep = check_dissipation(traj, epsilon=0.0, tol=1e-3)
     assert not rep.ni_pass
     assert rep.max_residual_ni > 1.0
 
@@ -693,8 +689,7 @@ def test_residual_tolerance_scales_with_dt(example_cl):
     # a passing scenario stays passing at dt/10 with a five-fold tighter bound
     for dt, tol in ((1e-3, 1e-3), (1e-4, 2e-4)):
         traj = simulate_closed_loop(example_cl, X0, 2.0, dt)
-        rep = check_dissipation(traj, lambda s: storage_value(s, example_cl),
-                                epsilon=1.0, tol=tol)
+        rep = check_dissipation(traj, epsilon=1.0, tol=tol)
         assert rep.osni_pass
 
 
@@ -705,8 +700,8 @@ def test_check_dissipation_short_trajectory(example_cl):
         check_dissipation(
             Trajectory(t=traj.t[:2], states=traj.states[:2], inputs=traj.inputs[:2],
                        state_names=traj.state_names, input_names=traj.input_names,
-                       outputs=traj.outputs[:2]),
-            lambda s: 0.0, 1.0, 1e-3)
+                       outputs=traj.outputs[:2], V=traj.V[:2]),
+            1.0, 1e-3)
 
 
 # --- convergence metrics -------------------------------------------------------
@@ -1004,20 +999,21 @@ def test_zero_run_identically_zero_csv(tmp_path, example_cl):
             assert float(value) == 0.0
 
 
-def test_check_dissipation_calls_v_once_with_the_stack(example_cl):
+def test_check_dissipation_reads_the_recorded_storage(example_cl):
+    from dataclasses import replace
+
     traj = simulate_closed_loop(example_cl, X0, 0.5, 1e-2)
-    calls = []
-
-    def V(states):
-        calls.append(states.shape)
-        return storage_value(states, example_cl)
-
-    rep = check_dissipation(traj, V, epsilon=1.0, tol=1e-3)
-    assert calls == [traj.states.shape]
-    with pytest.raises(ValueError, match="one value per"):
-        check_dissipation(traj, lambda s: 0.0, epsilon=1.0, tol=1e-3)
-    again = check_dissipation(traj, lambda s: traj.V, epsilon=1.0, tol=1e-3)
-    assert again == rep
+    rep = check_dissipation(traj, epsilon=1.0, tol=1e-3)
+    assert rep.osni_pass and rep.ni_pass
+    # the OSNI residual at the loop's own epsilon is the one simulate recorded
+    assert rep.max_residual_osni == traj.residual.max()
+    # a V record that rises by 100 t adds 100 to V' at every sample
+    edited = check_dissipation(replace(traj, V=traj.V + 100.0 * traj.t),
+                               epsilon=1.0, tol=1e-3)
+    assert not edited.osni_pass and not edited.ni_pass
+    assert edited.max_residual_ni == pytest.approx(rep.max_residual_ni + 100.0)
+    with pytest.raises(ValueError, match="no recorded storage V"):
+        check_dissipation(replace(traj, V=None), epsilon=1.0, tol=1e-3)
 
 
 def test_recorded_columns_match_one_point_evaluation(example_cl):
