@@ -22,7 +22,7 @@ import numpy as np
 
 from .expr import ExprError, compile_exprs, parse_expr, to_string
 from .lyapunov import (
-    StabilityError, classify_stability, sampled_positive_definite,
+    StabilityError, _halton, classify_stability, sampled_positive_definite,
 )
 from .scenario import (
     Scenario, ScenarioError, build_general_form, build_plant,
@@ -165,6 +165,16 @@ class Pipeline:
                              self.plant.n_states)
 
     @cached_property
+    def positivity_draw(self) -> np.ndarray:
+        """The unit Halton rows of every sampled positivity check, drawn
+        once at ``verification.samples`` and ``pd_seed`` for the widest box
+        the scenario samples: the plant states, then the states of its
+        uncertainty block.  Each check takes the leading rows it needs."""
+        ver, unc = self.scn.verification, self.uncertainty
+        width = self.plant.n_states + (unc.n_sigma if unc is not None else 0)
+        return _halton(width, ver.samples, ver.pd_seed).T
+
+    @cached_property
     def interconnection_run(self):
         sim = self.scn.simulation
         return simulate_interconnection(self.interconnection, self.x0,
@@ -273,7 +283,8 @@ def run_synthesize(scn: Scenario | Pipeline) -> dict:
     y_box = sampling_box(scn, plant.n_states)[plant.m:plant.m + plant.n_outputs]
     v2_fn = compile_exprs([spec.v2], plant.y_names)
     v2_check = sampled_positive_definite(
-        lambda y: v2_fn(y)[:, 0], y_box, ver.samples, ver.pd_seed)
+        lambda y: v2_fn(y)[:, 0], y_box, ver.samples, ver.pd_seed,
+        draw=pipe.positivity_draw)
 
     report = _report(
         "synthesize",
@@ -397,7 +408,8 @@ def run_verify(scn: Scenario | Pipeline, jobs: int = 1) -> dict:
     def positivity(system, box) -> dict:
         """Sampled positivity of the system's storage on the box."""
         return _positivity(sampled_positive_definite(
-            system.storage, box, ver.samples, ver.pd_seed))
+            system.storage, box, ver.samples, ver.pd_seed,
+            draw=pipe.positivity_draw))
 
     # storage positivity on the plant box
     checks["storage_positive_definite"] = positivity(

@@ -33,10 +33,15 @@ subtree is hashed whole.  The same pass gives a float form of that body,
 in which each fractional power is a conditional expression instead of a
 call to rational_power; the callable keeps it (``body``, ``roots``,
 ``n_vars``), and the integrator inlines it into its RK4 loop without a
-second pass over the tree.  One point runs on Python
-floats: the callable passes ``x.tolist()`` to its ``point`` attribute, the
-one-point entry point, which the integrator also calls on float64 arrays
-to redo a step whose inlined body raised.  Python floats raise
+second pass over the tree.  Both forms fold negations into subtractions
+by exact IEEE identities (``a + (-b)`` is ``a - b``, a leading ``(-a) +
+b`` is ``b - a``, a product led by -1 is ``-(rest)``), so they keep the
+tree walker's bits, signed zeros included.  On a stack, the integer
+powers 3 and 4 are product chains, since numpy's power runs a scalar loop
+on negative bases; a Python float or a numpy scalar keeps ``**``.  One
+point runs on Python floats: the callable passes ``x.tolist()`` to its
+``point`` attribute, the one-point entry point, which the integrator also
+calls on float64 arrays to redo a step whose inlined body raised.  Python floats raise
 ZeroDivisionError or OverflowError where numpy gives inf, so when the float
 call raises either, the point is evaluated again on numpy float64 scalars:
 there is one failure mode, inf or nan with numpy's RuntimeWarning.  (A
@@ -642,32 +647,80 @@ def _subtrees(exprs: Sequence[Expr]):
     return roots, nodes, uses
 
 
-def _code(e: Expr, kids: Sequence[str], index: Mapping[str, int]) -> str:
-    """Source for one node, given the source of its children."""
+def _code(e: Expr, kids: Sequence[tuple], index: Mapping[str, int],
+          floats: bool) -> tuple:
+    """Source for one node in the array form, or with ``floats`` in the
+    float form, as ``(source, operand)`` given those of its children.
+    ``operand`` is the source of what the node negates, None if it is no
+    negation: a Neg negates its child, a product led by -1 (whose source is
+    ``-(rest)``) the product of the rest, and a product led by another
+    negative constant -k the product of k and the rest.  A sum subtracts
+    the operand of each negation after its first term, and a leading
+    negation from the second term: ``a + (-b)`` is ``a - b`` and ``(-a) +
+    b`` is ``b - a``.  These rewrites are exact, since IEEE defines a - b
+    as a + (-b), addition commutes and rounding is symmetric in sign, so
+    evaluate()'s bits are kept.  ``(-a) + (-b)`` stays ``(-a) - b``:
+    -(a + b) would give -0.0 at a = -b, where the sum gives +0.0."""
     if isinstance(e, Var):
         try:
-            return f"_x{index[e.name]}"
+            return f"_x{index[e.name]}", None
         except KeyError:
             raise ExprError(f"variable {e.name!r} not in compilation scope") from None
     if isinstance(e, Const):
         try:
-            return repr(float(e.value))
+            return repr(float(e.value)), None
         except OverflowError:
             raise ExprError(f"constant {_frac_str(e.value)} is beyond the "
                             "float range") from None
     if isinstance(e, Neg):
-        return f"(-{kids[0]})"
+        return f"(-{kids[0][0]})", kids[0][0]
     if isinstance(e, Sum):
-        return "(" + " + ".join(kids) + ")"
+        (first, negated), rest = kids[0], kids[1:]
+        if negated is not None and rest[0][1] is None:
+            out, rest = f"{rest[0][0]} - {negated}", rest[1:]
+        else:
+            out = first
+        for code, negated in rest:
+            out += f" - {negated}" if negated is not None else f" + {code}"
+        return f"({out})", None
     if isinstance(e, Product):
-        return "(" + "*".join(kids) + ")"
+        codes = [code for code, _ in kids]
+        if not codes[0].startswith("-"):  # not a negative literal
+            return "(" + "*".join(codes) + ")", None
+        if codes[0] == "-1.0":
+            rest = codes[1:]
+            operand = rest[0] if len(rest) == 1 else "(" + "*".join(rest) + ")"
+            return f"(-{operand})", operand
+        return ("(" + "*".join(codes) + ")",
+                "(" + "*".join([codes[0][1:], *codes[1:]]) + ")")
     if isinstance(e, Pow):
+        base, (num, den) = kids[0][0], e.exponent.as_integer_ratio()
+        if den != 1:
+            return (_float_power(base, e.exponent) if floats
+                    else f"_rp({base}, {num}, {den})"), None
+        if not floats and num in _CHAINED:
+            return f"_ip({base}, {num})", None
         # parenthesize the base: ** binds tighter than unary minus, and a
         # negative constant renders with a leading sign
-        if e.exponent.denominator == 1:
-            return f"(({kids[0]})**{e.exponent.numerator})"
-        return f"_rp({kids[0]}, {e.exponent.numerator}, {e.exponent.denominator})"
+        return f"(({base})**{num})", None
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# The integer powers that the array form multiplies out on a stack: numpy's
+# power runs a scalar loop on negative bases (about 8 ms per 100 000 values
+# against 0.1 ms for x*x*x), and x**2 is numpy's square, x*x already.
+_CHAINED = (3, 4)
+
+
+def _int_power(x, k: int):
+    """``x**k`` for k in _CHAINED, as a product chain on an array.  A
+    Python float or a numpy scalar keeps ``**``, so a point evaluates as
+    evaluate() does; an array gets within a few roundings of it."""
+    if not isinstance(x, np.ndarray):
+        return x ** k
+    y = x * x
+    y *= x if k == 3 else y
+    return y
 
 
 def _const_power(e: Pow) -> Optional[str]:
@@ -702,10 +755,14 @@ def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
     base of a fractional power, then the code of each root.  A power of
     a base without variables is the literal of its value, and a subtree
     read only there is not bound.  The first
-    form calls ``_rp`` (rational_power) for a fractional power and runs on
-    arrays; the second, the float form, inlines it as a conditional
-    expression and runs on floats.  Both come from one numbering of the
-    subtrees and share every string outside the fractional powers and the
+    form calls ``_rp`` (rational_power) for a fractional power and ``_ip``
+    (_int_power) for the powers 3 and 4, which multiplies them out on a
+    stack, and runs on arrays; the second, the float form, inlines a
+    fractional power as a conditional expression, keeps ``**`` and runs on
+    floats.  In both, a negation or a product led by a negative constant
+    that is a term of a sum is subtracted (see _code), and a product led
+    by -1 is the negation of the rest.  Both come from one numbering of
+    the subtrees and share every string outside the powers and the
     subtrees above them."""
     index = {n: i for i, n in enumerate(var_names)}
     roots, nodes, uses = _subtrees(exprs)
@@ -725,28 +782,26 @@ def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
              and i not in literals}
     statements: list = []
     float_statements: list = []
-    codes: list = []
-    float_codes: list = []
+    forms: list = []  # the (source, operand) of each subtree, per form
+    float_forms: list = []
     for i, ((e, kids), n) in enumerate(zip(nodes, uses)):
         if i in literals:  # a leaf, as a constant is
-            codes.append(literals[i])
-            float_codes.append(literals[i])
+            forms.append((literals[i], None))
+            float_forms.append(forms[-1])
             continue
-        c = _code(e, [codes[k] for k in kids], index)
-        if isinstance(e, Pow) and e.exponent.denominator != 1:
-            f = _float_power(float_codes[kids[0]], e.exponent)
-        elif any(float_codes[k] is not codes[k] for k in kids):
-            f = _code(e, [float_codes[k] for k in kids], index)
-        else:
-            f = c
+        c = _code(e, [forms[k] for k in kids], index, False)
+        f = c
+        if isinstance(e, Pow) or any(float_forms[k] is not forms[k] for k in kids):
+            f = _code(e, [float_forms[k] for k in kids], index, True)
+            f = c if f == c else f
         if kids and (n > 1 or i in bases):
-            statements.append(f"_t{i} = {c}")
-            float_statements.append(statements[-1] if f is c else f"_t{i} = {f}")
-            c = f = f"_t{i}"
-        codes.append(c)
-        float_codes.append(f)
-    return ((tuple(statements), tuple(codes[r] for r in roots)),
-            (tuple(float_statements), tuple(float_codes[r] for r in roots)))
+            statements.append(f"_t{i} = {c[0]}")
+            float_statements.append(statements[-1] if f is c else f"_t{i} = {f[0]}")
+            c = f = (f"_t{i}", None)
+        forms.append(c)
+        float_forms.append(f)
+    return ((tuple(statements), tuple(forms[r][0] for r in roots)),
+            (tuple(float_statements), tuple(float_forms[r][0] for r in roots)))
 
 
 def compile_exprs(exprs: Sequence[Expr],
@@ -769,7 +824,7 @@ def compile_exprs(exprs: Sequence[Expr],
     source = ("def _f(_x):\n" + (f"    ({names}) = _x\n" if names else "")
               + "".join(f"    {s}\n" for s in statements)
               + "    return (" + "".join(r + ", " for r in roots) + ")\n")
-    namespace = {"_rp": rational_power}
+    namespace = {"_rp": rational_power, "_ip": _int_power}
     exec(compile(source, "<nisyn-expr>", "exec"), namespace)
     f = namespace["_f"]
 

@@ -8,7 +8,8 @@ verifies it post hoc by direct multiplication; it is the only user of
 scipy.linalg, which it imports when called, so a scenario that gives its
 own P never loads scipy.
 sampled_positive_definite() checks f(0) = 0 and f > 0 on scrambled Halton
-points of a box, drawn by _halton(), a numpy copy of scipy's sampler.
+points of a box, drawn by _halton(), a numpy copy of scipy's sampler, or
+taken from the leading rows of a draw that several boxes share.
 """
 
 from __future__ import annotations
@@ -317,6 +318,8 @@ def _halton(d: int, samples: int, seed: int) -> np.ndarray:
     permutation times b^-(j+1).  Point i is the sum over j of ``terms[j]``
     at digit j of i, added from the lowest digit up as scipy's loop adds
     it, and a position past every index's last digit adds ``terms[j][0]``.
+    Since the dimensions draw from the generator in order, the first d
+    columns of a draw in more dimensions are this draw, bit for bit.
 
     No digit is computed: digit j of i is (i // b^j) mod b, so its term is
     constant over blocks of b^j indices.  The low digits, while b^k <=
@@ -370,14 +373,23 @@ def _periods(row: np.ndarray, period: int):
 def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
                               box: Sequence[Sequence[float]],
                               samples: int,
-                              seed: int) -> SamplingResult:
+                              seed: int,
+                              *,
+                              draw: Optional[np.ndarray] = None) -> SamplingResult:
     """Check f(0) = 0 and f(x) > 0 on quasi-random samples of the box.
 
     The box must contain 0 strictly inside.  Besides ``samples`` scrambled
     Halton points from ``_halton``, mapped onto the box as ``lo + u * (hi -
     lo)``, 2n axis points at distance 1e-6 from the origin are tested to
     catch functions that vanish along a coordinate direction.  ``f`` is
-    called once and maps the (N, n) stack of all points, origin first, to N values.
+    called once and maps the (N, n) stack of all points, origin first, to N
+    values; the stack is the transpose view of an (n, N) array, whose
+    coordinate rows are each contiguous.
+
+    ``draw`` lets several boxes share one draw: the rows
+    ``_halton(d, samples, seed).T`` for some d >= n.  Its leading n rows
+    are ``_halton(n, samples, seed).T`` bit for bit, and take the place of
+    the sampler's own draw; any other shape is a ValueError.
     """
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
@@ -385,24 +397,30 @@ def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
     lo, hi = box[:, 0], box[:, 1]
     if not np.all((lo < 0) & (hi > 0)):
         raise ValueError("box must contain the origin strictly inside")
-    n = box.shape[0]
+    n, samples = box.shape[0], int(samples)
+    if draw is None:
+        draw = _halton(n, samples, seed).T
+    elif draw.ndim != 2 or draw.shape[0] < n or draw.shape[1] != samples:
+        raise ValueError(f"draw has shape {draw.shape}; it needs at least "
+                         f"{n} rows of {samples} points")
 
-    points = np.zeros((1 + 2 * n + int(samples), n))
-    points[1:1 + 2 * n] = 1e-6 * np.vstack([np.eye(n), -np.eye(n)])
-    drawn = points[1 + 2 * n:]
-    drawn[...] = _halton(n, int(samples), seed)
-    drawn *= hi - lo
-    drawn += lo
-    values = np.asarray(f(points), dtype=float)
-    if values.shape != (len(points),):
+    points = np.zeros((n, 1 + 2 * n + samples))
+    points[:, 1:1 + 2 * n] = 1e-6 * np.hstack([np.eye(n), -np.eye(n)])
+    drawn = points[:, 1 + 2 * n:]
+    drawn[...] = draw[:n]
+    drawn *= (hi - lo)[:, None]
+    drawn += lo[:, None]
+    values = np.asarray(f(points.T), dtype=float)
+    if values.shape != (points.shape[1],):
         raise ValueError(f"f gave shape {values.shape}, not one value per point")
     f0 = float(values[0])
     if not -1e-12 <= f0 <= 1e-12:
         return SamplingResult(False, 1, (0.0,) * n, f0)
-    nonzero = np.any(points, axis=1)  # false at the origin, already checked
+    nonzero = np.any(points, axis=0)  # false at the origin, already checked
     bad = np.flatnonzero(nonzero & ~(values > 0.0))
     if bad.size:
         i = bad[0]
         return SamplingResult(False, 1 + int(nonzero[:i + 1].sum()),
-                              tuple(float(v) for v in points[i]), float(values[i]))
+                              tuple(float(v) for v in points[:, i]),
+                              float(values[i]))
     return SamplingResult(True, 1 + int(nonzero.sum()))

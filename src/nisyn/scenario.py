@@ -34,6 +34,7 @@ loading yields an identical in-memory scenario.
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin
 
@@ -303,9 +304,20 @@ def save_scenario(scn: Scenario, path) -> None:
 
 # --- builders ----------------------------------------------------------------
 
+def _float_array(values, key: str, block: str) -> np.ndarray:
+    """``np.asarray(values, dtype=float)`` of field ``key`` of the ``block``
+    block; an integer beyond the float range is a ScenarioError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ScenarioError(f"field {key!r} of the {block} block must hold "
+                            "finite numbers, got an int too large to convert "
+                            "to float") from None
+
+
 def build_plant(scn: Scenario) -> NormalFormPlant:
     block = scn.plant
-    a11 = np.asarray(block.a11, dtype=float)
+    a11 = _float_array(block.a11, "A11", "plant")
     if a11.shape != (block.m, block.m):
         raise ScenarioError(
             f"A11 has shape {a11.shape}, expected ({block.m}, {block.m})")
@@ -342,7 +354,7 @@ def resolve_synthesis_spec(scn: Scenario, plant: NormalFormPlant) -> SynthesisSp
         verdict = classify_stability(plant.a11)
         p_matrix = lyapunov_certificate(plant.a11, verdict)
     else:
-        p_matrix = np.asarray(block.p_matrix, dtype=float)
+        p_matrix = _float_array(block.p_matrix, "P", "spec")
     if isinstance(block.v2, str) and block.v2 == "default":
         v2 = default_v2(plant)
     else:
@@ -380,12 +392,17 @@ def build_uncertainty(scn: Scenario) -> Optional[OsniUncertainty]:
 
 def initial_state(values, key: str, block: str, size: int) -> np.ndarray:
     """The initial state in field ``key`` of the ``block`` block as ``size``
-    floats, all finite."""
+    floats, all finite.  Each entry must be a number, as in every scenario
+    number field: a string or a boolean is refused."""
     subject = f"field {key!r} of the {block} block"
-    try:
-        x = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        x = None
+    x = None
+    if isinstance(values, (list, tuple, np.ndarray)) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            for v in values):
+        try:
+            x = np.asarray(values, dtype=float)
+        except OverflowError:
+            pass
     if x is None or x.shape != (size,):
         raise ScenarioError(f"{subject} must be a list of {size} numbers, "
                             f"got {values!r}")
@@ -416,7 +433,7 @@ def sampling_box(scn: Scenario, dim: int) -> np.ndarray:
     raw = scn.verification.sampling_box
     if raw is None:
         return np.tile([-2.0, 2.0], (dim, 1))
-    box = np.asarray(raw, dtype=float)
+    box = _float_array(raw, "sampling_box", "verification")
     if box.ndim != 2 or box.shape[1] != 2:
         raise ScenarioError("sampling_box must be a list of [lo, hi] pairs")
     if box.shape[0] < dim:

@@ -325,8 +325,8 @@ def simulate(system: Dissipative,
         raise ValueError(
             f"t_end = {t_end!r} with dt = {dt!r} gives {traj.n_samples} "
             "samples, but the finite-difference residual needs at least 3")
-    records = system._records_fn(traj.states)
-    traj.V, traj.outputs = records[:, 0], records[:, 1:]
+    traj.V = system.storage(traj.states)
+    traj.outputs = system.output(traj.states)
     traj.residual = _dissipation_residual(traj.t, traj.V, traj.inputs,
                                           traj.outputs, system.strictness)
     return traj

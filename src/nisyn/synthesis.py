@@ -194,19 +194,23 @@ class Dissipative:
         return compile_exprs(self.rhs_exprs, self.state_names + self.input_names)
 
     @cached_property
-    def _records_fn(self):
-        """[storage, *outputs] in one compiled call over the states."""
-        return compile_exprs([self.storage_expr, *self.output_exprs],
-                             self.state_names)
+    def _storage_fn(self):
+        """[storage] over the states."""
+        return compile_exprs([self.storage_expr], self.state_names)
+
+    @cached_property
+    def _output_fn(self):
+        """The outputs over the states."""
+        return compile_exprs(self.output_exprs, self.state_names)
 
     def storage(self, x: np.ndarray):
         """S at one state (float) or at a stack of states (N,)."""
-        s = self._records_fn(np.asarray(x, dtype=float))[..., 0]
+        s = self._storage_fn(np.asarray(x, dtype=float))[..., 0]
         return s if s.ndim else float(s)
 
     def output(self, x: np.ndarray) -> np.ndarray:
         """y at one state (k,) or at a stack of states (N, k)."""
-        return self._records_fn(np.asarray(x, dtype=float))[..., 1:]
+        return self._output_fn(np.asarray(x, dtype=float))
 
 
 @dataclass

@@ -412,7 +412,7 @@ def test_a_power_of_constants_compiles_to_its_value():
     # a shared base read only by powers that fold
     ("(2+1)^(1/3)*x + (2+1)^(5/3)*x", ()),
     # 0^(-1/3) stays code, whose float form reads its base more than once
-    ("(1-1)^(-1/3)+x", ("_t2 = (1.0 + (-1.0))",)),
+    ("(1-1)^(-1/3)+x", ("_t2 = (1.0 - 1.0)",)),
 ], ids=["negative base", "sum base", "shared base", "zero base"])
 def test_a_constant_base_is_bound_only_where_its_power_stays_code(text, body):
     fn = compile_exprs([parse_expr(text, ["x"])], ["x"])
@@ -420,6 +420,79 @@ def test_a_constant_base_is_bound_only_where_its_power_stays_code(text, body):
     for statement in body:  # every local is read
         name = statement.split(" = ")[0]
         assert len(re.findall(rf"\b{name}\b", fn.roots[0])) > 1
+
+
+def _float_form(fn, values) -> tuple:
+    """The float form's roots, run on Python floats outside any loop."""
+    scope = {f"_x{i}": float(v) for i, v in enumerate(values)}
+    exec("\n".join(fn.body), {}, scope)
+    return tuple(eval(root, {}, scope) for root in fn.roots)
+
+
+_a, _b, _c = Var("a"), Var("b"), Var("c")
+_MINUS_ONE = Const(Fraction(-1))
+
+
+@pytest.mark.parametrize("e, folded", [
+    (Sum((_a, Neg(_b))), "(_x0 - _x1)"),
+    (Sum((Neg(_a), _b)), "(_x1 - _x0)"),
+    (Sum((Neg(_a), Neg(_b))), "((-_x0) - _x1)"),  # not -(a + b)
+    (Sum((_a, Product((Const(Fraction(-5, 2)), _b, _c)))), "(_x0 - (2.5*_x1*_x2))"),
+    (Sum((Product((Const(Fraction(-5, 2)), _b)), _a)), "(_x0 - (2.5*_x1))"),
+    (Sum((_a, Neg(_b), _c, Neg(_a))), "(_x0 - _x1 + _x2 - _x0)"),
+    (Sum((Neg(_a), _b, Neg(_c))), "(_x1 - _x0 - _x2)"),
+    (Product((_MINUS_ONE, _a)), "(-_x0)"),
+    (Product((_MINUS_ONE, _a, _b)), "(-(_x0*_x1))"),
+    (Sum((_c, Product((_MINUS_ONE, _a, _b)))), "(_x2 - (_x0*_x1))"),
+    (Sum((Product((_MINUS_ONE, _a)), _b)), "(_x1 - _x0)"),
+    (Sum((Neg(Sum((_a, _b))), _c)), "(_x2 - (_x0 + _x1))"),
+], ids=["a + (-b)", "(-a) + b", "(-a) + (-b)", "a + (-k*b*c)", "(-k*b) + a",
+        "four terms", "three terms",
+        "-1*a", "-1*a*b", "c + (-1*a*b)", "(-1*a) + b", "-(a + b) + c"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_negations_fold_into_subtractions_keeping_every_signed_zero(e, folded):
+    fn = compile_exprs([e], ["a", "b", "c"])
+    assert fn.body == () and fn.roots == (folded,)
+    values = (0.0, -0.0, 1.5, -1.5, 2.0 ** -1074, np.inf)
+    grid = [(a, b, c) for a in values for b in values for c in values]
+    stack = fn(np.array(grid))[:, 0]
+    for point, row in zip(grid, stack):
+        want = evaluate(e, dict(zip("abc", point)))
+        for got in (fn.point(list(point))[0], _float_form(fn, point)[0], row):
+            if np.isnan(want):
+                assert np.isnan(got)
+            else:
+                assert got == want and np.signbit(got) == np.signbit(want)
+
+
+@pytest.mark.parametrize("k, chained", [(2, False), (3, True), (4, True),
+                                        (-2, False), (5, False)])
+def test_small_powers_are_product_chains_on_stacks_only(k, chained):
+    e = Pow(Var("x"), Fraction(k))
+    (_, array_roots), (_, float_roots) = _body([e], ["x"])
+    assert float_roots == (f"((_x0)**{k})",)
+    assert array_roots == ((f"_ip(_x0, {k})",) if chained else float_roots)
+    fn = compile_exprs([e], ["x"])
+    xs = np.geomspace(1e-3, 1e3, 500)
+    xs = np.concatenate([-xs, xs])
+    got = fn(xs[:, None])[:, 0]
+    for x, g in zip(xs.tolist(), got):
+        want = fn.point([x])[0]
+        assert want == evaluate(e, {"x": x})  # a point keeps **, bit for bit
+        assert type(want) is float
+        assert abs(g - want) <= 1e-12 * (1.0 + abs(want))
+        assert np.signbit(g) == np.signbit(want)
+    scalar = fn.point(np.array([-1.3]))[0]  # numpy scalars keep ** too
+    assert scalar == (-1.3) ** k
+
+
+def test_the_bundled_loop_body_has_no_negation_left_to_fold():
+    from nisyn.cli import Pipeline, bundled_scenario_path
+    from nisyn.scenario import load_scenario
+    pipe = Pipeline(load_scenario(bundled_scenario_path()))
+    for system in (pipe.closed_loop, pipe.interconnection):
+        source = "\n".join(system._rhs_fn.body + system._rhs_fn.roots)
+        assert "+ (-" not in source and "-1.0*" not in source
 
 
 @pytest.mark.parametrize("text, power", [

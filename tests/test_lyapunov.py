@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nisyn.lyapunov import (
-    Classification, StabilityError, _halton, _primes, classify_stability,
+    _HALTON_TABLE, Classification, StabilityError, _halton, _primes,
+    classify_stability,
     default_tolerance, lyapunov_certificate, sampled_positive_definite,
 )
 
@@ -239,6 +240,15 @@ def test_halton_rows_are_pinned():
     assert _halton(3, 4, 2024).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("samples", [
+    0, 1, _HALTON_TABLE - 1, _HALTON_TABLE, _HALTON_TABLE + 1, 3 * _HALTON_TABLE + 7])
+@pytest.mark.parametrize("seed", [0, 12345, 2 ** 31 - 1])
+def test_the_leading_columns_of_a_wider_draw_are_the_narrower_draw(samples, seed):
+    wide = _halton(9, samples, seed)
+    for d in (1, 2, 4, 6, 8):
+        assert wide[:, :d].tobytes() == _halton(d, samples, seed).tobytes()
+
+
 def test_halton_rejects_a_negative_seed():
     with pytest.raises(ValueError):
         _halton(2, 4, -1)
@@ -299,3 +309,32 @@ def test_sampled_pd_calls_f_once_with_the_stack():
 def test_sampled_pd_rejects_a_one_point_function():
     with pytest.raises(ValueError, match="one value per"):
         sampled_positive_definite(lambda x: float(np.sum(x)), [[-1, 1]], 10, 0)
+
+
+@pytest.mark.parametrize("f, box", [
+    (lambda x: np.sum(x * x, axis=1), [[-1, 1], [-2, 2]]),
+    (lambda x: np.sum(x * x, axis=1) - 0.5 * x[:, 1] ** 2 - x[:, 0] ** 4,
+     [[-1.5, 1.5], [-1, 1]]),
+], ids=["passes", "fails"])
+def test_a_shared_draw_gives_the_results_of_the_samplers_own(f, box):
+    own = sampled_positive_definite(f, box, 3000, 7)
+    draw = _halton(5, 3000, 7).T
+    assert sampled_positive_definite(f, box, 3000, 7, draw=draw) == own
+
+
+def test_a_shared_draw_of_the_wrong_shape_is_a_value_error():
+    f = lambda x: np.sum(x * x, axis=1)  # noqa: E731
+    for draw in (_halton(1, 100, 0).T, _halton(3, 99, 0).T, np.zeros(100)):
+        with pytest.raises(ValueError, match="draw has shape"):
+            sampled_positive_definite(f, [[-1, 1], [-1, 1]], 100, 0, draw=draw)
+
+
+def test_sampled_pd_passes_f_the_transpose_of_contiguous_rows():
+    seen = []
+
+    def f(x):
+        seen.append(x.T.flags.c_contiguous)
+        return np.sum(x * x, axis=1)
+
+    sampled_positive_definite(f, [[-1, 1], [-1, 1], [-1, 1]], 50, seed=1)
+    assert seen == [True]

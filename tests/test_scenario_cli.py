@@ -15,10 +15,13 @@ import numpy as np
 import pytest
 
 import nisyn.cli
+import nisyn.lyapunov
 from nisyn.cli import (
     bundled_scenario_path, main, run_analyze, run_reproduce, run_simulate,
     run_synthesize, run_verify,
 )
+from nisyn.expr import compile_exprs
+from nisyn.lyapunov import sampled_positive_definite
 from nisyn.scenario import (
     RegressionBlock, ScenarioError, SpecBlock, VerificationBlock, build_plant,
     check_bounds, default_input_catalog, load_scenario, override,
@@ -207,6 +210,25 @@ def test_an_int_beyond_the_float_range_names_its_field_and_block(
     with pytest.raises(ScenarioError) as err:
         run_verify(scn)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("plant", "A11", [[-(10 ** 400)]]),
+    ("verification", "sampling_box", [[-(10 ** 400), 2]] * 6),
+    ("spec", "P", [[10 ** 400]]),
+], ids=["A11", "sampling_box", "P"])
+@pytest.mark.parametrize("command", ["verify", "reproduce-example"])
+def test_an_array_entry_beyond_the_float_range_names_its_field_and_block(
+        tmp_path, capsys, command, block, key, value):
+    data = _fast_scenario()
+    data[block][key] = value
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    assert main([command, "--scenario", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: field {key!r} of the {block} block must hold finite "
+        "numbers, got an int too large to convert to float\n")
+    assert not out.exists()
 
 
 def test_int_field_accepts_an_integral_float():
@@ -706,6 +728,66 @@ def test_reproduce_builds_once_and_matches_simulate(tmp_path, monkeypatch):
         (tmp_path / "s" / "trajectory.csv").read_bytes()
 
 
+# --- one positivity draw per scenario --------------------------------------------
+
+def test_a_failing_v2_gives_the_samplers_own_witness_through_the_shared_draw():
+    data = _fast_scenario()
+    data["spec"]["V2"] = "xi1^2 + 3*xi1*xi2 + xi2^2"  # indefinite
+    del data["regression"]
+    scn = scenario_from_dict(data)
+    pipe = nisyn.cli.Pipeline(scn)
+    check = run_synthesize(pipe)["v2_positive_definite"]
+    assert pipe.positivity_draw.shape == (4 + 2, 2000)  # wider than the y box
+    plant, ver = pipe.plant, scn.verification
+    y_box = sampling_box(scn, plant.n_states)[plant.m:plant.m + plant.n_outputs]
+    v2 = compile_exprs([pipe.spec.v2], plant.y_names)
+    own = sampled_positive_definite(lambda y: v2(y)[:, 0], y_box, ver.samples,
+                                    ver.pd_seed)
+    assert not own.passed and own.points_checked > 1
+    assert check == {"passed": False, "points_checked": own.points_checked,
+                     "witness": own.witness}
+
+
+def test_verify_checks_through_the_shared_draw_as_through_their_own():
+    scn = scenario_from_dict(_fast_scenario())
+    pipe = nisyn.cli.Pipeline(scn)
+    checks = run_verify(pipe)["checks"]
+    ver, n = scn.verification, pipe.plant.n_states
+    box = sampling_box(scn, pipe.interconnection.n_states)
+    for key, system, rows in (
+            ("storage_positive_definite", pipe.closed_loop, box[:n]),
+            ("uncertainty_storage_positive_definite", pipe.uncertainty, box[n:]),
+            ("composite_storage_positive_definite", pipe.interconnection, box)):
+        own = sampled_positive_definite(system.storage, rows, ver.samples,
+                                        ver.pd_seed)
+        assert checks[key] == {"passed": own.passed,
+                               "points_checked": own.points_checked,
+                               "witness": own.witness}
+
+
+def test_synthesize_sizes_the_draw_by_the_uncertainty_block(tmp_path, capsys):
+    data = _fast_scenario()
+    data["uncertainty"]["f_sigma"] = ["-xs1"]  # n_sigma is 2
+    path = _write(tmp_path, data)
+    assert main(["synthesize", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: invalid uncertainty block: "
+                                       "f_sigma must have 2 entries, got 1\n")
+
+
+def test_reproduce_draws_the_positivity_sample_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, "_halton")
+    own = {"draws": 0}
+    original = nisyn.lyapunov._halton
+
+    def counted(*args):
+        own["draws"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(nisyn.lyapunov, "_halton", counted)
+    assert run_reproduce(scenario_from_dict(_fast_scenario()), tmp_path)["passed"]
+    assert calls == {"_halton": 1} and own == {"draws": 0}
+
+
 # --- stage products shared across stage calls on one scenario -------------------
 
 def _loop_scenario() -> dict:
@@ -913,6 +995,31 @@ def test_an_initial_state_must_be_a_list_of_state_size_numbers(x0):
         run_simulate(scenario_from_dict(data), None)
     assert str(err.value) == ("field 'x0' of the simulation block must be a "
                               f"list of 4 numbers, got {x0!r}")
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("simulation", "x0", ["3.0", True, -1, 2]),
+    ("simulation", "x0", [3.0, 1.0, -1.0, "2"]),
+    ("simulation", "x0", [3.0, False, -1.0, 2.0]),
+    ("uncertainty", "x_sigma0", [True, 0.0]),
+    ("uncertainty", "x_sigma0", ["0", 0.0]),
+])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_an_initial_state_refuses_strings_and_booleans(tmp_path, capsys, command,
+                                                       block, key, value):
+    data = _fast_scenario()
+    data[block][key] = value
+    size = len(value)
+    message = (f"field {key!r} of the {block} block must be a list of {size} "
+               f"numbers, got {value!r}")
+    with pytest.raises(ScenarioError) as err:
+        run_verify(scenario_from_dict(data))
+    assert str(err.value) == message
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    assert main([command, "--scenario", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_main_analyze_exit_codes(tmp_path):
