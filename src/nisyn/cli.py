@@ -28,13 +28,12 @@ from .scenario import (
     Scenario, ScenarioError, build_general_form, build_plant,
     build_uncertainty, check_bounds, initial_state, input_catalog,
     load_scenario, override, resolve_synthesis_spec, sampling_box,
-    scenario_to_dict,
+    scenario_to_dict, signal_from_spec,
 )
 from .sim import (
     IntegrationError, check_dissipation, check_w_decrease,
-    convergence_metrics, signal_from_spec, simulate_closed_loop,
-    simulate_interconnection, simulate_uncertainty, write_columns_csv,
-    write_trajectory_csv,
+    convergence_metrics, simulate_closed_loop, simulate_interconnection,
+    simulate_uncertainty, write_columns_csv, write_trajectory_csv,
 )
 from .synthesis import (
     SynthesisError, reduce_general_form, synthesize,
@@ -161,8 +160,7 @@ class Pipeline:
 
     @cached_property
     def x0(self) -> np.ndarray:
-        return initial_state(self.scn.simulation.x0, "x0", "simulation",
-                             self.plant.n_states)
+        return initial_state(self.scn, self.plant.n_states)
 
     @cached_property
     def positivity_draw(self) -> np.ndarray:

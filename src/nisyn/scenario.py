@@ -1,30 +1,23 @@
 """Scenario files: the declarative interface to the toolkit.
 
 A scenario is a JSON document with named blocks; expressions are strings in
-the repository grammar.  The block dataclasses below are the schema: a field
-is read from the key of its name (or ``metadata["key"]``), takes its default
-when the key is absent, and must be of its annotation's JSON type: an
-array for ``list``, an object for ``dict``, a string for ``str``, a number
-that is not a boolean for ``float``, and an integer or an integral float
-for ``int``.  A field with a ``metadata["minimum"]`` may not be below it,
-one marked ``"positive"`` must be above 0, and one marked ``"finite"`` may
-not be NaN or infinite; check_bounds checks these types (without
-coercion) and bounds when a scenario is loaded and when cli.Pipeline is
-built on it, and override on each command-line value.  Keys (fields marked * are optional):
+the repository grammar.  The block dataclasses below, signal blocks
+included, are the schema: a field is read from the key of its name (or
+``metadata["key"]``), takes its default when the key is absent, and must be
+of its annotation's JSON type: an array for ``list``, an object for
+``dict``, a string for ``str``, a number that is not a boolean for
+``float``, and an integer or an integral float for ``int``.  Its metadata
+bounds it: not below ``"minimum"``, above 0 if ``"positive"``, not NaN or
+infinite if ``"finite"``, an array of finite numbers (no strings or
+booleans) of ``"shape"`` (None: any length), signal specs if
+``"signals"`` (one, or a list of at least one).  check_bounds checks
+these types (without coercion) and bounds when a scenario is loaded and
+when cli.Pipeline is built on it, override each command-line value, and
+the builders the lengths that other fields fix.  The scenario table of
+README.md lists every key with its default and bounds.
 
-    name*
-    plant:        m, p1, p2, A11 (nested row-major array), p (expressions)
-    spec*:        P* ("auto" or array), V2* ("default" or expression),
-                  lambda*, target* ("NI" | "OSNI")
-    general_form*: j1, j2, l1, l2 (expression vectors / matrices)
-    uncertainty*: n_sigma, f_sigma, h_sigma, V_sigma, epsilon_sigma,
-                  x_sigma0* (zeros)
-    simulation:   x0, dt*, t_end*, input*, seed*
-    verification*: dissipation_tol*, w_decrease_tol*, sampling_box*,
-                  samples*, pd_seed*, convergence_threshold*,
-                  nominal_convergence_threshold* (none: no nominal check),
-                  settle_window*, input_signals*
-    regression*:  u1*, u2* (expected law expressions, checked by evaluation)
+A signal spec is an object with a ``kind`` (a key of SIGNAL_BLOCKS) and the
+fields of its block; a ``seed`` that is absent or null is simulation.seed.
 
 A block that is not a JSON object is an error; ``general_form``,
 ``uncertainty`` and ``regression`` may also be null, which means absent.
@@ -34,7 +27,6 @@ loading yields an identical in-memory scenario.
 
 import json
 import math
-import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin
 
@@ -42,6 +34,7 @@ import numpy as np
 
 from .expr import ExprError, parse_expr
 from .lyapunov import classify_stability, lyapunov_certificate
+from .sim import bandlimited_signal, multisine_signal, step_signal, zero_signal
 from .synthesis import (
     GeneralForm, NormalFormPlant, SynthesisSpec, block_names, default_v2,
 )
@@ -50,11 +43,12 @@ from .uncertainty import OsniUncertainty
 __all__ = [
     "ScenarioError", "Scenario", "PlantBlock", "SpecBlock",
     "GeneralFormBlock", "UncertaintyBlock", "SimulationBlock",
-    "VerificationBlock", "RegressionBlock",
+    "VerificationBlock", "RegressionBlock", "ZeroSignal", "StepSignal",
+    "MultisineSignal", "BandlimitedSignal", "SIGNAL_BLOCKS",
     "load_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
     "build_plant", "resolve_synthesis_spec", "build_uncertainty",
     "build_general_form", "sampling_box", "default_input_catalog", "override",
-    "check_bounds", "initial_state",
+    "check_bounds", "initial_state", "signal_from_spec",
 ]
 
 
@@ -70,13 +64,15 @@ class PlantBlock:
     m: int
     p1: int
     p2: int
-    a11: list = field(metadata={"key": "A11"})
+    a11: list = field(metadata={"key": "A11", "shape": (None, None)})
     p: list
 
 
 @dataclass
 class SpecBlock:
-    p_matrix: object = field(default="auto", metadata={"key": "P"})
+    # "auto" or a matrix
+    p_matrix: object = field(default="auto",
+                             metadata={"key": "P", "shape": (None, None)})
     v2: str = field(default="default", metadata={"key": "V2"})
     lam: Optional[float] = field(
         default=None, metadata={"key": "lambda", "finite": True, "minimum": 0})
@@ -98,7 +94,7 @@ class UncertaintyBlock:
     h_sigma: list
     v_sigma: str = field(metadata={"key": "V_sigma"})
     epsilon_sigma: float = field(metadata=_FINITE_POSITIVE)
-    x_sigma0: Optional[list] = None
+    x_sigma0: Optional[list] = field(default=None, metadata={"shape": (None,)})
 
     def __post_init__(self):
         if self.x_sigma0 is None:
@@ -107,10 +103,11 @@ class UncertaintyBlock:
 
 @dataclass
 class SimulationBlock:
-    x0: list
+    x0: list = field(metadata={"shape": (None,)})
     dt: float = field(default=1e-3, metadata=_FINITE_POSITIVE)
     t_end: float = field(default=10.0, metadata=_FINITE_POSITIVE)
-    input: dict = field(default_factory=lambda: {"kind": "zero"})
+    input: dict = field(default_factory=lambda: {"kind": "zero"},
+                        metadata={"signals": True})
     seed: int = field(default=0, metadata={"minimum": 0})
 
 
@@ -120,7 +117,8 @@ class VerificationBlock:
     # defaults to 10*dt at use site
     w_decrease_tol: Optional[float] = field(default=None,
                                             metadata=_FINITE_POSITIVE)
-    sampling_box: Optional[list] = None
+    sampling_box: Optional[list] = field(default=None,
+                                         metadata={"shape": (None, 2)})
     samples: int = field(default=20000, metadata={"minimum": 0})
     pd_seed: int = field(default=0, metadata={"minimum": 0})
     convergence_threshold: float = field(default=0.08, metadata=_FINITE_POSITIVE)
@@ -128,13 +126,46 @@ class VerificationBlock:
         default=None, metadata=_FINITE_POSITIVE)
     settle_window: float = field(default=1.0,
                                  metadata={"finite": True, "minimum": 0})
-    input_signals: Optional[list] = None
+    input_signals: Optional[list] = field(default=None,
+                                          metadata={"signals": True})
 
 
 @dataclass
 class RegressionBlock:
     u1: list = field(default_factory=list)
     u2: list = field(default_factory=list)
+
+
+# --- signal blocks: the fields of an input signal spec, by its "kind" ---------
+
+@dataclass
+class ZeroSignal:
+    pass
+
+
+@dataclass
+class StepSignal:
+    amplitude: list = field(metadata={"shape": (None,)})
+    start_time: float = field(default=0.0, metadata={"finite": True})
+
+
+@dataclass
+class MultisineSignal:
+    amplitudes: list = field(metadata={"shape": (None, None)})
+    frequencies: list = field(metadata={"shape": (None, None)})
+    seed: Optional[int] = field(default=None, metadata={"minimum": 0})
+
+
+@dataclass
+class BandlimitedSignal:
+    amplitude: float = field(default=0.1, metadata={"finite": True})
+    cutoff: float = field(default=1.0, metadata=_FINITE_POSITIVE)
+    components: int = field(default=8, metadata={"minimum": 1})
+    seed: Optional[int] = field(default=None, metadata={"minimum": 0})
+
+
+SIGNAL_BLOCKS = {"zero": ZeroSignal, "step": StepSignal,
+                 "multisine": MultisineSignal, "bandlimited": BandlimitedSignal}
 
 
 @dataclass
@@ -151,6 +182,11 @@ class Scenario:
 
 def _key(f) -> str:
     return f.metadata.get("key", f.name)
+
+
+def _field(key: str, block: str) -> str:
+    """How an error message names field ``key`` of the ``block`` block."""
+    return f"field {key!r} of the {block} block"
 
 
 # The JSON types that a field of each annotation takes, and their name.
@@ -193,7 +229,8 @@ def _check_type(tp, value, key: str) -> None:
 def _check_bounds(f, value, subject: str) -> None:
     """The bounds that field ``f``'s metadata declares; ``subject`` starts
     the error message and names the field; None (an absent Optional
-    value) has no bounds."""
+    value) has no bounds, nor has a string field default such as P's
+    "auto"."""
     meta = f.metadata
     if value is None:
         return
@@ -209,6 +246,44 @@ def _check_bounds(f, value, subject: str) -> None:
     if "minimum" in meta and value < meta["minimum"]:
         raise ScenarioError(f"{subject} must be at least {meta['minimum']}, "
                             f"got {value!r}")
+    if "shape" in meta and not (isinstance(value, str) and value == f.default):
+        _numbers(value, meta["shape"], subject)
+    if meta.get("signals"):  # one spec, or a list of at least one
+        specs = value if isinstance(value, list) else [value]
+        if not specs:
+            raise ScenarioError(f"{subject} must list at least one signal, got []")
+        for spec in specs:
+            _signal_block(spec)
+
+
+def _numbers(value, shape: tuple, subject: str) -> np.ndarray:
+    """``value`` as a float array: a JSON array (or an ndarray set in code)
+    of ``shape``, where None is any length, whose entries are all finite
+    numbers, none a string or a boolean."""
+    entries = np.asarray(value, dtype=object)  # lists left where rows differ
+    if not isinstance(value, (list, np.ndarray)) or entries.ndim != len(shape) \
+            or not all(n in (None, got) for n, got in zip(shape, entries.shape)) \
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in entries.flat):
+        raise ScenarioError(f"{subject} must be {_describe(shape)}, got {value!r}")
+    try:
+        array = entries.astype(float)
+    except OverflowError:
+        raise ScenarioError(f"{subject} must hold finite numbers, got an int too "
+                            "large to convert to float") from None
+    if not np.isfinite(array).all():
+        raise ScenarioError(f"{subject} must hold finite numbers, got {value!r}")
+    return array
+
+
+def _describe(shape: tuple) -> str:
+    """An array of ``shape`` in words: "a list of 4 numbers", "a list of
+    rows of 2 numbers", "a list of 2 equal-length rows of numbers"."""
+    count = ["" if n is None else f"{n} " for n in shape]
+    if len(shape) == 1:
+        return f"a list of {count[0]}numbers"
+    equal = "equal-length " if shape[1] is None else ""
+    return f"a list of {count[0]}{equal}rows of {count[1]}numbers"
 
 
 def _too_large(subject: str) -> ScenarioError:
@@ -227,34 +302,43 @@ def _block_from_dict(cls, raw, block: str):
             try:
                 values[f.name] = _coerce(f.type, raw[key], key)
             except OverflowError:  # float() of an integer beyond its range
-                raise _too_large(f"field {key!r} of the {block} block") from None
+                raise _too_large(_field(key, block)) from None
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ScenarioError(f"{block} block is missing required field {key!r}")
     return cls(**values)
 
 
-def check_bounds(scn: Scenario) -> None:
-    """The JSON type and every bound that a field of a block declares, as
-    when the scenario is loaded, and so also on a scenario built or changed
-    in code.  Nothing is coerced: a value set in code must already be of
-    the type loading gives (an int, not 2.0, for an integer field).  A
-    block field must hold its block, or None where it is Optional."""
-    for b in fields(scn):
-        block = getattr(scn, b.name)
-        tp = b.type
-        if get_origin(tp) is Union:
-            if block is None:
-                continue
+def check_bounds(block, name: str = "scenario") -> None:
+    """The JSON type and every bound that a field of ``block`` (a scenario,
+    or a block that messages call the ``name`` block) declares, as when the
+    scenario is loaded, and so also on a scenario built or changed in code.
+    Nothing is coerced: a value set in code must already be of the type
+    loading gives (an int, not 2.0, for an integer field).  A block field
+    must hold its block, or None where it is Optional."""
+    for f in fields(block):
+        value, tp, key = getattr(block, f.name), f.type, _key(f)
+        if get_origin(tp) is Union and value is not None:
             tp = get_args(tp)[0]
-        if is_dataclass(tp) and not isinstance(block, tp):
-            raise ScenarioError(f"the {_key(b)} block must be of type "
-                                f"{tp.__name__}, got {block!r}")
-        if is_dataclass(block):
-            for f in fields(block):
-                value = getattr(block, f.name)
-                _check_type(f.type, value, _key(f))
-                _check_bounds(f, value,
-                              f"field {_key(f)!r} of the {_key(b)} block")
+        if not is_dataclass(tp):
+            _check_type(f.type, value, key)
+            _check_bounds(f, value, _field(key, name))
+        elif not isinstance(value, tp):
+            raise ScenarioError(f"the {key} block must be of type "
+                                f"{tp.__name__}, got {value!r}")
+        else:
+            check_bounds(value, key)
+
+
+def _signal_block(spec):
+    """The signal block of an input signal spec: the block of its ``kind``,
+    read from its other keys as a scenario block is, bounds included."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in SIGNAL_BLOCKS:
+        raise ScenarioError("an input signal must be a JSON object whose 'kind' "
+                            f"is one of {tuple(SIGNAL_BLOCKS)}, got {spec!r}")
+    block = _block_from_dict(SIGNAL_BLOCKS[kind], spec, f"{kind} signal")
+    check_bounds(block, f"{kind} signal")
+    return block
 
 
 def override(scn: Scenario, block: str, name: str, value, option: str) -> None:
@@ -304,26 +388,15 @@ def save_scenario(scn: Scenario, path) -> None:
 
 # --- builders ----------------------------------------------------------------
 
-def _float_array(values, key: str, block: str) -> np.ndarray:
-    """``np.asarray(values, dtype=float)`` of field ``key`` of the ``block``
-    block; an integer beyond the float range is a ScenarioError."""
-    try:
-        return np.asarray(values, dtype=float)
-    except OverflowError:
-        raise ScenarioError(f"field {key!r} of the {block} block must hold "
-                            "finite numbers, got an int too large to convert "
-                            "to float") from None
-
+# The builders check the lengths of the array fields that other fields fix;
+# check_bounds has already checked their entries.
 
 def build_plant(scn: Scenario) -> NormalFormPlant:
     block = scn.plant
-    a11 = _float_array(block.a11, "A11", "plant")
-    if a11.shape != (block.m, block.m):
-        raise ScenarioError(
-            f"A11 has shape {a11.shape}, expected ({block.m}, {block.m})")
+    a11 = _numbers(block.a11, (block.m, block.m), _field("A11", "plant"))
     if len(block.p) != block.m:
         raise ScenarioError(f"p must list {block.m} expressions")
-    names = _plant_y_names(block.p1, block.p2)
+    names = block_names("xi1", block.p1) + block_names("xi2", block.p2)
     try:
         p_exprs = tuple(parse_expr(text, names) for text in block.p)
         return NormalFormPlant(a11=a11, p=p_exprs, p1=block.p1, p2=block.p2)
@@ -331,10 +404,6 @@ def build_plant(scn: Scenario) -> NormalFormPlant:
         raise ScenarioError(f"invalid plant expression: {err}") from err
     except Exception as err:
         raise ScenarioError(f"invalid plant block: {err}") from err
-
-
-def _plant_y_names(p1: int, p2: int):
-    return block_names("xi1", p1) + block_names("xi2", p2)
 
 
 def resolve_synthesis_spec(scn: Scenario, plant: NormalFormPlant) -> SynthesisSpec:
@@ -348,13 +417,11 @@ def resolve_synthesis_spec(scn: Scenario, plant: NormalFormPlant) -> SynthesisSp
     lam = float(lam)
     if block.target == "OSNI" and lam <= 0:
         raise ScenarioError("the OSNI target requires lambda > 0")
-    if isinstance(block.p_matrix, str):
-        if block.p_matrix != "auto":
-            raise ScenarioError(f"P must be a matrix or \"auto\", got {block.p_matrix!r}")
+    if isinstance(block.p_matrix, str):  # "auto"
         verdict = classify_stability(plant.a11)
         p_matrix = lyapunov_certificate(plant.a11, verdict)
     else:
-        p_matrix = _float_array(block.p_matrix, "P", "spec")
+        p_matrix = np.asarray(block.p_matrix, dtype=float)
     if isinstance(block.v2, str) and block.v2 == "default":
         v2 = default_v2(plant)
     else:
@@ -386,29 +453,13 @@ def build_uncertainty(scn: Scenario) -> Optional[OsniUncertainty]:
         raise ScenarioError(f"invalid uncertainty expression: {err}") from err
     except Exception as err:
         raise ScenarioError(f"invalid uncertainty block: {err}") from err
-    initial_state(block.x_sigma0, "x_sigma0", "uncertainty", block.n_sigma)
+    _numbers(block.x_sigma0, (block.n_sigma,), _field("x_sigma0", "uncertainty"))
     return unc
 
 
-def initial_state(values, key: str, block: str, size: int) -> np.ndarray:
-    """The initial state in field ``key`` of the ``block`` block as ``size``
-    floats, all finite.  Each entry must be a number, as in every scenario
-    number field: a string or a boolean is refused."""
-    subject = f"field {key!r} of the {block} block"
-    x = None
-    if isinstance(values, (list, tuple, np.ndarray)) and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool)
-            for v in values):
-        try:
-            x = np.asarray(values, dtype=float)
-        except OverflowError:
-            pass
-    if x is None or x.shape != (size,):
-        raise ScenarioError(f"{subject} must be a list of {size} numbers, "
-                            f"got {values!r}")
-    if not np.isfinite(x).all():
-        raise ScenarioError(f"{subject} must hold finite numbers, got {values!r}")
-    return x
+def initial_state(scn: Scenario, size: int) -> np.ndarray:
+    """``simulation.x0`` as ``size`` floats."""
+    return _numbers(scn.simulation.x0, (size,), _field("x0", "simulation"))
 
 
 def build_general_form(scn: Scenario, plant: NormalFormPlant) -> Optional[GeneralForm]:
@@ -433,9 +484,7 @@ def sampling_box(scn: Scenario, dim: int) -> np.ndarray:
     raw = scn.verification.sampling_box
     if raw is None:
         return np.tile([-2.0, 2.0], (dim, 1))
-    box = _float_array(raw, "sampling_box", "verification")
-    if box.ndim != 2 or box.shape[1] != 2:
-        raise ScenarioError("sampling_box must be a list of [lo, hi] pairs")
+    box = np.asarray(raw, dtype=float)
     if box.shape[0] < dim:
         raise ScenarioError(
             f"sampling_box covers {box.shape[0]} coordinates, needs {dim}")
@@ -457,6 +506,27 @@ def default_input_catalog(p: int, seed: int) -> list:
 
 def input_catalog(scn: Scenario, p: int) -> list:
     signals = scn.verification.input_signals
-    if signals is None:
-        signals = default_input_catalog(p, scn.simulation.seed)
-    return signals
+    return default_input_catalog(p, scn.simulation.seed) if signals is None \
+        else signals
+
+
+def signal_from_spec(spec: dict, p: int, default_seed: int = 0):
+    """The p-channel signal of an input signal spec; a seeded kind whose
+    spec has no seed, or a null one, takes ``default_seed``."""
+    block = _signal_block(spec)
+    name = f"{spec['kind']} signal"
+    if isinstance(block, StepSignal):
+        amplitude = _numbers(block.amplitude, (p,), _field("amplitude", name))
+        return step_signal(amplitude, block.start_time)
+    seed = getattr(block, "seed", None)
+    seed = default_seed if seed is None else seed
+    if isinstance(block, MultisineSignal):
+        amplitudes = _numbers(block.amplitudes, (p, None),
+                              _field("amplitudes", name))
+        frequencies = _numbers(block.frequencies, amplitudes.shape,
+                               _field("frequencies", name))
+        return multisine_signal(amplitudes, frequencies, seed=seed)
+    if isinstance(block, BandlimitedSignal):
+        return bandlimited_signal(p, block.amplitude, block.cutoff,
+                                  block.components, seed)
+    return zero_signal(p)

@@ -14,13 +14,15 @@ one strictness weight per block of outputs:
 and, for interconnections (no input, outputs (y, w)), the composite decrease
 
     W'  <=  -epsilon |y'|^2 - epsilon_sigma |w'|^2  <=  0.
+
+The input signals here take numbers and arrays; scenario.signal_from_spec
+builds them from the checked signal specs of a scenario.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
@@ -39,7 +41,6 @@ __all__ = [
     "ConvergenceMetrics", "convergence_metrics",
     "write_trajectory_csv", "write_columns_csv",
     "zero_signal", "step_signal", "multisine_signal", "bandlimited_signal",
-    "signal_from_spec", "SIGNAL_KINDS",
 ]
 
 DEFAULT_BLOWUP_NORM = 1e6
@@ -545,8 +546,6 @@ def write_columns_csv(path, header: list, columns: list) -> None:
 
 # --- input signal catalog -------------------------------------------------------
 
-SIGNAL_KINDS = ("zero", "step", "multisine", "bandlimited")
-
 # Every catalog signal maps times t of shape (N,) to inputs of shape (N, p),
 # and a scalar t to (p,) through the same broadcasting expression, so
 # integrate samples a run's input in one call on its time grid.
@@ -607,77 +606,3 @@ def bandlimited_signal(p: int, amplitude: float, cutoff: float,
     amp = amplitude * raw / raw.sum(axis=1, keepdims=True)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(p, components))
     return multisine_signal(amp, freq, phases=phases)
-
-
-def _spec_int(spec: dict, key: str, default: int, minimum: int) -> int:
-    """An integer field of a signal spec; an integral float is accepted,
-    a fraction or a boolean is not."""
-    value = spec.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"signal field {key!r} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"signal field {key!r} must be at least {minimum}, "
-                         f"got {value!r}")
-    return int(value)
-
-
-def _finite_real(value) -> bool:
-    """Whether a JSON value is a number (not a boolean) with a finite float."""
-    try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) \
-            and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _spec_float(spec: dict, key: str, default: float) -> float:
-    """A finite real field of a signal spec."""
-    value = spec.get(key, default)
-    if not _finite_real(value):
-        raise ValueError(f"signal field {key!r} must be a finite number, "
-                         f"got {value!r}")
-    return float(value)
-
-
-def _spec_array(spec: dict, key: str, rows: int, ndim: int) -> np.ndarray:
-    """A real array field of a signal spec: ``rows`` numbers (``ndim`` 1)
-    or ``rows`` equal-length rows of numbers (``ndim`` 2), all finite."""
-    value = spec.get(key)
-    entries = np.asarray(value, dtype=object) if isinstance(value, list) else None
-    if entries is None or entries.ndim != ndim or len(entries) != rows or \
-            not all(_finite_real(v) for v in entries.ravel()):
-        shape = f"{rows} numbers" if ndim == 1 else \
-            f"{rows} equal-length rows of numbers"
-        raise ValueError(f"signal field {key!r} must be an array of {shape}, "
-                         f"all finite, got {value!r}")
-    return entries.astype(float)
-
-
-def signal_from_spec(spec: dict, p: int, default_seed: int = 0):
-    """Build a signal from its scenario description (the input catalog)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("input signal spec must be a mapping with a 'kind'")
-    kind = spec["kind"]
-    if kind == "zero":
-        return zero_signal(p)
-    if kind == "step":
-        return step_signal(_spec_array(spec, "amplitude", p, 1),
-                           _spec_float(spec, "start_time", 0.0))
-    if kind == "multisine":
-        return multisine_signal(_spec_array(spec, "amplitudes", p, 2),
-                                _spec_array(spec, "frequencies", p, 2),
-                                seed=_spec_int(spec, "seed", default_seed, 0))
-    if kind == "bandlimited":
-        cutoff = _spec_float(spec, "cutoff", 1.0)
-        if cutoff <= 0:
-            raise ValueError(f"signal field 'cutoff' must be positive, got {cutoff!r}")
-        return bandlimited_signal(
-            p,
-            amplitude=_spec_float(spec, "amplitude", 0.1),
-            cutoff=cutoff,
-            components=_spec_int(spec, "components", 8, 1),
-            seed=_spec_int(spec, "seed", default_seed, 0))
-    raise ValueError(f"unknown input signal kind {kind!r}; "
-                     f"expected one of {SIGNAL_KINDS}")

@@ -21,12 +21,11 @@ from nisyn.lyapunov import classify_stability, lyapunov_certificate, \
     sampled_positive_definite
 from nisyn.scenario import (
     build_plant, build_uncertainty, input_catalog, load_scenario,
-    resolve_synthesis_spec, sampling_box, scenario_from_dict,
+    resolve_synthesis_spec, sampling_box, scenario_from_dict, signal_from_spec,
 )
 from nisyn.sim import (
     check_dissipation, check_w_decrease, convergence_metrics, integrate,
-    signal_from_spec, simulate_closed_loop, simulate_interconnection,
-    simulate_uncertainty,
+    simulate_closed_loop, simulate_interconnection, simulate_uncertainty,
 )
 from nisyn.synthesis import (
     NormalFormPlant, SynthesisSpec, synthesize,

@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import weakref
@@ -231,6 +232,116 @@ def test_an_array_entry_beyond_the_float_range_names_its_field_and_block(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block, key, value, shape", [
+    ("plant", "A11", [["-1.0"]], "equal-length rows of numbers"),
+    ("plant", "A11", [[True]], "equal-length rows of numbers"),
+    ("spec", "P", [[True]], "equal-length rows of numbers"),
+    ("spec", "P", [["1.0"]], "equal-length rows of numbers"),
+    ("verification", "sampling_box", [["-2", True]] * 6, "rows of 2 numbers"),
+])
+@pytest.mark.parametrize("command", ["verify", "reproduce-example"])
+def test_an_array_refuses_strings_and_booleans(tmp_path, capsys, command,
+                                               block, key, value, shape):
+    # a string or a boolean is not a number, whatever it spells
+    data = _fast_scenario()
+    data[block][key] = value
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    assert main([command, "--scenario", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: field {key!r} of the {block} block must be a list of {shape}, "
+        f"got {value!r}\n")
+    assert not out.exists()
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("command", ["synthesize", "verify"])
+def test_a_bad_catalog_signal_exits_2_before_anything_runs(
+        tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(nisyn.cli, "synthesize", _NoPool)
+    data = _fast_scenario()
+    data["verification"]["input_signals"][2]["amplitudes"][1][0] = float("nan")
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    assert main([command, "--scenario", path, "--out", str(out),
+                 "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: field 'amplitudes' of the multisine signal block must hold "
+        "finite numbers, got [[0.2, 0.1], [nan, 0.1]]\n")
+    assert not out.exists()
+
+
+_KINDS = ("an input signal must be a JSON object whose 'kind' is one of "
+          "('zero', 'step', 'multisine', 'bandlimited'), got ")
+
+
+@pytest.mark.parametrize("signal, message", [
+    ({"kind": "nope"}, _KINDS + "{'kind': 'nope'}"),
+    ({"kind": "bandlimited", "cutoff": 0},
+     "field 'cutoff' of the bandlimited signal block must be positive, got 0.0"),
+    ({"amplitude": [0.2, 0.2]}, _KINDS + "{'amplitude': [0.2, 0.2]}"),
+])
+def test_main_simulate_checks_the_input_of_an_interconnection(
+        tmp_path, capsys, signal, message):
+    # the interconnection run applies no input, but the spec is still checked
+    data = _fast_scenario()
+    data["simulation"]["input"] = signal
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", _write(tmp_path, data),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["catalog", "input"])
+def test_a_signal_spec_edited_in_code_is_checked(edit):
+    bandlimited = {"kind": "bandlimited", "amplitude": 0.1, "cutoff": 1.0,
+                   "components": 4, "seed": 3}
+    data = _fast_scenario()
+    data["verification"]["input_signals"].append(bandlimited)
+    data["simulation"]["input"] = dict(bandlimited)
+    scn = scenario_from_dict(data)
+    if edit == "catalog":
+        scn.verification.input_signals[-1]["cutoff"] = 0
+    else:
+        scn.simulation.input["cutoff"] = 0
+    message = ("field 'cutoff' of the bandlimited signal block must be "
+               "positive, got 0.0")
+    for call in (check_bounds, run_verify):
+        with pytest.raises(ScenarioError) as err:
+            call(scn)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("command", ["verify", "reproduce-example"])
+def test_an_empty_input_catalog_exits_2(tmp_path, capsys, command):
+    # a verify without signals would check no dissipation at all
+    data = _fast_scenario()
+    data["verification"]["input_signals"] = []
+    out = tmp_path / "o"
+    assert main([command, "--scenario", _write(tmp_path, data),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: field 'input_signals' of the verification block must list at "
+        "least one signal, got []\n")
+    assert not out.exists()
+
+
+def test_a_null_input_catalog_is_the_default_catalog():
+    data = _fast_scenario()
+    data["simulation"]["t_end"] = 0.2
+    data["verification"]["input_signals"] = None
+    report = run_verify(scenario_from_dict(data))
+    assert [e["signal"] for e in report["checks"]["closed_loop_dissipation"]] \
+        == default_input_catalog(2, data["simulation"]["seed"])
+
+
 def test_int_field_accepts_an_integral_float():
     data = _fast_scenario()
     data["plant"]["m"] = 1.0
@@ -375,7 +486,9 @@ def test_scenario_that_is_not_an_object_is_rejected():
 def test_build_plant_shape_mismatch():
     data = dict(MINIMAL, plant={"m": 2, "p1": 1, "p2": 1,
                                 "A11": [[-1.0]], "p": ["0", "0"]})
-    with pytest.raises(ScenarioError, match="shape"):
+    with pytest.raises(ScenarioError, match=re.escape(
+            "field 'A11' of the plant block must be a list of 2 rows of 2 "
+            "numbers, got [[-1.0]]")):
         build_plant(scenario_from_dict(data))
 
 
@@ -986,15 +1099,25 @@ def test_main_refuses_a_non_finite_initial_state(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("x0", [[3.0, 1.0, -1.0], [[3.0, 1.0], [-1.0, 2.0]],
-                                ["3", 1.0, -1.0, "a"], [10 ** 400, 1.0, -1.0, 2.0]])
-def test_an_initial_state_must_be_a_list_of_state_size_numbers(x0):
+_X0 = "field 'x0' of the simulation block"
+
+
+@pytest.mark.parametrize("x0, message", [
+    # the state size is the plant's, so this one is checked when x0 is built
+    ([3.0, 1.0, -1.0], f"{_X0} must be a list of 4 numbers, got [3.0, 1.0, -1.0]"),
+    ([[3.0, 1.0], [-1.0, 2.0]],
+     f"{_X0} must be a list of numbers, got [[3.0, 1.0], [-1.0, 2.0]]"),
+    (["3", 1.0, -1.0, "a"],
+     f"{_X0} must be a list of numbers, got ['3', 1.0, -1.0, 'a']"),
+    ([10 ** 400, 1.0, -1.0, 2.0],
+     f"{_X0} must hold finite numbers, got an int too large to convert to float"),
+])
+def test_an_initial_state_must_be_a_list_of_state_size_numbers(x0, message):
     data = _fast_scenario()
     data["simulation"]["x0"] = x0
     with pytest.raises(ScenarioError) as err:
         run_simulate(scenario_from_dict(data), None)
-    assert str(err.value) == ("field 'x0' of the simulation block must be a "
-                              f"list of 4 numbers, got {x0!r}")
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("block, key, value", [
@@ -1009,8 +1132,7 @@ def test_an_initial_state_refuses_strings_and_booleans(tmp_path, capsys, command
                                                        block, key, value):
     data = _fast_scenario()
     data[block][key] = value
-    size = len(value)
-    message = (f"field {key!r} of the {block} block must be a list of {size} "
+    message = (f"field {key!r} of the {block} block must be a list of "
                f"numbers, got {value!r}")
     with pytest.raises(ScenarioError) as err:
         run_verify(scenario_from_dict(data))
@@ -1043,9 +1165,11 @@ def test_main_analyze_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("components", 0, "error: signal field 'components' must be at least 1, got 0"),
-    ("seed", 1.5, "error: signal field 'seed' must be an integer, got 1.5"),
-    ("cutoff", float("nan"), "error: signal field 'cutoff' must be a finite number, got nan"),
+    ("components", 0, "error: field 'components' of the bandlimited signal "
+                      "block must be at least 1, got 0"),
+    ("seed", 1.5, "error: field 'seed' must be an integer, got 1.5"),
+    ("cutoff", float("nan"), "error: field 'cutoff' of the bandlimited signal "
+                             "block must be a finite number, got nan"),
 ])
 def test_main_simulate_rejects_a_bad_bandlimited_input(tmp_path, capsys, field,
                                                        value, message):
@@ -1065,17 +1189,18 @@ def test_main_simulate_rejects_a_bad_bandlimited_input(tmp_path, capsys, field,
 
 @pytest.mark.parametrize("signal, message", [
     ({"kind": "step", "amplitude": [0.2, 0.2], "start_time": float("nan")},
-     "error: signal field 'start_time' must be a finite number, got nan"),
+     "error: field 'start_time' of the step signal block must be a finite "
+     "number, got nan"),
     ({"kind": "step", "amplitude": [0.2, 0.2], "start_time": "soon"},
-     "error: signal field 'start_time' must be a finite number, got 'soon'"),
+     "error: field 'start_time' must be a number, got 'soon'"),
     ({"kind": "multisine", "amplitudes": [[0.1, 0.2], [0.1, float("nan")]],
       "frequencies": [[0.3, 0.8], [0.3, 0.8]], "seed": 4},
-     "error: signal field 'amplitudes' must be an array of 2 equal-length rows "
-     "of numbers, all finite, got [[0.1, 0.2], [0.1, nan]]"),
+     "error: field 'amplitudes' of the multisine signal block must hold finite "
+     "numbers, got [[0.1, 0.2], [0.1, nan]]"),
     ({"kind": "multisine", "amplitudes": [[0.1, 0.2], [0.1, 0.2]],
       "frequencies": [[float("nan"), 0.8], [0.3, 0.8]], "seed": 4},
-     "error: signal field 'frequencies' must be an array of 2 equal-length rows "
-     "of numbers, all finite, got [[nan, 0.8], [0.3, 0.8]]"),
+     "error: field 'frequencies' of the multisine signal block must hold finite "
+     "numbers, got [[nan, 0.8], [0.3, 0.8]]"),
 ])
 def test_main_simulate_rejects_a_bad_step_or_multisine(tmp_path, capsys, signal,
                                                        message):

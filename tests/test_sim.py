@@ -11,12 +11,13 @@ import pytest
 
 import nisyn.sim as sim
 from nisyn.expr import compile_exprs, parse_expr
+from nisyn.scenario import ScenarioError, signal_from_spec
 from nisyn.sim import (
     DivergenceError, IntegrationError, Trajectory, bandlimited_signal,
     check_dissipation, check_w_decrease, convergence_metrics, integrate,
-    multisine_signal, signal_from_spec, simulate_closed_loop,
-    simulate_interconnection, simulate_uncertainty, step_signal,
-    write_columns_csv, write_trajectory_csv, zero_signal,
+    multisine_signal, simulate_closed_loop, simulate_interconnection,
+    simulate_uncertainty, step_signal, write_columns_csv,
+    write_trajectory_csv, zero_signal,
 )
 from nisyn.synthesis import SynthesisError, SynthesisSpec, storage_value, synthesize
 from nisyn.uncertainty import Interconnection, OsniUncertainty, UncertaintyError
@@ -818,76 +819,107 @@ def test_step_switches_at_its_start_time():
 
 
 def test_signal_spec_validation():
-    with pytest.raises(ValueError):
-        signal_from_spec({"kind": "nope"}, p=2)
-    with pytest.raises(ValueError):
+    for spec in ({"kind": "nope"}, {"kind": ["step"]}, 3, {"amplitude": [0.1]}):
+        with pytest.raises(ScenarioError, match=re.escape(
+                "an input signal must be a JSON object whose 'kind' is one of "
+                f"('zero', 'step', 'multisine', 'bandlimited'), got {spec!r}")):
+            signal_from_spec(spec, p=2)
+    with pytest.raises(ScenarioError, match=re.escape(
+            "step signal block is missing required field 'amplitude'")):
         signal_from_spec({"kind": "step"}, p=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ScenarioError, match=re.escape(
+            "field 'amplitudes' of the multisine signal block must be a list "
+            "of 2 equal-length rows of numbers, got [[0.1]]")):
         signal_from_spec({"kind": "multisine", "amplitudes": [[0.1]],
                           "frequencies": [[0.5]]}, p=2)
 
 
 _BANDLIMITED = {"kind": "bandlimited", "amplitude": 0.2, "cutoff": 1.0,
                 "components": 4, "seed": 9}
+_IN_BANDLIMITED = "of the bandlimited signal block"
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"components": 0}, "'components' must be at least 1, got 0"),
-    ({"components": -3}, "'components' must be at least 1"),
-    ({"components": 2.5}, "'components' must be an integer, got 2.5"),
-    ({"components": True}, "'components' must be an integer, got True"),
-    ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
-    ({"seed": False}, "'seed' must be an integer, got False"),
-    ({"seed": -1}, "'seed' must be at least 0"),
-    ({"cutoff": float("nan")}, "'cutoff' must be a finite number, got nan"),
-    ({"cutoff": float("inf")}, "'cutoff' must be a finite number, got inf"),
-    ({"cutoff": 0.0}, "'cutoff' must be positive, got 0.0"),
-    ({"cutoff": -1.0}, "'cutoff' must be positive"),
-    ({"cutoff": "1.0"}, "'cutoff' must be a finite number, got '1.0'"),
-    ({"amplitude": float("nan")}, "'amplitude' must be a finite number, got nan"),
-    ({"amplitude": float("-inf")}, "'amplitude' must be a finite number"),
+    ({"components": 0}, f"field 'components' {_IN_BANDLIMITED} must be at least 1, "
+                        "got 0"),
+    ({"components": -3}, f"field 'components' {_IN_BANDLIMITED} must be at least "
+                         "1, got -3"),
+    ({"components": 2.5}, "field 'components' must be an integer, got 2.5"),
+    ({"components": True}, "field 'components' must be an integer, got True"),
+    ({"seed": 1.5}, "field 'seed' must be an integer, got 1.5"),
+    ({"seed": False}, "field 'seed' must be an integer, got False"),
+    ({"seed": -1}, f"field 'seed' {_IN_BANDLIMITED} must be at least 0, got -1"),
+    ({"cutoff": float("nan")},
+     f"field 'cutoff' {_IN_BANDLIMITED} must be a finite number, got nan"),
+    ({"cutoff": float("inf")},
+     f"field 'cutoff' {_IN_BANDLIMITED} must be a finite number, got inf"),
+    ({"cutoff": 0.0}, f"field 'cutoff' {_IN_BANDLIMITED} must be positive, got 0.0"),
+    ({"cutoff": -1.0}, f"field 'cutoff' {_IN_BANDLIMITED} must be positive, "
+                       "got -1.0"),
+    ({"cutoff": "1.0"}, "field 'cutoff' must be a number, got '1.0'"),
+    ({"amplitude": float("nan")},
+     f"field 'amplitude' {_IN_BANDLIMITED} must be a finite number, got nan"),
+    ({"amplitude": float("-inf")},
+     f"field 'amplitude' {_IN_BANDLIMITED} must be a finite number, got -inf"),
 ])
 def test_bandlimited_spec_rejects_bad_fields(overrides, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         signal_from_spec({**_BANDLIMITED, **overrides}, p=2)
 
 
 _STEP = {"kind": "step", "amplitude": [0.2, -0.1], "start_time": 0.5}
 _MULTISINE = {"kind": "multisine", "amplitudes": [[0.1, 0.2], [0.1, 0.2]],
               "frequencies": [[0.5, 0.9], [0.7, 1.1]], "seed": 3}
+_IN_STEP = "of the step signal block"
+_IN_MULTISINE = "of the multisine signal block"
 
 
 @pytest.mark.parametrize("spec, message", [
     ({**_STEP, "start_time": float("nan")},
-     "'start_time' must be a finite number, got nan"),
-    ({**_STEP, "start_time": float("inf")}, "'start_time' must be a finite number"),
+     f"field 'start_time' {_IN_STEP} must be a finite number, got nan"),
+    ({**_STEP, "start_time": float("inf")},
+     f"field 'start_time' {_IN_STEP} must be a finite number, got inf"),
     ({**_STEP, "start_time": "soon"},
-     "'start_time' must be a finite number, got 'soon'"),
-    ({**_STEP, "start_time": None}, "'start_time' must be a finite number"),
-    ({**_STEP, "start_time": 10 ** 400}, "'start_time' must be a finite number"),
+     "field 'start_time' must be a number, got 'soon'"),
+    ({**_STEP, "start_time": None}, "field 'start_time' must be a number, got None"),
+    ({**_STEP, "start_time": 10 ** 400},
+     f"field 'start_time' {_IN_STEP} must be a finite number, got an int too "
+     "large to convert to float"),
     ({**_STEP, "amplitude": [0.2, float("nan")]},
-     "'amplitude' must be an array of 2 numbers, all finite"),
-    ({**_STEP, "amplitude": [0.2]}, "'amplitude' must be an array of 2 numbers"),
-    ({**_STEP, "amplitude": 0.2}, "'amplitude' must be an array of 2 numbers"),
+     f"field 'amplitude' {_IN_STEP} must hold finite numbers, got [0.2, nan]"),
+    ({**_STEP, "amplitude": [0.2]},
+     f"field 'amplitude' {_IN_STEP} must be a list of 2 numbers, got [0.2]"),
+    ({**_STEP, "amplitude": 0.2}, "field 'amplitude' must be a JSON array, got 0.2"),
     ({**_STEP, "amplitude": [[0.2], [0.1]]},
-     "'amplitude' must be an array of 2 numbers"),
-    ({**_STEP, "amplitude": [0.2, True]}, "'amplitude' must be an array"),
-    ({**_STEP, "amplitude": [0.2, 10 ** 400]}, "'amplitude' must be an array"),
+     f"field 'amplitude' {_IN_STEP} must be a list of numbers, got [[0.2], [0.1]]"),
+    ({**_STEP, "amplitude": [0.2, True]},
+     f"field 'amplitude' {_IN_STEP} must be a list of numbers, got [0.2, True]"),
+    ({**_STEP, "amplitude": [0.2, 10 ** 400]},
+     f"field 'amplitude' {_IN_STEP} must hold finite numbers, got an int too "
+     "large to convert to float"),
     ({**_MULTISINE, "amplitudes": [[0.1, float("nan")], [0.1, 0.2]]},
-     "'amplitudes' must be an array of 2 equal-length rows of numbers, all finite"),
+     f"field 'amplitudes' {_IN_MULTISINE} must hold finite numbers, "
+     "got [[0.1, nan], [0.1, 0.2]]"),
     ({**_MULTISINE, "frequencies": [[0.5, 0.9], [float("inf"), 1.1]]},
-     "'frequencies' must be an array of 2 equal-length rows of numbers"),
+     f"field 'frequencies' {_IN_MULTISINE} must hold finite numbers, "
+     "got [[0.5, 0.9], [inf, 1.1]]"),
     ({**_MULTISINE, "amplitudes": [[0.1, 0.2], [0.1]]},
-     "'amplitudes' must be an array of 2 equal-length rows"),
+     f"field 'amplitudes' {_IN_MULTISINE} must be a list of equal-length rows "
+     "of numbers, got [[0.1, 0.2], [0.1]]"),
     ({**_MULTISINE, "amplitudes": [0.1, 0.2]},
-     "'amplitudes' must be an array of 2 equal-length rows"),
+     f"field 'amplitudes' {_IN_MULTISINE} must be a list of equal-length rows "
+     "of numbers, got [0.1, 0.2]"),
     ({**_MULTISINE, "frequencies": [["0.5", 0.9], [0.7, 1.1]]},
-     "'frequencies' must be an array of 2 equal-length rows"),
+     f"field 'frequencies' {_IN_MULTISINE} must be a list of equal-length rows "
+     "of numbers, got [['0.5', 0.9], [0.7, 1.1]]"),
+    ({**_MULTISINE, "frequencies": [[0.5, 0.9, 1.3], [0.7, 1.1, 1.3]]},
+     f"field 'frequencies' {_IN_MULTISINE} must be a list of 2 rows of 2 "
+     "numbers, got [[0.5, 0.9, 1.3], [0.7, 1.1, 1.3]]"),
     ({"kind": "multisine", "frequencies": [[0.5], [0.7]]},
-     "'amplitudes' must be an array of 2 equal-length rows"),
+     "multisine signal block is missing required field 'amplitudes'"),
 ])
 def test_step_and_multisine_specs_reject_bad_fields(spec, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         signal_from_spec(spec, p=2)
 
 
@@ -904,12 +936,17 @@ def test_step_and_multisine_specs_build_their_signals():
 def test_multisine_spec_seed_is_an_integer():
     spec = {"kind": "multisine", "amplitudes": [[0.1], [0.1]],
             "frequencies": [[0.5], [0.7]]}
-    with pytest.raises(ValueError, match=re.escape("'seed' must be an integer")):
+    with pytest.raises(ScenarioError, match=re.escape(
+            "field 'seed' must be an integer, got 1.5")):
         signal_from_spec({**spec, "seed": 1.5}, p=2)
     t = np.linspace(0.0, 3.0, 7)
     assert np.array_equal(signal_from_spec({**spec, "seed": 3.0}, p=2)(t),
                           signal_from_spec({**spec, "seed": 3}, p=2)(t))
     assert np.array_equal(signal_from_spec(spec, p=2, default_seed=3)(t),
+                          signal_from_spec({**spec, "seed": 3}, p=2)(t))
+    # a null seed is the default seed too
+    assert np.array_equal(signal_from_spec({**spec, "seed": None}, p=2,
+                                           default_seed=3)(t),
                           signal_from_spec({**spec, "seed": 3}, p=2)(t))
 
 
