@@ -389,27 +389,52 @@ def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact symbolic derivative with respect to ``var``.
 
-    The result is not simplified; apply fold_constants() separately.
+    A subtree that does not hold ``var`` differentiates to Const(0), and
+    no derivative is built for it: a sum keeps the derivatives of its terms
+    that hold ``var``, and the product rule emits a term only for each
+    factor that holds it.  Whether a node holds ``var``, and its
+    derivative, are recorded per node object, so a subtree reached more
+    than once is checked and differentiated once.  The result is not
+    simplified; apply fold_constants() separately, which folds it to what
+    it folds the derivative that keeps every zero term to.
     """
+    derived: dict = {}  # id -> (node, derivative); the node keeps its id valid
+
+    def d(e: Expr) -> Optional[Expr]:
+        hit = derived.get(id(e))
+        if hit is None:
+            hit = derived[id(e)] = (e, _derivative(e, var, d))
+        return hit[1]
+
+    out = d(e)
+    return Const(Fraction(0)) if out is None else out
+
+
+def _derivative(e: Expr, var: str,
+                d: Callable[[Expr], Optional[Expr]]) -> Optional[Expr]:
+    """One node of differentiate, given ``d`` for its children: None where
+    the derivative is zero because ``e`` does not hold ``var`` (or is a
+    zeroth power)."""
     if isinstance(e, Var):
-        return Const(Fraction(1 if e.name == var else 0))
+        return Const(Fraction(1)) if e.name == var else None
     if isinstance(e, Const):
-        return Const(Fraction(0))
+        return None
     if isinstance(e, Neg):
-        return Neg(differentiate(e.child, var))
+        c = d(e.child)
+        return None if c is None else Neg(c)
     if isinstance(e, Sum):
-        return Sum(tuple(differentiate(t, var) for t in e.terms))
+        terms = [t for t in map(d, e.terms) if t is not None]
+        return add(*terms) if terms else None
     if isinstance(e, Product):
-        terms = []
         fs = e.factors
-        for i in range(len(fs)):
-            terms.append(mul(*fs[:i], differentiate(fs[i], var), *fs[i + 1:]))
-        return add(*terms)
+        terms = [mul(*fs[:i], df, *fs[i + 1:])
+                 for i, df in enumerate(map(d, fs)) if df is not None]
+        return add(*terms) if terms else None
     if isinstance(e, Pow):
-        if e.exponent == 0:
-            return Const(Fraction(0))
-        return mul(Const(e.exponent), Pow(e.base, e.exponent - 1),
-                   differentiate(e.base, var))
+        db = None if e.exponent == 0 else d(e.base)
+        if db is None:
+            return None
+        return mul(Const(e.exponent), Pow(e.base, e.exponent - 1), db)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -456,6 +481,16 @@ def fold_constants(e: Expr) -> Expr:
         if hit is None:
             hit = folded[id(e)] = (e, _fold(e, fold))
         return hit[1]
+
+    return fold(e)
+
+
+def _fold_above(e: Expr, folded: Expr) -> Expr:
+    """fold_constants(e) for an ``e`` built on ``folded``, a result of
+    fold_constants: only the nodes above ``folded`` are folded, since
+    fold_constants gives a folded tree back node for node."""
+    def fold(node: Expr) -> Expr:
+        return node if node is folded else _fold(node, fold)
 
     return fold(e)
 

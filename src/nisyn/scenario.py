@@ -6,14 +6,17 @@ included, are the schema: a field is read from the key of its name (or
 ``metadata["key"]``), takes its default when the key is absent, and must be
 of its annotation's JSON type: an array for ``list``, an object for
 ``dict``, a string for ``str``, a number that is not a boolean for
-``float``, and an integer or an integral float for ``int``.  Its metadata
-bounds it: not below ``"minimum"``, above 0 if ``"positive"``, not NaN or
-infinite if ``"finite"``, an array of finite numbers (no strings or
-booleans) of ``"shape"`` (None: any length), signal specs if
-``"signals"`` (one, or a list of at least one).  check_bounds checks
-these types (without coercion) and bounds when a scenario is loaded and
-when cli.Pipeline is built on it, override each command-line value, and
-the builders the lengths that other fields fix.  The scenario table of
+``float``, and an integer or an integral float for ``int``.  An
+expression field is ``list[str]``, an array of strings, or
+``list[list[str]]``, an array of arrays of strings.  Its metadata bounds
+it: not below ``"minimum"``, above 0 if ``"positive"``, not NaN or
+infinite if ``"finite"``, one of ``"choices"``, an array of finite
+numbers (no strings or booleans) of ``"shape"`` (None: any length),
+signal specs if ``"signals"`` (one, or a list of at least one).  Each
+block class's fields are read once (_fields).  check_bounds checks these
+types (without coercion) and bounds when a scenario is loaded and when
+cli.Pipeline is built on it, override each command-line value, and the
+builders the lengths that other fields fix.  The scenario table of
 README.md lists every key with its default and bounds.
 
 A signal spec is an object with a ``kind`` (a key of SIGNAL_BLOCKS) and the
@@ -25,6 +28,7 @@ Saving writes every field that is not None, and loading then saving then
 loading yields an identical in-memory scenario.
 """
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -61,11 +65,11 @@ _FINITE_POSITIVE = {"finite": True, "positive": True}
 
 @dataclass
 class PlantBlock:
-    m: int
-    p1: int
-    p2: int
+    m: int = field(metadata={"minimum": 1})
+    p1: int = field(metadata={"minimum": 0})
+    p2: int = field(metadata={"minimum": 0})
     a11: list = field(metadata={"key": "A11", "shape": (None, None)})
-    p: list
+    p: list[str]
 
 
 @dataclass
@@ -76,22 +80,22 @@ class SpecBlock:
     v2: str = field(default="default", metadata={"key": "V2"})
     lam: Optional[float] = field(
         default=None, metadata={"key": "lambda", "finite": True, "minimum": 0})
-    target: str = "OSNI"
+    target: str = field(default="OSNI", metadata={"choices": ("NI", "OSNI")})
 
 
 @dataclass
 class GeneralFormBlock:
-    j1: list
-    j2: list
-    l1: list
-    l2: list
+    j1: list[str]
+    j2: list[str]
+    l1: list[list[str]]
+    l2: list[list[str]]
 
 
 @dataclass
 class UncertaintyBlock:
-    n_sigma: int
-    f_sigma: list
-    h_sigma: list
+    n_sigma: int = field(metadata={"minimum": 1})
+    f_sigma: list[str]
+    h_sigma: list[str]
     v_sigma: str = field(metadata={"key": "V_sigma"})
     epsilon_sigma: float = field(metadata=_FINITE_POSITIVE)
     x_sigma0: Optional[list] = field(default=None, metadata={"shape": (None,)})
@@ -132,8 +136,8 @@ class VerificationBlock:
 
 @dataclass
 class RegressionBlock:
-    u1: list = field(default_factory=list)
-    u2: list = field(default_factory=list)
+    u1: list[str] = field(default_factory=list)
+    u2: list[str] = field(default_factory=list)
 
 
 # --- signal blocks: the fields of an input signal spec, by its "kind" ---------
@@ -180,10 +184,6 @@ class Scenario:
     name: str = ""
 
 
-def _key(f) -> str:
-    return f.metadata.get("key", f.name)
-
-
 def _field(key: str, block: str) -> str:
     """How an error message names field ``key`` of the ``block`` block."""
     return f"field {key!r} of the {block} block"
@@ -195,43 +195,67 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                dict: ((dict,), "a JSON object")}
 
 
-def _coerce(tp, value, key: str):
-    """A JSON value as the annotated type; Optional keeps null as None.  A
-    value must be of one of the annotation's JSON types, where a boolean is
-    not a number and an integral float is an integer."""
-    if get_origin(tp) is Union:
-        return None if value is None else _coerce(get_args(tp)[0], value, key)
-    if is_dataclass(tp):
-        return _block_from_dict(tp, value, key)
-    if tp is object:
-        return value
-    if tp is int and isinstance(value, float) and value.is_integer():
+class _Field:
+    """A field of a block class as loading and check_bounds read it: its
+    annotation is read once, here."""
+    __slots__ = ("name", "key", "tp", "optional", "block", "json", "strings",
+                 "meta", "default", "required")
+
+    def __init__(self, f):
+        tp = f.type
+        self.optional = get_origin(tp) is Union
+        if self.optional:
+            tp = get_args(tp)[0]
+        # the depth of strings in list[str] (1) and list[list[str]] (2)
+        depth, inner = 0, tp
+        while get_origin(inner) is list:
+            depth, inner = depth + 1, get_args(inner)[0]
+        self.strings = depth if inner is str else 0
+        self.tp = get_origin(tp) or tp  # without Optional and element types
+        self.block = is_dataclass(self.tp)
+        self.json = _JSON_TYPES.get(self.tp)  # None for a block or object
+        self.name, self.key = f.name, f.metadata.get("key", f.name)
+        self.meta, self.default = f.metadata, f.default
+        self.required = f.default is MISSING and f.default_factory is MISSING
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """The _Field of each field of block class ``cls``, worked out once per
+    class."""
+    return tuple(_Field(f) for f in fields(cls))
+
+
+def _coerce(f: _Field, value):
+    """A JSON value as the field's type; Optional keeps null as None.  A
+    value must be of one of the field's JSON types, where a boolean is not
+    a number and an integral float is an integer."""
+    if value is None and f.optional:
+        return None
+    if f.block:
+        return _block_from_dict(f.tp, value, f.key)
+    if f.tp is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    _check_type(tp, value, key)
-    return tp(value)
+    _check_type(f, value)
+    return value if f.json is None else f.tp(value)
 
 
-def _check_type(tp, value, key: str) -> None:
-    """``value`` is of one of the JSON types of annotation ``tp``, as it is,
-    where a boolean is not a number; Optional also takes None.  Annotations
-    without a JSON type (a block, ``object``) are not checked here."""
-    if get_origin(tp) is Union:
-        if value is None:
-            return
-        tp = get_args(tp)[0]
-    if tp not in _JSON_TYPES:
+def _check_type(f: _Field, value) -> None:
+    """``value`` is of one of the JSON types of field ``f``, as it is,
+    where a boolean is not a number.  Fields without a JSON type (a block,
+    ``object``) are not checked here."""
+    if f.json is None:
         return
-    types, kind = _JSON_TYPES[tp]
+    types, kind = f.json
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ScenarioError(f"field {key!r} must be {kind}, got {value!r}")
+        raise ScenarioError(f"field {f.key!r} must be {kind}, got {value!r}")
 
 
-def _check_bounds(f, value, subject: str) -> None:
-    """The bounds that field ``f``'s metadata declares; ``subject`` starts
-    the error message and names the field; None (an absent Optional
-    value) has no bounds, nor has a string field default such as P's
-    "auto"."""
-    meta = f.metadata
+def _check_bounds(f: _Field, value, subject: str) -> None:
+    """The bounds that field ``f`` declares; ``subject`` starts the error
+    message and names the field; None (an absent Optional value) has no
+    bounds, nor has a string field default such as P's "auto"."""
+    meta = f.meta
     if value is None:
         return
     if meta.get("finite"):
@@ -246,6 +270,13 @@ def _check_bounds(f, value, subject: str) -> None:
     if "minimum" in meta and value < meta["minimum"]:
         raise ScenarioError(f"{subject} must be at least {meta['minimum']}, "
                             f"got {value!r}")
+    if "choices" in meta and value not in meta["choices"]:
+        raise ScenarioError(f"{subject} must be one of {meta['choices']}, "
+                            f"got {value!r}")
+    if f.strings and not _holds_strings(value, f.strings):
+        rows = "rows of " if f.strings == 2 else ""
+        raise ScenarioError(f"{subject} must be a list of {rows}strings, "
+                            f"got {value!r}")
     if "shape" in meta and not (isinstance(value, str) and value == f.default):
         _numbers(value, meta["shape"], subject)
     if meta.get("signals"):  # one spec, or a list of at least one
@@ -254,6 +285,15 @@ def _check_bounds(f, value, subject: str) -> None:
             raise ScenarioError(f"{subject} must list at least one signal, got []")
         for spec in specs:
             _signal_block(spec)
+
+
+def _holds_strings(value, depth: int) -> bool:
+    """``value`` is a string at depth 0, a list of strings at depth 1 and
+    a list of lists of strings at depth 2."""
+    if not depth:
+        return isinstance(value, str)
+    return isinstance(value, list) and all(_holds_strings(v, depth - 1)
+                                           for v in value)
 
 
 def _numbers(value, shape: tuple, subject: str) -> np.ndarray:
@@ -296,15 +336,14 @@ def _block_from_dict(cls, raw, block: str):
     if not isinstance(raw, dict):
         raise ScenarioError(f"{block} block must be a JSON object")
     values = {}
-    for f in fields(cls):
-        key = _key(f)
-        if key in raw:
+    for f in _fields(cls):
+        if f.key in raw:
             try:
-                values[f.name] = _coerce(f.type, raw[key], key)
+                values[f.name] = _coerce(f, raw[f.key])
             except OverflowError:  # float() of an integer beyond its range
-                raise _too_large(_field(key, block)) from None
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ScenarioError(f"{block} block is missing required field {key!r}")
+                raise _too_large(_field(f.key, block)) from None
+        elif f.required:
+            raise ScenarioError(f"{block} block is missing required field {f.key!r}")
     return cls(**values)
 
 
@@ -315,18 +354,18 @@ def check_bounds(block, name: str = "scenario") -> None:
     Nothing is coerced: a value set in code must already be of the type
     loading gives (an int, not 2.0, for an integer field).  A block field
     must hold its block, or None where it is Optional."""
-    for f in fields(block):
-        value, tp, key = getattr(block, f.name), f.type, _key(f)
-        if get_origin(tp) is Union and value is not None:
-            tp = get_args(tp)[0]
-        if not is_dataclass(tp):
-            _check_type(f.type, value, key)
-            _check_bounds(f, value, _field(key, name))
-        elif not isinstance(value, tp):
-            raise ScenarioError(f"the {key} block must be of type "
-                                f"{tp.__name__}, got {value!r}")
+    for f in _fields(type(block)):
+        value = getattr(block, f.name)
+        if value is None and f.optional:
+            continue
+        if not f.block:
+            _check_type(f, value)
+            _check_bounds(f, value, _field(f.key, name))
+        elif not isinstance(value, f.tp):
+            raise ScenarioError(f"the {f.key} block must be of type "
+                                f"{f.tp.__name__}, got {value!r}")
         else:
-            check_bounds(value, key)
+            check_bounds(value, f.key)
 
 
 def _signal_block(spec):
@@ -345,8 +384,8 @@ def override(scn: Scenario, block: str, name: str, value, option: str) -> None:
     """Set field ``name`` of the ``block`` block from the command-line
     ``option``, coerced and bounded as when the scenario is loaded."""
     target = getattr(scn, block)
-    f = next(f for f in fields(target) if f.name == name)
-    value = _coerce(f.type, value, name)
+    f = next(f for f in _fields(type(target)) if f.name == name)
+    value = _coerce(f, value)
     _check_bounds(f, value, f"{option} overrides {block}.{name} and")
     setattr(target, name, value)
 
@@ -364,10 +403,10 @@ def scenario_to_dict(block) -> dict:
     """A scenario (or one of its blocks) as JSON: every field that is not
     None, under its JSON key."""
     out = {}
-    for f in fields(block):
+    for f in _fields(type(block)):
         value = getattr(block, f.name)
         if value is not None:
-            out[_key(f)] = scenario_to_dict(value) if is_dataclass(value) else value
+            out[f.key] = scenario_to_dict(value) if is_dataclass(value) else value
     return out
 
 
@@ -409,8 +448,6 @@ def build_plant(scn: Scenario) -> NormalFormPlant:
 def resolve_synthesis_spec(scn: Scenario, plant: NormalFormPlant) -> SynthesisSpec:
     """Resolve "auto"/"default" placeholders into a concrete SynthesisSpec."""
     block = scn.spec
-    if block.target not in ("NI", "OSNI"):
-        raise ScenarioError(f"unknown target {block.target!r}; expected NI or OSNI")
     lam = block.lam
     if lam is None:
         lam = 1.0 if block.target == "OSNI" else 0.0

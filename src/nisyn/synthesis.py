@@ -35,7 +35,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .expr import (
-    Const, Expr, Neg, Pow, Product, Sum, Var, add, compile_exprs,
+    Const, Expr, Neg, Pow, Product, Sum, Var, _fold_above, add, compile_exprs,
     differentiate, evaluate, fold_constants, mul, to_string, variables,
 )
 
@@ -275,15 +275,28 @@ def _alpha_exprs(plant: NormalFormPlant) -> Tuple[Expr, ...]:
 
 
 def _negative_powers(e: Expr) -> list:
-    """The negative powers in ``e``, outermost first."""
-    if isinstance(e, Pow):
-        return ([e] if e.exponent < 0 else []) + _negative_powers(e.base)
-    if isinstance(e, Neg):
-        return _negative_powers(e.child)
-    if isinstance(e, (Sum, Product)):
-        parts = e.terms if isinstance(e, Sum) else e.factors
-        return [q for part in parts for q in _negative_powers(part)]
-    return []
+    """The negative powers in ``e``, outermost first.  A node object
+    reached more than once is visited once, where it is first reached, so
+    the list is the first occurrences of the full walk's, in its order."""
+    seen: set = set()
+    out: list = []
+
+    def visit(e: Expr) -> None:
+        if id(e) in seen:
+            return
+        seen.add(id(e))
+        if isinstance(e, Pow):
+            if e.exponent < 0:
+                out.append(e)
+            visit(e.base)
+        elif isinstance(e, Neg):
+            visit(e.child)
+        elif isinstance(e, (Sum, Product)):
+            for part in e.terms if isinstance(e, Sum) else e.factors:
+                visit(part)
+
+    visit(e)
+    return out
 
 
 def _vanishes(e: Expr, origin: dict) -> bool:
@@ -319,10 +332,11 @@ def synthesize(plant: NormalFormPlant, spec: SynthesisSpec) -> ClosedLoopSystem:
                      for n in plant.xi1_names)
     grad_xi2 = tuple(fold_constants(differentiate(storage, n))
                      for n in plant.xi2_names)
-    u1_laws = tuple(fold_constants(Neg(g)) for g in grad_xi1)
+    # the gradients are folded: fold only the nodes the laws add on them
+    u1_laws = tuple(_fold_above(Neg(g), g) for g in grad_xi1)
     lam = Fraction(spec.lam)
     u2_laws = tuple(
-        fold_constants(add(Neg(g), mul(Const(-lam), Var(x3))))
+        _fold_above(add(Neg(g), mul(Const(-lam), Var(x3))), g)
         for g, x3 in zip(grad_xi2, plant.xi3_names))
     origin = {name: 0.0 for name in plant.state_names}
     for label, laws in (("u1", u1_laws), ("u2", u2_laws)):

@@ -114,6 +114,55 @@ def test_derivative_of_constant_power_is_evaluable_at_zero():
     assert evaluate(d, {"x": 0.0}) == 0.0
 
 
+def unpruned_derivative(e: Expr, var: str) -> Expr:
+    """The derivative that keeps every zero term: each subtree is walked,
+    and the product rule emits a term for every factor.  differentiate()
+    must fold to what this folds to."""
+    if isinstance(e, Var):
+        return Const(Fraction(1 if e.name == var else 0))
+    if isinstance(e, Const):
+        return Const(Fraction(0))
+    if isinstance(e, Neg):
+        return Neg(unpruned_derivative(e.child, var))
+    if isinstance(e, Sum):
+        return Sum(tuple(unpruned_derivative(t, var) for t in e.terms))
+    if isinstance(e, Product):
+        fs = e.factors
+        return add(*(mul(*fs[:i], unpruned_derivative(fs[i], var), *fs[i + 1:])
+                     for i in range(len(fs))))
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return Const(Fraction(0))
+        return mul(Const(e.exponent), Pow(e.base, e.exponent - 1),
+                   unpruned_derivative(e.base, var))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def test_a_subtree_free_of_the_variable_differentiates_to_zero():
+    names = ["x", "y"]
+    assert differentiate(parse_expr("x^(-1)", names), "y") == Const(Fraction(0))
+    # the unpruned rule multiplies by x^(-2), which raises at x = 0
+    assert evaluate(differentiate(parse_expr("x^(-1)", names), "y"),
+                    {"x": 0.0, "y": 1.0}) == 0.0
+    with pytest.raises(ZeroDivisionError):
+        evaluate(unpruned_derivative(parse_expr("x^(-1)", names), "y"),
+                 {"x": 0.0, "y": 1.0})
+    d = differentiate(parse_expr("x^(-1)*y", names), "y")
+    assert d == Product((Pow(Var("x"), Fraction(-1)), Const(Fraction(1))))
+    assert evaluate(d, {"x": 4.0, "y": 3.0}) == 0.25
+    # a sum keeps the derivatives of its terms that hold the variable
+    assert differentiate(parse_expr("x^3 + y + x*x", names), "y") == \
+        Const(Fraction(1))
+
+
+def test_differentiate_builds_a_shared_subtree_derivative_once():
+    shared = parse_expr("x^2 + 3*x*y", ["x", "y"])
+    d = differentiate(mul(shared, shared), "x")
+    assert d.terms[0].factors[0] is d.terms[1].factors[1]
+    assert fold_constants(d) == fold_constants(
+        unpruned_derivative(mul(shared, shared), "x"))
+
+
 # --- constant folding -------------------------------------------------------
 
 def test_fold_basics():
@@ -249,6 +298,22 @@ def test_fold_is_evaluation_equivalent(e):
     except (ZeroDivisionError, OverflowError):
         assume(False)
     assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
+
+
+@given(_exprs(), _names)
+@settings(max_examples=500, deadline=None)
+def test_differentiate_folds_as_the_unpruned_derivative(e, var):
+    assert fold_constants(differentiate(e, var)) == \
+        fold_constants(unpruned_derivative(e, var))
+
+
+@given(_exprs(), _names)
+@settings(max_examples=500, deadline=None)
+def test_fold_constants_is_idempotent(e, var):
+    # on derivatives too: synthesize folds the laws on folded gradients
+    for tree in (e, differentiate(e, var)):
+        folded = fold_constants(tree)
+        assert fold_constants(folded) == folded
 
 
 def test_compile_empty_vector():

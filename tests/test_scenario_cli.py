@@ -170,6 +170,73 @@ def test_main_rejects_a_negative_seed_override(tmp_path, capsys):
         "error: --seed overrides simulation.seed and must be at least 0, got -3\n"
 
 
+_GENERAL_FORM = {"j1": ["z1*xi1"], "j2": ["xi1^3"], "l1": [["1", "0"]],
+                 "l2": [["0", "1 + xi3^2"]]}
+
+
+@pytest.mark.parametrize("block, key, value, command, rows", [
+    ("plant", "p", [5], "analyze", False),
+    ("uncertainty", "f_sigma", ["-xs1^3+us1", 5], "simulate", False),
+    ("uncertainty", "h_sigma", [None, "xs2"], "verify", False),
+    ("regression", "u1", [5], "synthesize", False),
+    ("regression", "u2", [["xi3"]], "synthesize", False),
+    ("general_form", "j1", [5], "simulate", False),
+    ("general_form", "j2", [True], "simulate", False),
+    ("general_form", "l1", [["1", 5]], "simulate", True),
+    ("general_form", "l2", ["0", "1 + xi3^2"], "simulate", True),
+])
+def test_an_expression_field_refuses_what_is_not_a_string(
+        tmp_path, capsys, block, key, value, command, rows):
+    data = _fast_scenario(general_form=copy.deepcopy(_GENERAL_FORM))
+    data[block][key] = value
+    out = tmp_path / "o"
+    assert main([command, "--scenario", _write(tmp_path, data),
+                 "--out", str(out)]) == 2
+    kind = "rows of strings" if rows else "strings"
+    assert capsys.readouterr().err == (
+        f"error: field {key!r} of the {block} block must be a list of {kind}, "
+        f"got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block, key, value, bound", [
+    ("plant", "m", -1, "be at least 1"),
+    ("plant", "m", 0, "be at least 1"),
+    ("plant", "p1", -1, "be at least 0"),
+    ("plant", "p2", -2, "be at least 0"),
+    ("uncertainty", "n_sigma", -1, "be at least 1"),
+    ("uncertainty", "n_sigma", 0, "be at least 1"),
+    ("spec", "target", "SPR", "be one of ('NI', 'OSNI')"),
+])
+def test_main_refuses_an_undeclared_choice_or_a_size_below_its_minimum(
+        tmp_path, capsys, block, key, value, bound):
+    data = _fast_scenario()
+    data[block][key] = value
+    assert main(["analyze", "--scenario", _write(tmp_path, data),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: field {key!r} of the {block} block must {bound}, got {value!r}\n"
+
+
+def test_an_empty_relative_degree_two_block_still_synthesizes():
+    # p2 = 0 is allowed (p1 = 0 is DEGENERATE_P1 below); p1 + p2 >= 1
+    data = {"plant": {"m": 1, "p1": 1, "p2": 0, "A11": [[-1.0]],
+                      "p": ["xi1^2"]},
+            "spec": {"target": "NI"},
+            "simulation": {"x0": [1.0, 0.5]}}
+    report = run_synthesize(scenario_from_dict(data))
+    assert report["passed"]
+    assert report["laws"]["u2"] == []
+
+
+def test_a_pipeline_refuses_an_expression_list_changed_in_code():
+    scn = scenario_from_dict(_fast_scenario())
+    scn.regression.u1 = [5]
+    with pytest.raises(ScenarioError, match="^field 'u1' of the regression "
+                       r"block must be a list of strings, got \[5\]$"):
+        nisyn.cli.Pipeline(scn)
+
+
 def test_zero_seeds_load():
     data = _fast_scenario()
     data["simulation"]["seed"] = 0
@@ -521,10 +588,11 @@ def test_resolve_spec_target_rules():
     with pytest.raises(ScenarioError, match="lambda"):
         resolve_synthesis_spec(scn, build_plant(scn))
 
+    # an unknown target is refused when the scenario loads
     data = dict(MINIMAL, spec={"target": "SPR"})
-    scn = scenario_from_dict(data)
-    with pytest.raises(ScenarioError, match="target"):
-        resolve_synthesis_spec(scn, build_plant(scn))
+    with pytest.raises(ScenarioError, match="^field 'target' of the spec block "
+                       r"must be one of \('NI', 'OSNI'\), got 'SPR'$"):
+        scenario_from_dict(data)
 
 
 def test_sampling_box_defaults_and_validation():

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from nisyn.expr import (
-    Const, Neg, Product, Var, compile_exprs, evaluate, parse_expr, to_string,
-    variables,
+    Const, Neg, Pow, Product, Var, add, compile_exprs, evaluate,
+    fold_constants, mul, parse_expr, to_string, variables,
 )
 from nisyn.synthesis import (
     GeneralForm, NormalFormPlant, SingularMatrixError, SynthesisError,
     SynthesisSpec, block_names, closed_loop_rhs, default_v2,
     reduce_general_form, storage_value, synthesize,
 )
-from nisyn.synthesis import _alpha_exprs
+from nisyn.synthesis import _alpha_exprs, _negative_powers
+
+from test_expr import unpruned_derivative
 
 STATE_NAMES = ("z1", "xi1", "xi2", "xi3")
 
@@ -482,6 +484,32 @@ def test_synthesize_rejects_law_singular_at_origin(example_plant):
         synthesize(example_plant, SynthesisSpec([[1.0]], v2, lam=1.0))
 
 
+@pytest.mark.parametrize("v2, message", [
+    ("xi1^(2/3)+xi2^2", "u1[1] contains xi1^(-1/3)"),
+    ("xi1^(2/3)+xi2^(2/3)", "u1[1] contains xi1^(-1/3)"),
+    ("xi2^(2/3) + xi1^2", "u2[1] contains xi2^(-1/3)"),
+    ("xi1^(2/3)*xi2^2 + xi1^2 + xi2^(4/3)", "u1[1] contains xi1^(-1/3)"),
+])
+def test_a_singular_law_names_the_same_power(example_plant, v2, message):
+    with pytest.raises(SynthesisError) as err:
+        synthesize(example_plant, SynthesisSpec(
+            [[1.0]], parse_expr(v2, ["xi1", "xi2"]), lam=1.0))
+    assert str(err.value) == \
+        f"feedback law {message}, which is singular at the origin"
+
+
+def test_negative_powers_lists_a_shared_power_once_where_first_reached():
+    x = Var("x")
+    shared = Pow(add(x, Const(1)), Fraction(-1))
+    inner = Pow(x, Fraction(-2))
+    nested = Pow(add(Pow(x, Fraction(-5)), Const(1)), Fraction(-1))
+    e = add(mul(shared, inner), Neg(shared),
+            Pow(mul(inner, shared), Fraction(-3)), nested)
+    outer = e.terms[2]
+    powers = [shared, inner, outer, nested, nested.base.terms[0]]
+    assert [id(q) for q in _negative_powers(e)] == [id(q) for q in powers]
+
+
 def test_synthesize_accepts_negative_power_of_nonvanishing_base(example_plant):
     v2 = parse_expr("xi1^2*(1 + xi1^2)^(-1) + xi2^2", ["xi1", "xi2"])
     cl = synthesize(example_plant, SynthesisSpec([[1.0]], v2, lam=1.0))
@@ -567,3 +595,49 @@ def test_compiled_field_of_an_m2_loop_matches_sympy():
             want = np.array([float(w) for w in oracle(*point)])
         got = cl._rhs_fn(point)
         assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+# --- the synthesis against the unpruned derivative ----------------------------
+
+def _reference_synthesis(plant, spec):
+    """Storage, gradients and laws from the derivative that keeps every
+    zero term, each law folded whole."""
+    alpha = _alpha_exprs(plant)
+    quad = [mul(Const(Fraction(c)), alpha[i], alpha[j])
+            for (i, j), c in np.ndenumerate(spec.p_matrix) if c != 0.0]
+    kinetic = [mul(Const(Fraction(1, 2)), Pow(Var(n), Fraction(2)))
+               for n in plant.xi3_names]
+    storage = fold_constants(add(*quad, spec.v2, *kinetic))
+    grad_xi1, grad_xi2 = (
+        tuple(fold_constants(unpruned_derivative(storage, n)) for n in names)
+        for names in (plant.xi1_names, plant.xi2_names))
+    lam = Fraction(spec.lam)
+    u1 = tuple(fold_constants(Neg(g)) for g in grad_xi1)
+    u2 = tuple(fold_constants(add(Neg(g), mul(Const(-lam), Var(x3))))
+               for g, x3 in zip(grad_xi2, plant.xi3_names))
+    return storage, grad_xi1, grad_xi2, u1, u2
+
+
+def _m4_plant_and_spec():
+    """m = 4, p1 = 1, p2 = 2: a rotation block and a coupled Hurwitz block,
+    three cubic monomials per row of p(y), a dense P."""
+    y = ("xi1", "xi2_1", "xi2_2")
+    rows = ("0.5*xi1^2*xi2_1 - 0.3*xi2_2^3 + 0.7*xi1*xi2_1*xi2_2",
+            "-0.4*xi1^3 + 0.9*xi2_1^2*xi2_2 + 0.2*xi1*xi2_2^2",
+            "0.6*xi2_1^3 - 0.8*xi1^2*xi2_2 + 0.3*xi1*xi2_1^2",
+            "-0.7*xi2_2^2*xi2_1 + 0.5*xi1^2*xi2_2 - 0.2*xi2_1^3")
+    a11 = [[0.0, 1.1, 0.0, 0.0], [-1.1, 0.0, 0.0, 0.0],
+           [0.0, 0.0, -1.3, 0.4], [0.0, 0.0, -0.2, -1.7]]
+    plant = NormalFormPlant(a11=a11, p=tuple(parse_expr(r, y) for r in rows),
+                            p1=1, p2=2)
+    q = np.random.default_rng(4).normal(size=(4, 4))
+    v2 = parse_expr("xi1^(4/3) + 0.8*xi2_1^2 + 1.2*xi2_2^2", y)
+    return plant, SynthesisSpec(q @ q.T + np.eye(4), v2, lam=1.0)
+
+
+def test_synthesize_equals_the_unpruned_reference(example_plant, example_spec):
+    for plant, spec in ((example_plant, example_spec), _m4_plant_and_spec()):
+        cl = synthesize(plant, spec)
+        got = (cl.storage_expr, cl.grad_xi1, cl.grad_xi2, cl.u1_laws,
+               cl.u2_laws)
+        assert got == _reference_synthesis(plant, spec)
