@@ -343,7 +343,7 @@ def _write_applied_inputs(gform, plant, closed_loop, traj, out_dir: Path) -> Pat
     """Map the total normal-form input along the trajectory through the
     general-form transform and export the inputs to apply upstream."""
     # the xi1' and xi3' rows of the loop's field are v + law
-    rates = closed_loop._rhs_fn(np.column_stack([traj.states, traj.inputs]))
+    rates = closed_loop.rhs(traj.states, traj.inputs)
     total = rates[:, np.r_[plant.m:plant.m + plant.p1,
                            plant.n_states - plant.p2:plant.n_states]]
     applied = reduce_general_form(gform, plant, traj.states)(total)

@@ -2,7 +2,11 @@
 
 Integration is classical fourth-order Runge-Kutta on a uniform grid with
 zero-order-hold inputs, so the derivative estimates used by the checkers
-live on a clean grid.  ``simulate`` runs any synthesis.Dissipative system.
+live on a clean grid.  ``simulate`` runs any synthesis.Dissipative system;
+``simulate_closed_loop`` and ``simulate_uncertainty`` are other names for
+it, and ``simulate_interconnection`` splits the joint run's records into
+the loop's and the uncertainty's.  ``integrate`` refuses an initial state
+or a signal of the wrong width before the first step.
 Storage and output rates are estimated by second-order finite differences
 (central in the interior, one-sided at the endpoints, as in numpy.gradient)
 and compared against the one inequality S' <= u^T y' - sum_b w_b |y_b'|^2,
@@ -29,8 +33,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .synthesis import ClosedLoopSystem, Dissipative, SynthesisError
-from .uncertainty import Interconnection, OsniUncertainty, UncertaintyError
+from .synthesis import Dissipative
+from .uncertainty import Interconnection
 
 __all__ = [
     "IntegrationError", "DivergenceError", "Trajectory",
@@ -231,15 +235,20 @@ def integrate(rhs: Callable,
     The input is open-loop and zero-order-hold at the grid times
     t_k = k*dt, so it is sampled once per run: ``input_fn`` maps the (N,)
     time grid to an (N, p) array (None means p = 0), and any other shape is
-    a ValueError.  Integration aborts with an IntegrationError on NaN/Inf
-    and raises DivergenceError when the state norm exceeds ``blowup_norm``;
-    both carry the step and the last good state.
+    a ValueError, as is an ``x0`` that is not one state (n,) and a field
+    that does not map n states and p inputs to n rates; these are checked
+    before the first step.  Integration aborts with an IntegrationError on
+    NaN/Inf and raises DivergenceError when the state norm exceeds
+    ``blowup_norm``; both carry the step and the last good state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < dt:
         raise ValueError("t_end must be at least one step")
-    x = np.array(x0, dtype=float).tolist()
+    x = np.array(x0, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x0 must be one state (n,), got shape {x.shape}")
+    x = x.tolist()
     n = len(x)
     n_steps = int(round(t_end / dt))
     t_grid = np.arange(n_steps + 1) * dt
@@ -282,10 +291,6 @@ def integrate(rhs: Callable,
     return Trajectory(t=t_grid, states=states, inputs=inputs,
                       state_names=tuple(state_names),
                       input_names=tuple(input_names))
-
-
-def _input_shape(signal) -> tuple:
-    return np.atleast_1d(np.asarray(signal(0.0), dtype=float)).shape
 
 
 def _rate(values: np.ndarray, dt: float) -> np.ndarray:
@@ -333,35 +338,9 @@ def simulate(system: Dissipative,
     return traj
 
 
-def simulate_closed_loop(closed_loop: ClosedLoopSystem,
-                         x0: Sequence[float],
-                         t_end: float,
-                         dt: float,
-                         signal: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                         blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
-    """Simulate the synthesized loop under an input signal and record the
-    storage value and OSNI residual along the run."""
-    p = closed_loop.plant.n_outputs
-    if np.shape(x0) != (closed_loop.plant.n_states,):
-        raise SynthesisError("closed_loop_rhs: state dimension mismatch")
-    if signal is not None and _input_shape(signal) != (p,):
-        raise SynthesisError("closed_loop_rhs: input dimension mismatch")
-    return simulate(closed_loop, x0, t_end, dt, signal, blowup_norm)
-
-
-def simulate_uncertainty(uncertainty: OsniUncertainty,
-                         xs0: Sequence[float],
-                         t_end: float,
-                         dt: float,
-                         signal: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                         blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
-    """Simulate the uncertainty block alone; the V record holds its own
-    storage and the residual its OSNI residual."""
-    if np.shape(xs0) != (uncertainty.n_sigma,):
-        raise UncertaintyError("uncertainty rhs: state dimension mismatch")
-    if signal is not None and _input_shape(signal) != (uncertainty.n_outputs,):
-        raise UncertaintyError("uncertainty rhs: input dimension mismatch")
-    return simulate(uncertainty, xs0, t_end, dt, signal, blowup_norm)
+# names kept for their callers: the loop and the uncertainty run as any
+# Dissipative system does
+simulate_closed_loop = simulate_uncertainty = simulate
 
 
 def simulate_interconnection(interconnection: Interconnection,
@@ -375,11 +354,12 @@ def simulate_interconnection(interconnection: Interconnection,
     residual W' + eps|y'|^2 + eps_sigma|w'|^2 (nonpositive in theory)."""
     n = interconnection.closed_loop.plant.n_states
     p = interconnection.closed_loop.plant.n_outputs
-    joint0 = np.concatenate([np.asarray(x0, dtype=float),
-                             np.asarray(xs0, dtype=float)])
-    if np.shape(x0) != (n,) or joint0.shape != (interconnection.n_states,):
-        raise UncertaintyError("interconnection_rhs: dimension mismatch")
-    traj = simulate(interconnection, joint0, t_end, dt, None, blowup_norm)
+    # the joint width alone would pass a wrong split such as 3 + 3
+    if np.shape(x0) != (n,):
+        raise ValueError(f"Interconnection takes the loop's {n} states first, "
+                         f"got shape {np.shape(x0)}")
+    traj = simulate(interconnection, np.concatenate([x0, xs0]), t_end, dt,
+                    None, blowup_norm)
     # the applied input of the loop is the uncertainty output w = h(xs)
     traj.W, traj.inputs, traj.outputs = \
         traj.V, traj.outputs[:, p:], traj.outputs[:, :p]

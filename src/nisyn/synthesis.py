@@ -184,10 +184,24 @@ class Dissipative:
     supplies ``state_names``, ``input_names`` (by default none, and then no
     supply term), ``rhs_exprs`` over both, ``output_exprs`` and
     ``storage_expr`` over the states, and ``strictness``: one
-    ``(width, weight)`` per block of outputs.
+    ``(width, weight)`` per block of outputs.  ``storage``, ``output`` and
+    ``rhs`` take one point (k,) or a stack (N, k); any other shape is a
+    ValueError that names the class, k and the shape.
     """
 
     input_names: Tuple[str, ...] = ()
+
+    def _checked(self, x, field: bool = False) -> np.ndarray:
+        """``x`` as floats, when it is a point (k,) or a stack (N, k), with
+        k the number of states, or of states and inputs for the field."""
+        x = np.asarray(x, dtype=float)
+        k = len(self.state_names) + (len(self.input_names) if field else 0)
+        if x.ndim not in (1, 2) or x.shape[-1] != k:
+            what = "states and inputs" if field else "states"
+            raise ValueError(
+                f"{type(self).__name__} takes a point ({k},) or a stack "
+                f"(N, {k}) of {what}, got shape {x.shape}")
+        return x
 
     @cached_property
     def _rhs_fn(self):
@@ -205,12 +219,22 @@ class Dissipative:
 
     def storage(self, x: np.ndarray):
         """S at one state (float) or at a stack of states (N,)."""
-        s = self._storage_fn(np.asarray(x, dtype=float))[..., 0]
+        s = self._storage_fn(self._checked(x))[..., 0]
         return s if s.ndim else float(s)
 
     def output(self, x: np.ndarray) -> np.ndarray:
         """y at one state (k,) or at a stack of states (N, k)."""
-        return self._output_fn(np.asarray(x, dtype=float))
+        return self._output_fn(self._checked(x))
+
+    def rhs(self, x: np.ndarray, u: np.ndarray = ()) -> np.ndarray:
+        """f(x, u) at one state and input, (n,) and (p,), or at stacks of
+        them, (N, n) and (N, p); a system without inputs takes the states
+        alone."""
+        x = self._checked(x)
+        if self.input_names or np.size(u):
+            x = self._checked(np.concatenate([x, np.asarray(u, dtype=float)],
+                                             axis=-1), field=True)
+        return self._rhs_fn(x)
 
 
 @dataclass
@@ -360,23 +384,13 @@ def synthesize(plant: NormalFormPlant, spec: SynthesisSpec) -> ClosedLoopSystem:
 
 def storage_value(state: np.ndarray, closed_loop: ClosedLoopSystem):
     """V at one state (float) or at a stack of states (N,)."""
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1:] != (closed_loop.plant.n_states,):
-        raise SynthesisError("storage_value: dimension mismatch")
     return closed_loop.storage(state)
 
 
 def closed_loop_rhs(state: np.ndarray, v: np.ndarray,
                     closed_loop: ClosedLoopSystem) -> np.ndarray:
     """Vector field of the synthesized loop driven by the new input v."""
-    plant = closed_loop.plant
-    state = np.asarray(state, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if state.shape != (plant.n_states,):
-        raise SynthesisError("closed_loop_rhs: state dimension mismatch")
-    if v.shape != (plant.n_outputs,):
-        raise SynthesisError("closed_loop_rhs: input dimension mismatch")
-    return np.array(closed_loop._rhs_fn.point(state.tolist() + v.tolist()))
+    return closed_loop.rhs(state, v)
 
 
 # --- general normal form ----------------------------------------------------

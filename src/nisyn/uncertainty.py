@@ -15,6 +15,8 @@ us = y), the composite storage
 decreases along trajectories whenever both sides hold their dissipation
 inequalities.  The block and the interconnection are synthesis.Dissipative
 systems, which sim.simulate runs as it runs the loop, with one residual.
+``interconnection_rhs`` and ``composite_storage`` are the interconnection's
+``rhs`` and ``storage``, whose base checks the width of every state.
 """
 
 from __future__ import annotations
@@ -97,9 +99,6 @@ class OsniUncertainty(Dissipative):
     def input_names(self):
         return tuple(f"us{i + 1}" for i in range(self.n_outputs))
 
-    def rhs(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return self._rhs_fn(np.concatenate([xs, us]))
-
 
 @dataclass
 class Interconnection(Dissipative):
@@ -152,16 +151,10 @@ def interconnection_rhs(joint_state: np.ndarray,
                         interconnection: Interconnection) -> np.ndarray:
     """Joint vector field: the loop driven by w = h(xs), the uncertainty by
     us = y."""
-    joint_state = np.asarray(joint_state, dtype=float)
-    if joint_state.shape != (interconnection.n_states,):
-        raise UncertaintyError("interconnection_rhs: dimension mismatch")
-    return interconnection._rhs_fn(joint_state)
+    return interconnection.rhs(joint_state)
 
 
 def composite_storage(joint_state: np.ndarray,
                       interconnection: Interconnection):
     """W = V + Vs - h(xs)^T y at a joint state (float) or a stack (N,)."""
-    joint_state = np.asarray(joint_state, dtype=float)
-    if joint_state.shape[-1:] != (interconnection.n_states,):
-        raise UncertaintyError("composite_storage: dimension mismatch")
     return interconnection.storage(joint_state)

@@ -595,6 +595,16 @@ def test_resolve_spec_target_rules():
         scenario_from_dict(data)
 
 
+def test_a_target_set_in_code_is_refused_by_the_next_stage():
+    # the builders trust check_bounds; every Pipeline runs it first
+    scn = scenario_from_dict(dict(MINIMAL, spec={"target": "NI"}))
+    assert run_synthesize(scn)["passed"]
+    scn.spec.target = "SPR"
+    with pytest.raises(ScenarioError, match="^field 'target' of the spec block "
+                       r"must be one of \('NI', 'OSNI'\), got 'SPR'$"):
+        run_synthesize(scn)
+
+
 def test_sampling_box_defaults_and_validation():
     scn = scenario_from_dict(MINIMAL)
     box = sampling_box(scn, 4)
@@ -1337,18 +1347,26 @@ def test_main_simulate_rejects_a_bad_time_field(tmp_path, capsys, block, key,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flag, value, problem", [
-    ("--t-end", "inf", "simulation.t_end and must be a finite number, got inf"),
-    ("--t-end", "-2", "simulation.t_end and must be positive, got -2.0"),
-    ("--dt", "nan", "simulation.dt and must be a finite number, got nan"),
-    ("--dt", "0", "simulation.dt and must be positive, got 0.0"),
+@pytest.mark.parametrize("command, flag, value, problem", [
+    ("simulate", "--t-end", "inf",
+     "simulation.t_end and must be a finite number, got inf"),
+    ("simulate", "--t-end", "-2", "simulation.t_end and must be positive, got -2.0"),
+    ("simulate", "--dt", "nan", "simulation.dt and must be a finite number, got nan"),
+    ("simulate", "--dt", "0", "simulation.dt and must be positive, got 0.0"),
+    ("reproduce-example", "--dt", "nan",
+     "simulation.dt and must be a finite number, got nan"),
+    ("reproduce-example", "--dt", "-0.01",
+     "simulation.dt and must be positive, got -0.01"),
 ])
-def test_main_simulate_rejects_a_bad_time_override(tmp_path, capsys, flag, value,
-                                                   problem):
-    path = _write(tmp_path, _fast_scenario())
-    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "o"),
+def test_main_simulate_rejects_a_bad_time_override(tmp_path, capsys, command, flag,
+                                                   value, problem):
+    scenario = []
+    if command == "simulate":
+        scenario = ["--scenario", _write(tmp_path, _fast_scenario())]
+    assert main([command, *scenario, "--out", str(tmp_path / "o"),
                  flag, value]) == 2
     assert capsys.readouterr().err == f"error: {flag} overrides {problem}\n"
+    assert not (tmp_path / "o").exists()
 
 
 _VERIFY_BOUNDS = [
@@ -1458,24 +1476,6 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "EQUIVALENT" in proc.stdout
-
-
-@pytest.mark.parametrize("dt, message", [
-    ("nan", "must be a finite number, got nan"),
-    ("-0.01", "must be positive, got -0.01"),
-])
-def test_reproduce_script_rejects_a_bad_dt(tmp_path, dt, message):
-    src = os.path.dirname(os.path.dirname(nisyn.cli.__file__))
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                          "reproduce_example.py")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, script, "--dt", dt, "--out", str(tmp_path / "r")],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
-    assert proc.stderr == f"error: --dt overrides simulation.dt and {message}\n"
-    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -15,12 +15,12 @@ from nisyn.scenario import ScenarioError, signal_from_spec
 from nisyn.sim import (
     DivergenceError, IntegrationError, Trajectory, bandlimited_signal,
     check_dissipation, check_w_decrease, convergence_metrics, integrate,
-    multisine_signal, simulate_closed_loop, simulate_interconnection,
+    multisine_signal, simulate, simulate_closed_loop, simulate_interconnection,
     simulate_uncertainty, step_signal, write_columns_csv,
     write_trajectory_csv, zero_signal,
 )
-from nisyn.synthesis import SynthesisError, SynthesisSpec, storage_value, synthesize
-from nisyn.uncertainty import Interconnection, OsniUncertainty, UncertaintyError
+from nisyn.synthesis import SynthesisSpec, storage_value, synthesize
+from nisyn.uncertainty import Interconnection, OsniUncertainty
 from test_synthesis import random_plant_and_spec
 
 XS = ("xs1", "xs2")
@@ -453,31 +453,74 @@ def test_a_redone_step_resumes_the_loop_on_python_floats(monkeypatch, exprs,
 
 
 @pytest.mark.parametrize("x0, signal, error", [
-    (X0[:3], None, "closed_loop_rhs: state dimension mismatch"),
-    (np.zeros((2, 4)), None, "closed_loop_rhs: state dimension mismatch"),
-    (X0, step_signal([0.1, 0.1, 0.1]), "closed_loop_rhs: input dimension mismatch"),
+    (X0[:3], None, "the field maps 6 values to 4, but the run has 3 states "
+                   "and 2 inputs"),
+    (np.zeros((2, 4)), None, "x0 must be one state (n,), got shape (2, 4)"),
+    (X0, step_signal([0.1, 0.1, 0.1]),
+     "the field maps 6 values to 4, but the run has 4 states and 3 inputs"),
 ])
 def test_simulate_closed_loop_checks_lengths_first(example_cl, x0, signal, error):
-    with pytest.raises(SynthesisError, match=error):
+    with pytest.raises(ValueError, match=re.escape(error)):
         simulate_closed_loop(example_cl, x0, 0.1, 1e-2, signal=signal)
 
 
 @pytest.mark.parametrize("xs0, signal, error", [
-    ([0.0, 0.0, 0.0], None, "state dimension mismatch"),
-    ([0.0, 0.0], step_signal([0.1]), "input dimension mismatch"),
+    ([0.0, 0.0, 0.0], None,
+     "the field maps 4 values to 2, but the run has 3 states and 2 inputs"),
+    ([0.0, 0.0], step_signal([0.1]),
+     "the field maps 4 values to 2, but the run has 2 states and 1 inputs"),
 ])
 def test_simulate_uncertainty_checks_lengths_first(xs0, signal, error):
-    with pytest.raises(UncertaintyError, match=error):
+    with pytest.raises(ValueError, match=re.escape(error)):
         simulate_uncertainty(_example_unc(), xs0, 0.1, 1e-2, signal=signal)
 
 
-@pytest.mark.parametrize("x0, xs0", [
-    (X0[:3], [0.0, 0.0]), (X0, [0.0]), (X0[:3], [0.0, 0.0, 0.0]),
+@pytest.mark.parametrize("x0, xs0, error", [
+    (X0[:3], [0.0, 0.0],
+     "Interconnection takes the loop's 4 states first, got shape (3,)"),
+    (X0, [0.0],
+     "the field maps 6 values to 6, but the run has 5 states and 0 inputs"),
+    (X0[:3], [0.0, 0.0, 0.0],  # the joint width, split 3 + 3
+     "Interconnection takes the loop's 4 states first, got shape (3,)"),
 ])
-def test_simulate_interconnection_checks_lengths_first(example_cl, x0, xs0):
+def test_simulate_interconnection_checks_lengths_first(example_cl, x0, xs0, error):
     ic = Interconnection(example_cl, _example_unc())
-    with pytest.raises(UncertaintyError, match="interconnection_rhs: dimension mismatch"):
+    with pytest.raises(ValueError, match=re.escape(error)):
         simulate_interconnection(ic, x0, xs0, 0.1, 1e-2)
+
+
+def test_every_entry_point_refuses_a_wrong_width(example_cl):
+    unc = _example_unc()
+    for system in (example_cl, unc, Interconnection(example_cl, unc)):
+        n, p = len(system.state_names), len(system.input_names)
+        name = type(system).__name__
+
+        def takes(k, what, shape):
+            return re.escape(f"{name} takes a point ({k},) or a stack (N, {k}) "
+                             f"of {what}, got shape {shape}")
+
+        for bad in (np.zeros(n - 1), np.zeros((3, n + 1))):
+            for method in (system.storage, system.output, system.rhs):
+                with pytest.raises(ValueError, match=takes(n, "states", bad.shape)):
+                    method(bad)
+        # one input too many, at a point and on a stack
+        for x in (np.zeros(n), np.zeros((3, n))):
+            u = np.zeros(x.shape[:-1] + (p + 1,))
+            with pytest.raises(ValueError, match=takes(
+                    n + p, "states and inputs", x.shape[:-1] + (n + p + 1,))):
+                system.rhs(x, u)
+        # a run checks the widths of its initial state and of its stack of
+        # inputs before the first step
+        run = f"the field maps {n + p} values to {n}, but the run has "
+        with pytest.raises(ValueError, match=re.escape(
+                run + f"{n - 1} states and {p} inputs")):
+            simulate(system, np.zeros(n - 1), 0.1, 1e-2)
+        with pytest.raises(ValueError, match=re.escape(
+                run + f"{n} states and {p + 1} inputs")):
+            simulate(system, np.zeros(n), 0.1, 1e-2, signal=zero_signal(p + 1))
+        with pytest.raises(ValueError, match=re.escape(
+                f"x0 must be one state (n,), got shape (2, {n})")):
+            simulate(system, np.zeros((2, n)), 0.1, 1e-2)
 
 
 # --- one simulate and one residual for every Dissipative system ----------------

@@ -392,12 +392,28 @@ def test_rhs_keeps_zero_a11_entries():
 
 
 def test_rhs_rejects_misshaped_arguments(example_cl):
-    with pytest.raises(SynthesisError, match="state dimension"):
+    states = r"ClosedLoopSystem takes a point \(4,\) or a stack \(N, 4\) of states"
+    with pytest.raises(ValueError, match=states + r", got shape \(3,\)"):
         closed_loop_rhs(np.zeros(3), np.zeros(2), example_cl)
-    with pytest.raises(SynthesisError, match="state dimension"):
-        closed_loop_rhs(np.zeros((2, 4)), np.zeros(2), example_cl)
-    with pytest.raises(SynthesisError, match="input dimension"):
+    with pytest.raises(ValueError, match=states + r", got shape \(2, 3\)"):
+        closed_loop_rhs(np.zeros((2, 3)), np.zeros(2), example_cl)
+    with pytest.raises(ValueError, match=states + r", got shape \(2, 2, 4\)"):
+        closed_loop_rhs(np.zeros((2, 2, 4)), np.zeros(2), example_cl)
+    fields = (r"ClosedLoopSystem takes a point \(6,\) or a stack \(N, 6\) of "
+              r"states and inputs, got shape ")
+    with pytest.raises(ValueError, match=fields + r"\(7,\)"):
         closed_loop_rhs(np.zeros(4), np.zeros(3), example_cl)
+    with pytest.raises(ValueError, match=fields + r"\(2, 7\)"):
+        closed_loop_rhs(np.zeros((2, 4)), np.zeros((2, 3)), example_cl)
+
+
+def test_rhs_on_a_stack_is_the_rhs_at_each_point(example_cl):
+    rng = np.random.default_rng(5)
+    x, v = rng.uniform(-1, 1, size=(6, 4)), rng.uniform(-1, 1, size=(6, 2))
+    got = closed_loop_rhs(x, v, example_cl)
+    assert got.shape == (6, 4)
+    for xk, vk, gk in zip(x, v, got):
+        assert gk == pytest.approx(closed_loop_rhs(xk, vk, example_cl), rel=1e-12)
 
 
 def test_empty_xi1_block():
@@ -472,7 +488,8 @@ def test_storage_value_on_a_stack(example_cl):
     assert got.shape == (6,)
     for s, v in zip(stack, got):
         assert v == pytest.approx(storage_value(s, example_cl), rel=1e-12)
-    with pytest.raises(SynthesisError, match="dimension"):
+    with pytest.raises(ValueError, match=r"ClosedLoopSystem takes a point \(4,\) "
+                       r"or a stack \(N, 4\) of states, got shape \(6, 3\)"):
         storage_value(np.zeros((6, 3)), example_cl)
 
 

@@ -1,5 +1,7 @@
 """Uncertainty blocks, interconnection wiring and composite storage."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -126,8 +128,10 @@ def test_rhs_bit_exact_with_termwise_reference(example_ic):
 
 
 def test_rhs_rejects_misshaped_state(example_ic):
-    for bad in (np.zeros(5), np.zeros(7), np.zeros((2, 6))):
-        with pytest.raises(UncertaintyError, match="dimension"):
+    for bad in (np.zeros(5), np.zeros(7), np.zeros((2, 5)), np.zeros((2, 2, 6))):
+        with pytest.raises(ValueError, match=re.escape(
+                "Interconnection takes a point (6,) or a stack (N, 6) of "
+                f"states, got shape {bad.shape}")):
             interconnection_rhs(bad, example_ic)
 
 
@@ -187,5 +191,7 @@ def test_storage_and_output_on_a_stack(example_ic, example_unc):
         assert wk == pytest.approx(composite_storage(s, example_ic), rel=1e-12)
         assert vk == pytest.approx(example_unc.storage(s[4:]), rel=1e-12)
         assert hk == pytest.approx(example_unc.output(s[4:]))
-    with pytest.raises(UncertaintyError, match="dimension"):
+    with pytest.raises(ValueError, match=re.escape(
+            "Interconnection takes a point (6,) or a stack (N, 6) of states, "
+            "got shape (5, 5)")):
         composite_storage(joint[:, :5], example_ic)
