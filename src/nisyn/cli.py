@@ -103,13 +103,36 @@ def _products(scn: Scenario) -> dict:
     return products
 
 
+class _KeptRun:
+    """A Pipeline run that more than one stage reads, made on first read and
+    kept with the shared products as ``_<name>``.  A run that diverged
+    keeps its IntegrationError, which every read raises again, so it too is
+    integrated once."""
+
+    def __init__(self, run):
+        self.run, self.key = run, "_" + run.__name__
+
+    def __get__(self, pipe, owner=None):
+        out = pipe.__dict__.get(self.key)
+        if out is None:
+            try:
+                out = self.run(pipe)
+            except IntegrationError as err:
+                out = err
+            pipe.__dict__[self.key] = out
+        if isinstance(out, IntegrationError):
+            raise out
+        return out
+
+
 class Pipeline:
     """One scenario's chain, built on first use and shared by every stage:
     plant -> stability verdict -> spec -> closed loop -> uncertainty ->
     interconnection.  Of the trajectories it keeps only the two that more
     than one stage reads: the interconnection run and the closed-loop run
-    under ``simulation.input``.  The scenario's field bounds are checked
-    when the pipeline is built, so they hold for a scenario made in code.
+    under ``simulation.input``, each kept as its IntegrationError if it
+    diverged.  The scenario's field bounds are checked when the pipeline is
+    built, so they hold for a scenario made in code.
 
     Every pipeline built on one Scenario object shares these products, so
     stage functions called in turn on it synthesize once and integrate each
@@ -172,14 +195,14 @@ class Pipeline:
         width = self.plant.n_states + (unc.n_sigma if unc is not None else 0)
         return _halton(width, ver.samples, ver.pd_seed).T
 
-    @cached_property
+    @_KeptRun
     def interconnection_run(self):
         sim = self.scn.simulation
         return simulate_interconnection(self.interconnection, self.x0,
                                         self.scn.uncertainty.x_sigma0,
                                         sim.t_end, sim.dt)
 
-    @cached_property
+    @_KeptRun
     def input_run(self):
         return self._closed_loop_run(self.scn.simulation.input)
 

@@ -22,6 +22,12 @@ so e.g. ``(-8)^(1/3) = -2`` and ``(-1)^(4/3) = 1``.  Exponents with an even
 denominator are rejected at parse time because they are not real-valued on
 negative bases.
 
+Storages, gradients and laws share subtrees.  variables, substitute,
+normalize, differentiate, fold_constants and compile_exprs' subtree
+numbering walk through ``_walk``, which visits each node object once and
+shares its result wherever it is reached again; the structural walks take
+a node's children from ``_children``.
+
 compile_exprs() is the one evaluator, for a point or a stack of points; the
 tree walker evaluate() is its reference and serves one-point origin checks.
 It emits one straight-line function for the whole vector: it unpacks its
@@ -174,38 +180,62 @@ def mul(*factors: Expr) -> Expr:
     return Product(tuple(flat))
 
 
-def variables(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Neg):
-        return variables(e.child)
-    if isinstance(e, Sum):
-        return frozenset().union(*(variables(t) for t in e.terms))
-    if isinstance(e, Product):
-        return frozenset().union(*(variables(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return variables(e.base)
+def _children(e: Expr) -> tuple:
+    """A node's children in evaluation order; () for a leaf."""
+    kind = type(e)  # the node classes have no subclasses; most common first
+    if kind is Product:
+        return e.factors
+    if kind is Const or kind is Var:
+        return ()
+    if kind is Sum:
+        return e.terms
+    if kind is Pow:
+        return (e.base,)
+    if kind is Neg:
+        return (e.child,)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _with_children(e: Expr, kids: Sequence[Expr]) -> Expr:
+    """A node of ``e``'s kind and payload over ``kids``; a leaf is ``e``.
+    Built with the constructors, so a sum of sums stays nested."""
+    if isinstance(e, Sum):
+        return Sum(kids)
+    if isinstance(e, Product):
+        return Product(kids)
+    if isinstance(e, Neg):
+        return Neg(kids[0])
+    if isinstance(e, Pow):
+        return Pow(kids[0], e.exponent)
+    return e
+
+
+def _walk(step: Callable) -> Callable[[Expr], object]:
+    """A walk that calls ``step(node, walk)`` once per node object and
+    returns its result wherever the object is reached again; ``step``
+    reaches the children through ``walk``."""
+    done: dict = {}  # id -> (node, result); the node keeps its id valid
+    get = done.get
+
+    def walk(e: Expr):
+        hit = get(id(e))
+        if hit is None:
+            hit = done[id(e)] = (e, step(e, walk))
+        return hit[1]
+
+    return walk
+
+
+def variables(e: Expr) -> frozenset:
+    return _walk(lambda e, walk: frozenset((e.name,)) if isinstance(e, Var)
+                 else frozenset().union(*map(walk, _children(e))))(e)
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace each variable named in ``mapping`` by its expression.  The
     tree is otherwise kept node for node, so it evaluates in the same order."""
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.child, mapping))
-    if isinstance(e, Sum):
-        return Sum(tuple(substitute(t, mapping) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(substitute(f, mapping) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, mapping), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
+    return _walk(lambda e, walk: mapping.get(e.name, e) if isinstance(e, Var)
+                 else _with_children(e, tuple(map(walk, _children(e)))))(e)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -398,15 +428,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     simplified; apply fold_constants() separately, which folds it to what
     it folds the derivative that keeps every zero term to.
     """
-    derived: dict = {}  # id -> (node, derivative); the node keeps its id valid
-
-    def d(e: Expr) -> Optional[Expr]:
-        hit = derived.get(id(e))
-        if hit is None:
-            hit = derived[id(e)] = (e, _derivative(e, var, d))
-        return hit[1]
-
-    out = d(e)
+    out = _walk(lambda e, d: _derivative(e, var, d))(e)
     return Const(Fraction(0)) if out is None else out
 
 
@@ -469,30 +491,16 @@ def _exact_rational_pow(value: Fraction, exponent: Fraction) -> Optional[Fractio
 
 def fold_constants(e: Expr) -> Expr:
     """Fold constant subexpressions with exact rational arithmetic.
-
-    Evaluation-equivalent to the input; not a canonical form.  A subtree
-    object reached more than once (differentiate reuses factors) is folded
-    once and its result shared.
-    """
-    folded: dict = {}  # id -> (node, result); the node keeps its id valid
-
-    def fold(e: Expr) -> Expr:
-        hit = folded.get(id(e))
-        if hit is None:
-            hit = folded[id(e)] = (e, _fold(e, fold))
-        return hit[1]
-
-    return fold(e)
+    Evaluation-equivalent to the input; not a canonical form."""
+    return _walk(_fold)(e)
 
 
 def _fold_above(e: Expr, folded: Expr) -> Expr:
     """fold_constants(e) for an ``e`` built on ``folded``, a result of
     fold_constants: only the nodes above ``folded`` are folded, since
     fold_constants gives a folded tree back node for node."""
-    def fold(node: Expr) -> Expr:
-        return node if node is folded else _fold(node, fold)
-
-    return fold(e)
+    return _walk(lambda node, fold: node if node is folded
+                 else _fold(node, fold))(e)
 
 
 def _fold(e: Expr, fold: Callable[[Expr], Expr]) -> Expr:
@@ -614,21 +622,18 @@ def normalize(e: Expr) -> Expr:
     wrappers and rewrite negative constants as Neg(positive).  This is the
     shape the parser itself produces, so parse(to_string(e)) == normalize(e).
     """
-    if isinstance(e, Var):
-        return e
-    if isinstance(e, Const):
-        if e.value < 0:
-            return Neg(Const(-e.value))
-        return e
-    if isinstance(e, Neg):
-        return Neg(normalize(e.child))
+    return _walk(_normal)(e)
+
+
+def _normal(e: Expr, walk: Callable[[Expr], Expr]) -> Expr:
+    if isinstance(e, Const) and e.value < 0:
+        return Neg(Const(-e.value))
+    kids = tuple(map(walk, _children(e)))
     if isinstance(e, Sum):
-        return add(*(normalize(t) for t in e.terms))
+        return add(*kids)
     if isinstance(e, Product):
-        return mul(*(normalize(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(normalize(e.base), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
+        return mul(*kids)
+    return _with_children(e, kids)
 
 
 # --- compilation -----------------------------------------------------------
@@ -645,40 +650,24 @@ def _subtrees(exprs: Sequence[Expr]):
     table: dict = {}
     nodes: list = []
     uses: list = []
-    by_object: dict = {}  # one Python object reached twice is walked once
 
-    def visit(e) -> int:
-        i = by_object.get(id(e))
-        if i is not None:
-            uses[i] += 1
-            return i
-        if isinstance(e, Var):
-            key = (Var, e.name, ())
-        elif isinstance(e, Const):
-            key = (Const, e.value, ())
-        elif isinstance(e, Neg):
-            key = (Neg, None, (visit(e.child),))
-        elif isinstance(e, Sum):
-            key = (Sum, None, tuple(visit(t) for t in e.terms))
-        elif isinstance(e, Product):
-            key = (Product, None, tuple(visit(f) for f in e.factors))
-        elif isinstance(e, Pow):
-            key = (Pow, e.exponent, (visit(e.base),))
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
+    def number(e: Expr, walk: Callable[[Expr], int]) -> int:
+        kids = tuple(map(walk, _children(e)))
+        payload = (e.exponent if isinstance(e, Pow) else None) if kids else (
+            e.name if isinstance(e, Var) else e.value)
+        key = (type(e), payload, kids)
         i = table.get(key)
-        if i is None:
+        if i is None:  # a copy's children are counted for the first one
             i = table[key] = len(nodes)
-            nodes.append((e, key[2]))
+            nodes.append((e, kids))
             uses.append(0)
-        else:  # a copy: its children are already counted for the first one
-            for c in key[2]:
-                uses[c] -= 1
-        uses[i] += 1
-        by_object[id(e)] = i
+            for k in kids:
+                uses[k] += 1
         return i
 
-    roots = [visit(e) for e in exprs]
+    roots = list(map(_walk(number), exprs))
+    for r in roots:
+        uses[r] += 1
     return roots, nodes, uses
 
 

@@ -321,7 +321,9 @@ def simulate(system: Dissipative,
              blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
     """Run a Dissipative system from ``x0`` under ``signal`` (None: zero) and
     record its outputs, its storage (as ``V``) and its residual, whose finite
-    differences need at least 3 samples (fewer is a ValueError)."""
+    differences need at least 3 samples (fewer is a ValueError).  An ``x0``
+    of the wrong width is a ValueError that names the system."""
+    x0 = system._checked(x0)
     if signal is None:
         signal = zero_signal(len(system.input_names))
     traj = integrate(system._rhs_fn, x0, t_end, dt, input_fn=signal,

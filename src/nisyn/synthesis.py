@@ -35,8 +35,9 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .expr import (
-    Const, Expr, Neg, Pow, Product, Sum, Var, _fold_above, add, compile_exprs,
-    differentiate, evaluate, fold_constants, mul, to_string, variables,
+    Const, Expr, Neg, Pow, Sum, Var, _children, _fold_above, _walk, add,
+    compile_exprs, differentiate, evaluate, fold_constants, mul, to_string,
+    variables,
 )
 
 __all__ = [
@@ -299,27 +300,17 @@ def _alpha_exprs(plant: NormalFormPlant) -> Tuple[Expr, ...]:
 
 
 def _negative_powers(e: Expr) -> list:
-    """The negative powers in ``e``, outermost first.  A node object
-    reached more than once is visited once, where it is first reached, so
-    the list is the first occurrences of the full walk's, in its order."""
-    seen: set = set()
+    """The negative powers in ``e``, outermost first; a shared node object
+    counts where it is first reached."""
     out: list = []
 
-    def visit(e: Expr) -> None:
-        if id(e) in seen:
-            return
-        seen.add(id(e))
-        if isinstance(e, Pow):
-            if e.exponent < 0:
-                out.append(e)
-            visit(e.base)
-        elif isinstance(e, Neg):
-            visit(e.child)
-        elif isinstance(e, (Sum, Product)):
-            for part in e.terms if isinstance(e, Sum) else e.factors:
-                visit(part)
+    def visit(e: Expr, walk) -> None:
+        if isinstance(e, Pow) and e.exponent < 0:
+            out.append(e)
+        for part in _children(e):
+            walk(part)
 
-    visit(e)
+    _walk(visit)(e)
     return out
 
 

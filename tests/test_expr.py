@@ -13,6 +13,8 @@ from nisyn.expr import (
     add, compile_exprs, differentiate, evaluate, fold_constants, mul,
     normalize, parse_expr, rational_power, substitute, to_string, variables,
 )
+import nisyn.expr
+import nisyn.synthesis
 from nisyn.expr import _body
 
 
@@ -370,6 +372,126 @@ def test_substitute_keeps_the_tree():
     got = substitute(e, {"x": Sum((Var("y"), Const(1)))})
     assert got.terms[0] == Sum((Var("y"), Const(1)))  # not flattened
     assert variables(got) == {"y"}
+
+
+# --- one walk per node object ----------------------------------------------
+#
+# The ladders below are variables, substitute and normalize as they were
+# before they shared one walk: each walks every path, so a subtree reached
+# twice is walked twice.  They are the oracles of the walked versions.
+
+def ladder_variables(e: Expr) -> frozenset:
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Const):
+        return frozenset()
+    if isinstance(e, Neg):
+        return ladder_variables(e.child)
+    if isinstance(e, Sum):
+        return frozenset().union(*(ladder_variables(t) for t in e.terms))
+    if isinstance(e, Product):
+        return frozenset().union(*(ladder_variables(f) for f in e.factors))
+    if isinstance(e, Pow):
+        return ladder_variables(e.base)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def ladder_substitute(e: Expr, mapping) -> Expr:
+    if isinstance(e, Var):
+        return mapping.get(e.name, e)
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Neg):
+        return Neg(ladder_substitute(e.child, mapping))
+    if isinstance(e, Sum):
+        return Sum(tuple(ladder_substitute(t, mapping) for t in e.terms))
+    if isinstance(e, Product):
+        return Product(tuple(ladder_substitute(f, mapping) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(ladder_substitute(e.base, mapping), e.exponent)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def ladder_normalize(e: Expr) -> Expr:
+    if isinstance(e, Var):
+        return e
+    if isinstance(e, Const):
+        if e.value < 0:
+            return Neg(Const(-e.value))
+        return e
+    if isinstance(e, Neg):
+        return Neg(ladder_normalize(e.child))
+    if isinstance(e, Sum):
+        return add(*(ladder_normalize(t) for t in e.terms))
+    if isinstance(e, Product):
+        return mul(*(ladder_normalize(f) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(ladder_normalize(e.base), e.exponent)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+@given(_exprs(), _names, _exprs())
+@settings(max_examples=200, deadline=None)
+def test_walked_helpers_match_their_ladders(e, name, g):
+    # on e, on a DAG that reaches e twice, and under a power of a sum whose
+    # terms may be sums themselves
+    for tree in (e, Sum((e, Product((g, e)))), Pow(Sum((e, g)), Fraction(3))):
+        assert variables(tree) == ladder_variables(tree)
+        assert substitute(tree, {name: g}) == ladder_substitute(tree, {name: g})
+        assert normalize(tree) == ladder_normalize(tree)
+
+
+def _doubling(levels: int) -> Expr:
+    """e_{k+1} = e_k + 2*e_k from e_0 = x: 2^levels paths to x."""
+    e = Var("x")
+    for _ in range(levels):
+        e = Sum((e, Product((Const(2), e))))
+    return e
+
+
+def _objects(e: Expr, seen: dict) -> dict:
+    """The distinct node objects under e, by id."""
+    if id(e) not in seen:
+        seen[id(e)] = e
+        for c in (e.terms if isinstance(e, Sum) else
+                  e.factors if isinstance(e, Product) else
+                  (e.child,) if isinstance(e, Neg) else
+                  (e.base,) if isinstance(e, Pow) else ()):
+            _objects(c, seen)
+    return seen
+
+
+def test_a_shared_subtree_is_walked_once(monkeypatch):
+    e = _doubling(20)
+    objects = _objects(e, {})  # x, then a sum, a product and a 2 per level
+    assert len(objects) == 61
+    inner = {i for i, node in objects.items() if not isinstance(node, Var)}
+    node = substitute(e, {"x": Sum((Var("y"), Const(1)))})
+    for _ in range(20):  # both reaches of each level are one object
+        assert node.terms[0] is node.terms[1].factors[1]
+        node = node.terms[0]
+    assert node == Sum((Var("y"), Const(1)))
+
+    calls = []
+    children = nisyn.expr._children
+    for module in (nisyn.expr, nisyn.synthesis):
+        monkeypatch.setattr(module, "_children",
+                            lambda node: calls.append(node) or children(node))
+    for walk in (variables, lambda e: substitute(e, {"x": Var("y")}),
+                 normalize, lambda e: _body([e], ["x"]),
+                 nisyn.synthesis._negative_powers):
+        calls.clear()
+        walk(e)
+        reached = {id(node) for node in calls}
+        assert len(calls) == len(reached) and inner <= reached <= objects.keys()
+    assert variables(e) == {"x"}
+
+
+def test_a_walk_refuses_what_is_not_a_node():
+    for walk in (variables, normalize, lambda e: substitute(e, {}),
+                 lambda e: compile_exprs([e], ["x"])):
+        with pytest.raises(TypeError, match="not an expression node: 3.0"):
+            walk(Sum((Var("x"), 3.0)))
 
 
 def test_rational_power_on_arrays_matches_scalar():

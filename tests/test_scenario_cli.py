@@ -1022,6 +1022,36 @@ def test_verify_then_simulate_synthesize_once_and_match_fresh_scenarios(
     assert calls == {"synthesize": 1, "simulate_closed_loop": len(signals)}
 
 
+def _diverging_scenarios() -> list:
+    """A loop scenario whose run under ``simulation.input`` diverges, and a
+    scenario whose interconnection run diverges (an unstable uncertainty
+    started off its origin)."""
+    loop = _loop_scenario()
+    step = {"kind": "step", "amplitude": [5e5, 5e5]}
+    loop["verification"]["input_signals"].append(step)
+    loop["simulation"]["input"] = step
+    joint = _fast_scenario()
+    joint["uncertainty"]["f_sigma"][0] = "xs1^3+us1"
+    joint["uncertainty"]["x_sigma0"] = [2.0, 0.0]
+    signals = loop["verification"]["input_signals"]
+    return [(loop, "simulate_closed_loop", len(signals)),
+            (joint, "simulate_interconnection", 1)]
+
+
+@pytest.mark.parametrize("data, name, runs", _diverging_scenarios(),
+                         ids=["closed_loop", "interconnection"])
+def test_a_diverging_kept_run_is_integrated_once(tmp_path, monkeypatch, data,
+                                                 name, runs):
+    want_verify = run_verify(scenario_from_dict(data))
+    want_simulate = run_simulate(scenario_from_dict(data), tmp_path / "fresh")
+    assert "diverged_at_step" in want_simulate and not want_verify["passed"]
+    calls = _count_calls(monkeypatch, name)
+    scn = scenario_from_dict(data)
+    assert run_verify(scn) == want_verify
+    assert run_simulate(scn, tmp_path / "kept") == want_simulate
+    assert calls == {name: runs}
+
+
 def _edit_x0(scn):
     scn.simulation.x0[0] = 0.5
 

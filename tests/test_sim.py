@@ -453,8 +453,8 @@ def test_a_redone_step_resumes_the_loop_on_python_floats(monkeypatch, exprs,
 
 
 @pytest.mark.parametrize("x0, signal, error", [
-    (X0[:3], None, "the field maps 6 values to 4, but the run has 3 states "
-                   "and 2 inputs"),
+    (X0[:3], None, "ClosedLoopSystem takes a point (4,) or a stack (N, 4) of "
+                   "states, got shape (3,)"),
     (np.zeros((2, 4)), None, "x0 must be one state (n,), got shape (2, 4)"),
     (X0, step_signal([0.1, 0.1, 0.1]),
      "the field maps 6 values to 4, but the run has 4 states and 3 inputs"),
@@ -466,7 +466,8 @@ def test_simulate_closed_loop_checks_lengths_first(example_cl, x0, signal, error
 
 @pytest.mark.parametrize("xs0, signal, error", [
     ([0.0, 0.0, 0.0], None,
-     "the field maps 4 values to 2, but the run has 3 states and 2 inputs"),
+     "OsniUncertainty takes a point (2,) or a stack (N, 2) of states, got "
+     "shape (3,)"),
     ([0.0, 0.0], step_signal([0.1]),
      "the field maps 4 values to 2, but the run has 2 states and 1 inputs"),
 ])
@@ -479,7 +480,8 @@ def test_simulate_uncertainty_checks_lengths_first(xs0, signal, error):
     (X0[:3], [0.0, 0.0],
      "Interconnection takes the loop's 4 states first, got shape (3,)"),
     (X0, [0.0],
-     "the field maps 6 values to 6, but the run has 5 states and 0 inputs"),
+     "Interconnection takes a point (6,) or a stack (N, 6) of states, got "
+     "shape (5,)"),
     (X0[:3], [0.0, 0.0, 0.0],  # the joint width, split 3 + 3
      "Interconnection takes the loop's 4 states first, got shape (3,)"),
 ])
@@ -511,12 +513,11 @@ def test_every_entry_point_refuses_a_wrong_width(example_cl):
                 system.rhs(x, u)
         # a run checks the widths of its initial state and of its stack of
         # inputs before the first step
-        run = f"the field maps {n + p} values to {n}, but the run has "
-        with pytest.raises(ValueError, match=re.escape(
-                run + f"{n - 1} states and {p} inputs")):
+        with pytest.raises(ValueError, match=takes(n, "states", (n - 1,))):
             simulate(system, np.zeros(n - 1), 0.1, 1e-2)
         with pytest.raises(ValueError, match=re.escape(
-                run + f"{n} states and {p + 1} inputs")):
+                f"the field maps {n + p} values to {n}, but the run has "
+                f"{n} states and {p + 1} inputs")):
             simulate(system, np.zeros(n), 0.1, 1e-2, signal=zero_signal(p + 1))
         with pytest.raises(ValueError, match=re.escape(
                 f"x0 must be one state (n,), got shape (2, {n})")):
