@@ -42,9 +42,10 @@ call to rational_power; the callable keeps it (``body``, ``roots``,
 second pass over the tree.  Both forms fold negations into subtractions
 by exact IEEE identities (``a + (-b)`` is ``a - b``, a leading ``(-a) +
 b`` is ``b - a``, a product led by -1 is ``-(rest)``), so they keep the
-tree walker's bits, signed zeros included.  On a stack, the integer
-powers 3 and 4 are product chains, since numpy's power runs a scalar loop
-on negative bases; a Python float or a numpy scalar keeps ``**``.  One
+tree walker's bits, signed zeros included.  On a stack, an integer power
+k other than 2 and -1 is a chain of squarings (of 1/x for a negative k),
+since numpy's power runs a scalar loop on negative bases; a Python float
+or a numpy scalar keeps ``**``.  One
 point runs on Python floats: the callable passes ``x.tolist()`` to its
 ``point`` attribute, the one-point entry point, which the integrator also
 calls on float64 arrays to redo a step whose inlined body raised.  Python floats raise
@@ -722,7 +723,7 @@ def _code(e: Expr, kids: Sequence[tuple], index: Mapping[str, int],
         if den != 1:
             return (_float_power(base, e.exponent) if floats
                     else f"_rp({base}, {num}, {den})"), None
-        if not floats and num in _CHAINED:
+        if not floats and (num > 2 or num < -1):
             return f"_ip({base}, {num})", None
         # parenthesize the base: ** binds tighter than unary minus, and a
         # negative constant renders with a leading sign
@@ -730,21 +731,27 @@ def _code(e: Expr, kids: Sequence[tuple], index: Mapping[str, int],
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# The integer powers that the array form multiplies out on a stack: numpy's
-# power runs a scalar loop on negative bases (about 8 ms per 100 000 values
-# against 0.1 ms for x*x*x), and x**2 is numpy's square, x*x already.
-_CHAINED = (3, 4)
-
-
 def _int_power(x, k: int):
-    """``x**k`` for k in _CHAINED, as a product chain on an array.  A
-    Python float or a numpy scalar keeps ``**``, so a point evaluates as
-    evaluate() does; an array gets within a few roundings of it."""
+    """``x**k`` for k >= 3 or k <= -2, by square-and-multiply in place on an
+    array, of 1/x for a negative k: numpy's power runs a scalar loop on negative bases
+    (about 8 ms per 100 000 values against 0.1 ms for x*x*x), and x**2 and
+    x**-1 are numpy's square and reciprocal already.  Every partial product is a power of x (or 1/x)
+    between the first and the k-th, so the chain meets overflow and
+    division by zero where numpy's power meets them, up to a rounding at
+    the edge of the float range.  A Python float or a numpy scalar keeps
+    ``**``, so a point evaluates as evaluate() does; an array gets within a
+    few roundings of it."""
     if not isinstance(x, np.ndarray):
         return x ** k
-    y = x * x
-    y *= x if k == 3 else y
-    return y
+    if k < 0:
+        x, k = 1.0 / x, -k
+    out = x * x  # k has at least two bits; square-and-multiply from the top
+    for i, bit in enumerate(bin(k)[3:]):
+        if i:
+            out *= out
+        if bit == "1":
+            out *= x
+    return out
 
 
 def _const_power(e: Pow) -> Optional[str]:
@@ -780,8 +787,8 @@ def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
     a base without variables is the literal of its value, and a subtree
     read only there is not bound.  The first
     form calls ``_rp`` (rational_power) for a fractional power and ``_ip``
-    (_int_power) for the powers 3 and 4, which multiplies them out on a
-    stack, and runs on arrays; the second, the float form, inlines a
+    (_int_power) for an integer power k other than 2 and -1, which
+    multiplies it out on a stack, and runs on arrays; the second, the float form, inlines a
     fractional power as a conditional expression, keeps ``**`` and runs on
     floats.  In both, a negation or a product led by a negative constant
     that is a term of a sum is subtracted (see _code), and a product led

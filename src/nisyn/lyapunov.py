@@ -3,10 +3,9 @@
 classify_stability() sorts a real matrix into Hurwitz / marginally stable /
 unstable, deciding semisimplicity of imaginary-axis eigenvalues through the
 numerical rank of A - lambda*I rather than a Jordan form.
-lyapunov_certificate() then constructs P > 0 with A^T P + P A <= 0 and
-verifies it post hoc by direct multiplication; it is the only user of
-scipy.linalg, which it imports when called, so a scenario that gives its
-own P never loads scipy.
+lyapunov_certificate() then constructs P > 0 with A^T P + P A <= 0 from
+numpy alone, through Newton's iteration for the matrix sign function, and
+verifies it post hoc by direct multiplication.
 sampled_positive_definite() checks f(0) = 0 and f > 0 on scrambled Halton
 points of a box, drawn by _halton(), a numpy copy of scipy's sampler, or
 taken from the leading rows of a draw that several boxes share.
@@ -31,6 +30,8 @@ __all__ = [
 # residual bound for A^T P + P A, relative to ||P||
 _CERT_RESIDUAL_RTOL = 1e-8
 _MAX_CONDITION = 1e10
+# Newton steps after which the sign iteration counts as not converging
+_SIGN_MAX_STEPS = 100
 
 
 class StabilityError(Exception):
@@ -165,49 +166,94 @@ def _critical_multiplicities(a, eigs, idx, tol, norm2):
 def lyapunov_certificate(a, verdict: StabilityVerdict) -> np.ndarray:
     """Construct symmetric P > 0 with A^T P + P A <= 0.
 
-    Hurwitz: solve A^T P + P A = -I.  Marginally stable: block-diagonalize
-    into a Hurwitz part and a semisimple imaginary-axis part brought to
-    skew-symmetric form, then assemble P = T^-T diag(P_h, I) T^-1.
-    The result is always verified by direct multiplication.
+    Hurwitz: solve A^T P + P A = -I by Roberts' identity, sign([[A^T, I],
+    [0, -A]]) = [[-I, 2P], [0, I]].  Marginally stable: the sign of A - cI,
+    c halfway between the stable and the critical real parts, gives the
+    projector onto the stable subspace; the critical subspace, lifted along
+    it, is brought to skew-symmetric form, and P = T^-T diag(P_h, I) T^-1
+    with P_h the Roberts solve on the stable block.  The sign function is
+    a Newton iteration (_sign) that raises ConditioningError if it has not
+    converged in _SIGN_MAX_STEPS steps.  The result is always verified by
+    direct multiplication.
     """
-    import scipy.linalg as sla
-
     a = _as_square(a)
     if verdict.classification is Classification.UNSTABLE:
         raise StabilityError("no Lyapunov certificate exists for an unstable matrix")
     if verdict.classification is Classification.HURWITZ:
-        p = sla.solve_continuous_lyapunov(a.T, -np.eye(a.shape[0]))
-        p = 0.5 * (p + p.T)
+        p = _lyapunov_solve(a)
     else:
-        p = _marginal_certificate(a, verdict.tol)
+        p = _marginal_certificate(a, verdict)
     _verify_certificate(a, p)
     return p
 
 
-def _marginal_certificate(a, tol):
-    import scipy.linalg as sla
+def _sign(z):
+    """The matrix sign function of z, which has no imaginary-axis eigenvalue.
 
+    Newton's iteration Z <- (cZ + (cZ)^-1)/2 converges quadratically to it;
+    the determinant scaling c = |det Z|^(-1/n) cuts the steps spent far from
+    convergence and is dropped once a step changes Z by under 1% (Higham,
+    Functions of Matrices, ch. 5).  The iteration stops when a step changes
+    Z by at most 10*n*eps*||Z||_1, or when an unscaled step changes it no
+    less than the step before it: rounding, which grows with the departure
+    of Z from normality, then bounds what a further step can gain.
+    ConditioningError if neither happens within _SIGN_MAX_STEPS steps.
+    """
+    n = z.shape[0]
+    tol = 10 * n * np.finfo(float).eps
+    scaled, previous = True, np.inf
+    for _ in range(_SIGN_MAX_STEPS):
+        try:
+            c = math.exp(-np.linalg.slogdet(z)[1] / n) if scaled else 1.0
+            step = 0.5 * (c * z + np.linalg.inv(z) / c)
+        except (OverflowError, np.linalg.LinAlgError) as err:
+            raise ConditioningError(f"sign iteration failed: {err}") from None
+        change = np.linalg.norm(step - z, 1)
+        size = np.linalg.norm(step, 1)
+        z = step
+        if change <= tol * size or (not scaled and change >= previous):
+            return z
+        scaled, previous = change > 1e-2 * size, change
+    raise ConditioningError(
+        f"sign iteration did not converge in {_SIGN_MAX_STEPS} steps")
+
+
+def _lyapunov_solve(a):
+    """P with A^T P + P A = -I for a Hurwitz A: half the upper-right block
+    of sign([[A^T, I], [0, -A]]) (Roberts' identity), symmetrized."""
     n = a.shape[0]
-    t, q, sdim = sla.schur(a, output="real", sort=lambda re, im: re < -tol)
-    s = int(sdim)
-    t11, t12, t22 = t[:s, :s], t[:s, s:], t[s:, s:]
-    basis = q.copy()
-    if s and t22.size:
-        # decouple the stable and critical blocks: T11 R - R T22 = -T12
-        r = sla.solve_sylvester(t11, -t22, -t12)
-        m = np.eye(n)
-        m[:s, s:] = r
-        basis = q @ m
-    sk = _skew_basis(t22, tol)
-    t_full = basis.copy()
-    t_full[:, s:] = basis[:, s:] @ sk
+    h = np.zeros((2 * n, 2 * n))
+    h[:n, :n], h[:n, n:], h[n:, n:] = a.T, np.eye(n), -a
+    p = 0.5 * _sign(h)[:n, n:]
+    return 0.5 * (p + p.T)
+
+
+def _marginal_certificate(a, verdict):
+    """P = T^-T diag(P_h, I) T^-1 for a marginally stable A.  The first
+    columns of T are an orthonormal basis Q_s of the stable subspace, the
+    others a basis of the critical subspace in which A is skew-symmetric,
+    lifted from the orthonormal complement Q_c along the stable subspace.
+    P does not depend on the choice of Q_s and Q_c."""
+    n, tol = a.shape[0], verdict.tol
+    re = np.array([lam.real for lam in verdict.eigenvalues])
+    stable = re < -tol
+    s = int(stable.sum())
+    proj = np.zeros((n, n))  # the spectral projector onto the stable subspace
+    if s:
+        # sign(A - cI), c halfway between the stable and critical real parts
+        c = 0.5 * (re[stable].max() + re[~stable].min())
+        proj = 0.5 * (np.eye(n) - _sign(a - c * np.eye(n)))
+    u = np.linalg.svd(proj)[0]
+    q_s, q_c = u[:, :s], u[:, s:]
+    lifted = q_c - proj @ q_c
+    t_full = np.hstack([q_s, lifted @ _skew_basis(q_c.T @ a @ q_c, tol)])
     cond = np.linalg.cond(t_full)
     if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise ConditioningError(
             f"block-diagonalizing transform is ill-conditioned (cond={cond:.3e})")
     d = np.eye(n)
     if s:
-        d[:s, :s] = sla.solve_continuous_lyapunov(t11.T, -np.eye(s))
+        d[:s, :s] = _lyapunov_solve(q_s.T @ a @ q_s)
     x = np.linalg.solve(t_full, np.eye(n))
     p = x.T @ d @ x
     return 0.5 * (p + p.T)

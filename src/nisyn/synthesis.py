@@ -21,8 +21,8 @@ supports the feedback laws
 which render the loop from the new input v to y negative imaginary with
 output strictness epsilon = min(1, lambda).  alpha is substituted into V
 symbolically before differentiation so the emitted laws are closed-form
-expressions.  A11^{-1} comes from numpy alone, so importing this module
-does not load scipy.
+expressions.  A11^{-1} and, for P = "auto", the certificate P
+(lyapunov.py) come from numpy alone.
 """
 
 from __future__ import annotations

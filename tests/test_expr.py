@@ -1,6 +1,7 @@
 """Expression language: parser, evaluator, derivative and printer."""
 
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -653,7 +654,8 @@ def test_negations_fold_into_subtractions_keeping_every_signed_zero(e, folded):
 
 
 @pytest.mark.parametrize("k, chained", [(2, False), (3, True), (4, True),
-                                        (-2, False), (5, False)])
+                                        (-1, False), (-2, True), (5, True),
+                                        (-3, True)])
 def test_small_powers_are_product_chains_on_stacks_only(k, chained):
     e = Pow(Var("x"), Fraction(k))
     (_, array_roots), (_, float_roots) = _body([e], ["x"])
@@ -671,6 +673,42 @@ def test_small_powers_are_product_chains_on_stacks_only(k, chained):
         assert np.signbit(g) == np.signbit(want)
     scalar = fn.point(np.array([-1.3]))[0]  # numpy scalars keep ** too
     assert scalar == (-1.3) ** k
+
+
+def _warning_kinds(caught):
+    """The floating-point errors that numpy warned of, without the name of
+    the operation that met them."""
+    return sorted({str(w.message).split(" encountered")[0] for w in caught})
+
+
+@pytest.mark.parametrize("k", [-4, -3, -2, -1, 3, 4, 5, 6, 7, 8])
+def test_integer_powers_on_stacks_keep_the_point_values_and_warnings(k):
+    # a mixed-sign stack with signed zeros, infinities, nan and values whose
+    # k-th power overflows or underflows
+    edges = [0.0, np.inf, np.nan, 1e-200, 1e200, 1e-80, 1e80, 2.0 ** -1074, 1e308]
+    xs = np.concatenate([np.geomspace(1e-3, 1e3, 200), edges])
+    xs = np.random.default_rng(k + 10).permutation(np.concatenate([xs, -xs]))
+    fn = compile_exprs([Pow(Var("x"), Fraction(k))], ["x"])
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        stack = fn(xs[:, None])[:, 0]
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        np.power(xs, k)
+    assert _warning_kinds(got) == _warning_kinds(want)
+    assert _warning_kinds(got) != []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        points = [fn.point([x])[0] for x in xs.tolist()]
+    for g, want in zip(stack.tolist(), points):
+        if np.isnan(want):
+            assert np.isnan(g)
+            continue
+        assert np.signbit(g) == np.signbit(want)
+        if np.isinf(want):
+            assert g == want
+        else:
+            assert abs(g - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def test_the_bundled_loop_body_has_no_negation_left_to_fold():

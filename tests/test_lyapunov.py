@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nisyn.lyapunov
 from nisyn.lyapunov import (
-    _HALTON_TABLE, Classification, StabilityError, _halton, _primes,
-    classify_stability,
+    _HALTON_TABLE, Classification, ConditioningError, StabilityError,
+    _halton, _primes, _skew_basis, _verify_certificate, classify_stability,
     default_tolerance, lyapunov_certificate, sampled_positive_definite,
 )
 
@@ -111,19 +112,25 @@ def test_certificate_random_hurwitz_residual():
         assert np.linalg.norm(a.T @ p + p @ a + np.eye(n), 2) <= 1e-8
 
 
+def _nonnormal_marginal(rng):
+    """A random Hurwitz 3x3 beside two rotations, under a non-orthogonal
+    similarity."""
+    h = _random_hurwitz(rng, 3)
+    om = rng.uniform(0.5, 3.0, size=2)
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = om[0], -om[0]
+    skew[2, 3], skew[3, 2] = om[1], -om[1]
+    b = np.zeros((7, 7))
+    b[:3, :3] = h
+    b[3:, 3:] = skew
+    t = rng.normal(size=(7, 7)) + 3 * np.eye(7)
+    return t @ b @ np.linalg.inv(t)
+
+
 def test_certificate_marginal_nonnormal():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        h = _random_hurwitz(rng, 3)
-        om = rng.uniform(0.5, 3.0, size=2)
-        skew = np.zeros((4, 4))
-        skew[0, 1], skew[1, 0] = om[0], -om[0]
-        skew[2, 3], skew[3, 2] = om[1], -om[1]
-        b = np.zeros((7, 7))
-        b[:3, :3] = h
-        b[3:, 3:] = skew
-        t = rng.normal(size=(7, 7)) + 3 * np.eye(7)
-        a = t @ b @ np.linalg.inv(t)
+        a = _nonnormal_marginal(rng)
         verdict = classify_stability(a)
         assert verdict.classification is Classification.MARGINALLY_STABLE
         p = lyapunov_certificate(a, verdict)
@@ -153,6 +160,129 @@ def test_certificate_scaling_linearity():
     c = 3.5
     p2 = lyapunov_certificate(c * a, classify_stability(c * a))
     assert p2 == pytest.approx(p1 / c, rel=1e-8)
+
+
+def schur_certificate(a, verdict):
+    """The certificate by scipy's sorted real Schur form, a Sylvester solve
+    that decouples its blocks and scipy's Lyapunov solver.  The bases it
+    picks span the subspaces that lyapunov_certificate's do, and P does not
+    depend on the choice, so the two agree up to rounding."""
+    sla = pytest.importorskip("scipy.linalg")
+    n, tol = a.shape[0], verdict.tol
+    if verdict.classification is Classification.HURWITZ:
+        p = sla.solve_continuous_lyapunov(a.T, -np.eye(n))
+        return 0.5 * (p + p.T)
+    t, q, sdim = sla.schur(a, output="real", sort=lambda re, im: re < -tol)
+    s = int(sdim)
+    t11, t12, t22 = t[:s, :s], t[:s, s:], t[s:, s:]
+    m = np.eye(n)
+    m[:s, s:] = sla.solve_sylvester(t11, -t22, -t12)  # T11 R - R T22 = -T12
+    t_full = q @ m
+    t_full[:, s:] = t_full[:, s:] @ _skew_basis(t22, tol)
+    d = np.eye(n)
+    if s:
+        d[:s, :s] = sla.solve_continuous_lyapunov(t11.T, -np.eye(s))
+    x = np.linalg.solve(t_full, np.eye(n))
+    p = x.T @ d @ x
+    return 0.5 * (p + p.T)
+
+
+def _rotation(omega):
+    return np.array([[0.0, omega], [-omega, 0.0]])
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2025)
+    cases = [pytest.param(_random_hurwitz(rng, n), id=f"hurwitz-{n}")
+             for n in range(1, 9)]
+    rng = np.random.default_rng(11)
+    cases += [pytest.param(_nonnormal_marginal(rng), id=f"nonnormal-{i}")
+              for i in range(10)]
+    # A11 of the shape perfbench's wide workload generates: a rotation
+    # beside a coupled Hurwitz 2x2
+    wide = np.zeros((4, 4))
+    wide[:2, :2] = _rotation(0.9)
+    wide[2:, 2:] = [[-1.3, 0.4], [-0.25, -1.7]]
+    jordan = np.zeros((4, 4))
+    jordan[:2, :2] = [[-1.0, 1.0], [0.0, -1.0]]
+    jordan[2:, 2:] = _rotation(1.5)
+    q = _random_orthogonal(np.random.default_rng(8), 4)
+    return cases + [pytest.param(wide, id="wide"),
+                    pytest.param(jordan, id="jordan"),
+                    pytest.param(q.T @ jordan @ q, id="jordan-rotated")]
+
+
+@pytest.mark.parametrize("a", _oracle_cases())
+def test_certificate_agrees_with_the_schur_construction(a):
+    verdict = classify_stability(a)
+    assert verdict.lyapunov_stable
+    p = lyapunov_certificate(a, verdict)
+    want = schur_certificate(a, verdict)
+    assert np.linalg.norm(p - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+
+def test_a_sign_iteration_stagnating_above_its_change_test_still_stops():
+    # T has condition ~1e3 and sign(A - cI) a 1-norm of ~1e3: rounding
+    # holds each step's change at hundreds of eps times ||Z||_1, above
+    # 10*n*eps, and the iteration ends when the change stops shrinking;
+    # the agreement is as good as that conditioning allows
+    b = np.zeros((5, 5))
+    b[0, 0], b[1, 1], b[2, 2] = -0.5, -1.5, -3.0
+    b[3:, 3:] = _rotation(1.3)
+    t = (np.eye(5)
+         + 10 * np.outer([1.0, -2.0, 0.5, 1.5, -1.0], [0.5, 1.0, -1.0, 2.0, 1.0])
+         + 3 * np.outer([-1.0, 0.5, 2.0, 1.0, 0.5], [1.0, 1.0, 0.5, -0.5, 2.0]))
+    a = t @ b @ np.linalg.inv(t)
+    verdict = classify_stability(a)
+    assert verdict.classification is Classification.MARGINALLY_STABLE
+    p = lyapunov_certificate(a, verdict)
+    want = schur_certificate(a, verdict)
+    assert np.linalg.norm(p - want, 2) <= 1e-9 * np.linalg.norm(want, 2)
+
+
+def test_a_stable_eigenvalue_near_the_axis_is_split_or_refused(monkeypatch):
+    # -10*tol is stable by the classifier's margin; the split point c lies
+    # within 5*tol of both sides, so the sign iteration starts close to
+    # singular.  Counting its steps shows it ends within the cap.
+    a = np.zeros((3, 3))
+    a[1:, 1:] = _rotation(1.0)
+    a[0, 0] = -10 * default_tolerance(a)
+    verdict = classify_stability(a)
+    assert verdict.classification is Classification.MARGINALLY_STABLE
+    steps = []
+    inv = np.linalg.inv
+
+    def counted(z):
+        steps.append(z.shape)
+        return inv(z)
+
+    monkeypatch.setattr(nisyn.lyapunov.np.linalg, "inv", counted)
+    try:
+        p = lyapunov_certificate(a, verdict)
+    except ConditioningError:
+        pass
+    else:
+        _verify_certificate(a, p)
+    assert 0 < len(steps) <= 2 * nisyn.lyapunov._SIGN_MAX_STEPS
+
+
+def test_a_sign_iteration_that_does_not_converge_is_refused(monkeypatch):
+    monkeypatch.setattr(nisyn.lyapunov, "_SIGN_MAX_STEPS", 2)
+    a = _random_hurwitz(np.random.default_rng(4), 3)
+    with pytest.raises(ConditioningError,
+                       match="sign iteration did not converge in 2 steps"):
+        lyapunov_certificate(a, classify_stability(a))
+
+
+def test_an_ill_conditioned_block_transform_is_refused():
+    # the stable Jordan pair at -1e-3 couples to the zero eigenvalue through
+    # a Sylvester solution of norm 1e6, so the transform's condition is 1e12
+    a = np.array([[-1e-3, 1.0, 0.0], [0.0, -1e-3, 1.0], [0.0, 0.0, 0.0]])
+    verdict = classify_stability(a)
+    assert verdict.classification is Classification.MARGINALLY_STABLE
+    with pytest.raises(ConditioningError, match="block-diagonalizing transform "
+                                                "is ill-conditioned"):
+        lyapunov_certificate(a, verdict)
 
 
 # --- sampled positive definiteness -----------------------------------------

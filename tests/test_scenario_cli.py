@@ -1542,8 +1542,7 @@ def _src_env() -> dict:
 
 
 def test_importing_the_cli_loads_neither_scipy_nor_the_process_pool():
-    # scipy.linalg is imported by the P = "auto" certificate only, and
-    # concurrent.futures by verify at --jobs > 1 only
+    # concurrent.futures is imported by verify at --jobs > 1 only
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, nisyn.cli; print(sorted(m for m in "
          "sys.modules if m.startswith(('scipy', 'concurrent'))))"],
@@ -1554,16 +1553,21 @@ def test_importing_the_cli_loads_neither_scipy_nor_the_process_pool():
 @pytest.mark.parametrize("data", [DEGENERATE_P1, VECTOR_MARGINAL],
                          ids=["hurwitz", "marginal"])
 def test_main_verify_auto_certificate_in_a_fresh_interpreter(tmp_path, data):
-    # in this process scipy may already be loaded; a fresh one shows that
-    # the certificate's own imports work
+    # in this process scipy may already be loaded (the tests use it as an
+    # oracle); a fresh one shows that the certificate loads no scipy module
     data = json.loads(json.dumps(data))
     data["simulation"]["t_end"] = 0.5
     path = _write(tmp_path, data)
     out = tmp_path / "o"
-    proc = subprocess.run(
-        [sys.executable, "-m", "nisyn.cli", "verify", "--scenario", path,
-         "--out", str(out)], capture_output=True, text=True, env=_src_env())
+    code = ("import sys\n"
+            "from nisyn.cli import main\n"
+            "status = main(['verify', '--scenario', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code, path, str(out)],
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
     assert json.loads((out / "verify.json").read_text())["passed"]
 
 
