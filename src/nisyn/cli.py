@@ -22,7 +22,7 @@ import numpy as np
 
 from .expr import ExprError, compile_exprs, parse_expr, to_string
 from .lyapunov import (
-    StabilityError, _halton, classify_stability, sampled_positive_definite,
+    StabilityError, classify_stability, sampled_positive_definite,
 )
 from .scenario import (
     Scenario, ScenarioError, build_general_form, build_plant,
@@ -185,16 +185,6 @@ class Pipeline:
     def x0(self) -> np.ndarray:
         return initial_state(self.scn, self.plant.n_states)
 
-    @cached_property
-    def positivity_draw(self) -> np.ndarray:
-        """The unit Halton rows of every sampled positivity check, drawn
-        once at ``verification.samples`` and ``pd_seed`` for the widest box
-        the scenario samples: the plant states, then the states of its
-        uncertainty block.  Each check takes the leading rows it needs."""
-        ver, unc = self.scn.verification, self.uncertainty
-        width = self.plant.n_states + (unc.n_sigma if unc is not None else 0)
-        return _halton(width, ver.samples, ver.pd_seed).T
-
     @_KeptRun
     def interconnection_run(self):
         sim = self.scn.simulation
@@ -299,13 +289,13 @@ def run_synthesize(scn: Scenario | Pipeline) -> dict:
                        passed=False)
     scn, plant, spec = pipe.scn, pipe.plant, pipe.spec
     closed_loop, ver = pipe.closed_loop, scn.verification
+    pipe.uncertainty  # a malformed uncertainty block is a usage error here too
 
     # V2 positivity on the output slice of the sampling box
     y_box = sampling_box(scn, plant.n_states)[plant.m:plant.m + plant.n_outputs]
     v2_fn = compile_exprs([spec.v2], plant.y_names)
     v2_check = sampled_positive_definite(
-        lambda y: v2_fn(y)[:, 0], y_box, ver.samples, ver.pd_seed,
-        draw=pipe.positivity_draw)
+        lambda y: v2_fn(y)[:, 0], y_box, ver.samples, ver.pd_seed)
 
     report = _report(
         "synthesize",
@@ -429,8 +419,7 @@ def run_verify(scn: Scenario | Pipeline, jobs: int = 1) -> dict:
     def positivity(system, box) -> dict:
         """Sampled positivity of the system's storage on the box."""
         return _positivity(sampled_positive_definite(
-            system.storage, box, ver.samples, ver.pd_seed,
-            draw=pipe.positivity_draw))
+            system.storage, box, ver.samples, ver.pd_seed))
 
     # storage positivity on the plant box
     checks["storage_positive_definite"] = positivity(

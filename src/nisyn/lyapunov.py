@@ -7,8 +7,8 @@ lyapunov_certificate() then constructs P > 0 with A^T P + P A <= 0 from
 numpy alone, through Newton's iteration for the matrix sign function, and
 verifies it post hoc by direct multiplication.
 sampled_positive_definite() checks f(0) = 0 and f > 0 on scrambled Halton
-points of a box, drawn by _halton(), a numpy copy of scipy's sampler, or
-taken from the leading rows of a draw that several boxes share.
+points of a box, streamed in fixed-size blocks by _halton_chunks(), a numpy
+copy of scipy's sampler, so that no array of the sample count's size is held.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -349,13 +349,18 @@ def _primes(count: int) -> list:
     return primes
 
 
-# the longest table of low-digit sums that _halton builds per dimension
+# the longest table of low-digit sums that _halton_chunks builds per dimension
 _HALTON_TABLE = 4096
+# the most points that one block of _halton_chunks holds, so the most that
+# sampled_positive_definite passes f at once
+_CHUNK = 16384
 
 
-def _halton(d: int, samples: int, seed: int) -> np.ndarray:
+def _halton_chunks(d: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     """The first ``samples`` points of the Owen-scrambled Halton sequence in
-    [0, 1)^d, bit for bit those of ``scipy.stats.qmc.Halton(d=d,
+    [0, 1)^d, as (d, <= _CHUNK) blocks of coordinate rows: block k holds the
+    points [k * _CHUNK, (k + 1) * _CHUNK).  Joined and transposed, the
+    blocks are bit for bit ``scipy.stats.qmc.Halton(d=d,
     seed=seed).random(samples)`` (the tests check this against scipy).
 
     Dimension i uses the i-th prime b as base.  One ``default_rng(seed)``
@@ -364,78 +369,113 @@ def _halton(d: int, samples: int, seed: int) -> np.ndarray:
     permutation times b^-(j+1).  Point i is the sum over j of ``terms[j]``
     at digit j of i, added from the lowest digit up as scipy's loop adds
     it, and a position past every index's last digit adds ``terms[j][0]``.
-    Since the dimensions draw from the generator in order, the first d
-    columns of a draw in more dimensions are this draw, bit for bit.
+    Since the dimensions draw from the generator in order, the first d rows
+    of a draw in more dimensions are this draw, bit for bit.
 
-    No digit is computed: digit j of i is (i // b^j) mod b, so its term is
-    constant over blocks of b^j indices.  The low digits, while b^k <=
-    _HALTON_TABLE, are summed once over a period of b^k indices, each digit
-    onto the sums below it, and this table is added period by period into
-    the row of zeros.  Each higher digit adds one value per block through a
-    (blocks, b^j) view of the row.  Each point so gets scipy's additions in
-    scipy's order, and nothing of size ``samples`` is allocated besides the
-    output.
+    The scrambles are drawn here, when the function is called, so a
+    negative seed or sample count is a ValueError before any block is made;
+    each block is made when the iterator reaches it (see _fill).
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     rng = np.random.default_rng(seed)
-    out = np.zeros((d, samples))
-    for row, base in zip(out, _primes(d)):
-        count = math.ceil(54 / math.log2(base)) - 1
-        perms = np.repeat(np.arange(base)[None], count, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
-        scales = [1.0 / base]
-        for _ in range(count - 1):
-            scales.append(scales[-1] / base)
-        terms = perms * np.array(scales)[:, None]
-        digits = 1
-        while base ** digits < samples:
-            digits += 1
-        table = np.zeros(1)
-        low = 0
-        while low < digits and table.size * base <= _HALTON_TABLE:
-            table = np.tile(table, base) + np.repeat(terms[low], table.size)
-            low += 1
-        head, tail = _periods(row, table.size)
-        head += table
-        tail += table[:tail.size]
-        for j in range(low, count):
-            if j < digits:
-                period = base ** j
-                head, tail = _periods(row, period)
-                vals = terms[j][np.arange(-(-samples // period)) % base]
-                head += vals[:len(head), None]
-                tail += vals[-1]  # the partial last block, if there is one
-            else:
-                row += terms[j][0]
-    return out.T
+    dims = [_scramble(rng, base, samples) for base in _primes(d)]
+    return _blocks(dims, samples)
 
 
-def _periods(row: np.ndarray, period: int):
-    """``row`` as a (full periods, period) view and the partial tail."""
-    full = row.size // period
-    return row[:full * period].reshape(full, period), row[full * period:]
+def _scramble(rng, base: int, samples: int):
+    """One dimension's scramble for ``samples`` points: the table of its
+    low-digit sums, the (block length, value of each block) of each higher
+    digit that varies among the points, in order, and the nonzero terms of
+    the digits past every point's last one (adding a zero to the sum of
+    nonnegative terms changes no bit)."""
+    count = math.ceil(54 / math.log2(base)) - 1
+    # rows shuffled in order, as scipy shuffles one copy per digit
+    perms = rng.permuted(np.repeat(np.arange(base)[None], count, axis=0), axis=1)
+    scales = [1.0 / base]
+    for _ in range(count - 1):
+        scales.append(scales[-1] / base)
+    terms = perms * np.array(scales)[:, None]
+    digits = 1
+    while base ** digits < samples:
+        digits += 1
+    table = np.zeros(1)
+    low = 0
+    while low < digits and table.size * base <= _HALTON_TABLE:
+        table = (table + terms[low][:, None]).ravel()  # digit low outermost
+        low += 1
+    varying = [(base ** j, terms[j][np.arange(-(-samples // base ** j)) % base])
+               for j in range(low, min(digits, count))]
+    constants = [float(c) for c in terms[digits:, 0] if c]
+    return table, varying, constants
+
+
+def _blocks(dims: list, samples: int) -> Iterator[np.ndarray]:
+    """The blocks of _halton_chunks.  Every full block is made in one
+    buffer, which the next block overwrites; the last partial block gets
+    its own, so each block is C-contiguous."""
+    out = np.empty((len(dims), min(_CHUNK, samples)))
+    for start in range(0, samples, _CHUNK):
+        if samples - start < out.shape[1]:
+            out = np.empty((len(dims), samples - start))
+        for row, dim in zip(out, dims):
+            _fill(row, start, *dim)
+        yield out
+
+
+def _fill(row: np.ndarray, start: int, table: np.ndarray, varying: list,
+          constants: list) -> None:
+    """Fill ``row`` with one dimension's points from index ``start`` on, by
+    scipy's additions in scipy's order, and compute no digit: digit j of i
+    is (i // b^j) mod b, so its term is constant over blocks of b^j
+    indices.  The low digits' sums repeat with the table's period and are
+    copied in period by period (0 + x is x for x >= 0); each higher digit
+    adds one value per block through a (blocks, b^j) view of the row, plus
+    a partial block at each end, and each constant is added to the whole
+    row."""
+    head, body, tail = _periods(row, start, table.size)
+    offset = start % table.size
+    head[...] = table[offset:offset + head.size]
+    body[...] = table
+    tail[...] = table[:tail.size]
+    for period, values in varying:
+        head, body, tail = _periods(row, start, period)
+        k = start // period  # the block of the row's first point
+        if head.size:
+            head += values[k]
+            k += 1
+        body += values[k:k + len(body), None]
+        if tail.size:
+            tail += values[k + len(body)]
+    for c in constants:
+        row += c
+
+
+def _periods(row: np.ndarray, start: int, period: int):
+    """``row``, which holds the points from index ``start`` on, as the part
+    before the first multiple of ``period``, a (full periods, period) view
+    of the part after it, and the partial period left at the end."""
+    lead = min(-start % period, row.size)
+    full = (row.size - lead) // period
+    stop = lead + full * period
+    return row[:lead], row[lead:stop].reshape(full, period), row[stop:]
 
 
 def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
                               box: Sequence[Sequence[float]],
                               samples: int,
-                              seed: int,
-                              *,
-                              draw: Optional[np.ndarray] = None) -> SamplingResult:
+                              seed: int) -> SamplingResult:
     """Check f(0) = 0 and f(x) > 0 on quasi-random samples of the box.
 
     The box must contain 0 strictly inside.  Besides ``samples`` scrambled
-    Halton points from ``_halton``, mapped onto the box as ``lo + u * (hi -
-    lo)``, 2n axis points at distance 1e-6 from the origin are tested to
-    catch functions that vanish along a coordinate direction.  ``f`` is
-    called once and maps the (N, n) stack of all points, origin first, to N
-    values; the stack is the transpose view of an (n, N) array, whose
-    coordinate rows are each contiguous.
-
-    ``draw`` lets several boxes share one draw: the rows
-    ``_halton(d, samples, seed).T`` for some d >= n.  Its leading n rows
-    are ``_halton(n, samples, seed).T`` bit for bit, and take the place of
-    the sampler's own draw; any other shape is a ValueError.
+    Halton points from ``_halton_chunks``, mapped onto the box as ``lo + u *
+    (hi - lo)``, 2n axis points at distance 1e-6 from the origin are tested
+    to catch functions that vanish along a coordinate direction.  ``f`` maps
+    an (N, n) stack of points to N values.  It is called first on the
+    origin and the axis points, then on each block of at most _CHUNK Halton
+    points, and checking stops at the first point that fails; no array of
+    the sample count's size is held.  Each stack is the transpose view of
+    an (n, N) array, whose coordinate rows are each contiguous.
     """
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
@@ -443,30 +483,40 @@ def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
     lo, hi = box[:, 0], box[:, 1]
     if not np.all((lo < 0) & (hi > 0)):
         raise ValueError("box must contain the origin strictly inside")
-    n, samples = box.shape[0], int(samples)
-    if draw is None:
-        draw = _halton(n, samples, seed).T
-    elif draw.ndim != 2 or draw.shape[0] < n or draw.shape[1] != samples:
-        raise ValueError(f"draw has shape {draw.shape}; it needs at least "
-                         f"{n} rows of {samples} points")
+    n = box.shape[0]
+    chunks = _halton_chunks(n, int(samples), seed)
 
-    points = np.zeros((n, 1 + 2 * n + samples))
-    points[:, 1:1 + 2 * n] = 1e-6 * np.hstack([np.eye(n), -np.eye(n)])
-    drawn = points[:, 1 + 2 * n:]
-    drawn[...] = draw[:n]
-    drawn *= (hi - lo)[:, None]
-    drawn += lo[:, None]
-    values = np.asarray(f(points.T), dtype=float)
-    if values.shape != (points.shape[1],):
-        raise ValueError(f"f gave shape {values.shape}, not one value per point")
+    points = np.zeros((n, 1 + 2 * n))
+    points[:, 1:] = 1e-6 * np.hstack([np.eye(n), -np.eye(n)])
+    values = _values(f, points)
     f0 = float(values[0])
     if not -1e-12 <= f0 <= 1e-12:
         return SamplingResult(False, 1, (0.0,) * n, f0)
-    nonzero = np.any(points, axis=0)  # false at the origin, already checked
-    bad = np.flatnonzero(nonzero & ~(values > 0.0))
-    if bad.size:
-        i = bad[0]
-        return SamplingResult(False, 1 + int(nonzero[:i + 1].sum()),
-                              tuple(float(v) for v in points[:, i]),
-                              float(values[i]))
-    return SamplingResult(True, 1 + int(nonzero.sum()))
+
+    def blocks():
+        yield points[:, 1:], values[1:]
+        span, shift = (hi - lo)[:, None], lo[:, None]
+        for drawn in chunks:
+            drawn *= span
+            drawn += shift
+            yield drawn, _values(f, drawn)
+
+    checked = 1
+    for block, vals in blocks():
+        nonzero = np.any(block, axis=0)  # false at the origin, already checked
+        bad = np.flatnonzero(nonzero & ~(vals > 0.0))
+        if bad.size:
+            i = bad[0]
+            return SamplingResult(False, checked + int(nonzero[:i + 1].sum()),
+                                  tuple(float(v) for v in block[:, i]),
+                                  float(vals[i]))
+        checked += int(nonzero.sum())
+    return SamplingResult(True, checked)
+
+
+def _values(f, points: np.ndarray) -> np.ndarray:
+    """f on the (n, N) coordinate rows ``points``, checked to give N values."""
+    values = np.asarray(f(points.T), dtype=float)
+    if values.shape != (points.shape[1],):
+        raise ValueError(f"f gave shape {values.shape}, not one value per point")
+    return values

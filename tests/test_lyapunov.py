@@ -7,9 +7,10 @@ import pytest
 
 import nisyn.lyapunov
 from nisyn.lyapunov import (
-    _HALTON_TABLE, Classification, ConditioningError, StabilityError,
-    _halton, _primes, _skew_basis, _verify_certificate, classify_stability,
-    default_tolerance, lyapunov_certificate, sampled_positive_definite,
+    _CHUNK, _HALTON_TABLE, Classification, ConditioningError, SamplingResult,
+    StabilityError, _halton_chunks, _primes, _skew_basis, _verify_certificate,
+    classify_stability, default_tolerance, lyapunov_certificate,
+    sampled_positive_definite,
 )
 
 
@@ -328,6 +329,14 @@ def test_primes():
                            47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
+
+
+def _halton(d, samples, seed):
+    """The blocks of _halton_chunks joined into scipy's (samples, d) layout."""
+    blocks = [b.copy() for b in _halton_chunks(d, samples, seed)]
+    return np.hstack(blocks).T if blocks else np.zeros((0, d))
+
+
 @pytest.mark.parametrize("d, samples, seed", [
     (1, 10, 0), (1, 1, 0), (3, 1, 4), (6, 0, 5), (2, 1025, 5), (4, 2000, 3),
     (6, 100_000, 12345), (7, 6000, 99), (12, 20_000, 1), (20, 3000, 2),
@@ -335,6 +344,11 @@ def test_primes():
     # blocks (3^8 = 6561), and fewer points than the base (37, at d = 12)
     (1, 2, 3), (1, 4095, 8), (2, 4096, 9), (3, 4097, 10), (2, 6561, 11),
     (2, 6562, 12), (5, 8193, 13), (2, 65537, 14), (12, 30, 15),
+    # the edges of the streamed blocks, and a last block that ends inside
+    # a table period or a block of a higher digit
+    (2, _CHUNK - 1, 16), (3, _CHUNK, 17), (2, _CHUNK + 1, 18),
+    (4, 3 * _CHUNK + 7, 19), (6, 2 * _CHUNK + _HALTON_TABLE - 1, 20),
+    (9, 5 * _CHUNK + 3 ** 8 + 1, 21),
 ] + [  # 20 seeded random cases: d <= 15, samples <= 30000
     (int(d), int(samples), int(seed)) for d, samples, seed in
     np.random.default_rng(2024).integers([1, 0, 0], [16, 30_001, 2**31],
@@ -348,15 +362,31 @@ def test_halton_equals_scipy_bit_for_bit(d, samples, seed):
     assert got.tobytes() == want.tobytes()
 
 
-def test_halton_allocates_nothing_but_its_output():
+@pytest.mark.parametrize("samples", [0, 1, _CHUNK, 2 * _CHUNK + 1])
+def test_halton_streams_blocks_of_the_chunk_size(samples):
+    blocks = [(b.shape, b.flags.c_contiguous)
+              for b in _halton_chunks(5, samples, 7)]
+    assert blocks == [
+        ((5, min(_CHUNK, samples - start)), True)
+        for start in range(0, samples, _CHUNK)]
+
+
+def test_a_streamed_check_holds_nothing_of_the_sample_count_size():
+    # one block is 6 * _CHUNK * 8 = 786 kB; a (6, 100000) draw alone is 4.8 MB
     tracemalloc.start()
     try:
-        got = _halton(6, 100_000, 12345)
-        peak = tracemalloc.get_traced_memory()[1]
+        for _ in _halton_chunks(6, 100_000, 12345):
+            pass
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        res = sampled_positive_definite(lambda x: np.sum(x * x, axis=1),
+                                        [[-2, 2]] * 6, 100_000, 12345)
+        check_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.nbytes == 4_800_000
-    assert peak <= got.nbytes + 500_000
+    assert res.passed and res.points_checked == 1 + 12 + 100_000
+    assert draw_peak <= 1_200_000
+    assert check_peak <= 3_000_000
 
 
 def test_halton_rows_are_pinned():
@@ -371,7 +401,8 @@ def test_halton_rows_are_pinned():
 
 
 @pytest.mark.parametrize("samples", [
-    0, 1, _HALTON_TABLE - 1, _HALTON_TABLE, _HALTON_TABLE + 1, 3 * _HALTON_TABLE + 7])
+    0, 1, _HALTON_TABLE - 1, _HALTON_TABLE, _HALTON_TABLE + 1,
+    3 * _HALTON_TABLE + 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
 @pytest.mark.parametrize("seed", [0, 12345, 2 ** 31 - 1])
 def test_the_leading_columns_of_a_wider_draw_are_the_narrower_draw(samples, seed):
     wide = _halton(9, samples, seed)
@@ -379,12 +410,21 @@ def test_the_leading_columns_of_a_wider_draw_are_the_narrower_draw(samples, seed
         assert wide[:, :d].tobytes() == _halton(d, samples, seed).tobytes()
 
 
-def test_halton_rejects_a_negative_seed():
-    with pytest.raises(ValueError):
-        _halton(2, 4, -1)
-    with pytest.raises(ValueError):
-        sampled_positive_definite(lambda x: np.sum(x * x, axis=1),
-                                  [[-1, 1]], 10, seed=-1)
+def test_halton_rejects_a_negative_seed_or_sample_count():
+    # at the call, before any block is made
+    for samples, seed in ((4, -1), (0, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            _halton_chunks(2, samples, seed)
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.sum(x * x, axis=1)
+
+    for samples, seed in ((10, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            sampled_positive_definite(f, [[-1, 1]], samples, seed=seed)
+    assert calls == []
 
 
 def _reference_sampled_pd(f, box, samples, seed):
@@ -424,16 +464,134 @@ def test_sampled_pd_matches_point_loop(f, box, passes):
             res.witness_value) == want
 
 
-def test_sampled_pd_calls_f_once_with_the_stack():
+def _unchunked_sampled_pd(f, box, samples, seed):
+    """The sampler before it streamed: one (n, N) stack of the origin, the
+    axis points and every Halton point (drawn here by scipy), mapped onto
+    the box in place, and one call of f on its transpose."""
+    from scipy.stats import qmc
+    box = np.asarray(box, dtype=float)
+    lo, hi = box[:, 0], box[:, 1]
+    n = box.shape[0]
+    points = np.zeros((n, 1 + 2 * n + samples))
+    points[:, 1:1 + 2 * n] = 1e-6 * np.hstack([np.eye(n), -np.eye(n)])
+    drawn = points[:, 1 + 2 * n:]
+    drawn[...] = qmc.Halton(d=n, seed=seed).random(samples).T
+    drawn *= (hi - lo)[:, None]
+    drawn += lo[:, None]
+    values = np.asarray(f(points.T), dtype=float)
+    f0 = float(values[0])
+    if not -1e-12 <= f0 <= 1e-12:
+        return SamplingResult(False, 1, (0.0,) * n, f0)
+    nonzero = np.any(points, axis=0)
+    bad = np.flatnonzero(nonzero & ~(values > 0.0))
+    if bad.size:
+        i = bad[0]
+        return SamplingResult(False, 1 + int(nonzero[:i + 1].sum()),
+                              tuple(float(v) for v in points[:, i]),
+                              float(values[i]))
+    return SamplingResult(True, 1 + int(nonzero.sum()))
+
+
+def _halton_point(box, samples, seed, k):
+    """Halton point k of a check, mapped onto the box as the sampler maps it."""
+    from scipy.stats import qmc
+    box = np.asarray(box, dtype=float)
+    u = qmc.Halton(d=box.shape[0], seed=seed).random(samples)[k]
+    return u * (box[:, 1] - box[:, 0]) + box[:, 0]
+
+
+def _failing_at(targets):
+    """|x|^2, but -1 at each of the target points."""
+    def f(x):
+        hit = np.zeros(x.shape[0], dtype=bool)
+        for t in targets:
+            hit |= (x == t).all(axis=1)
+        return np.where(hit, -1.0, np.sum(x * x, axis=1))
+    return f
+
+
+_BOX = [[-1.0, 1.0], [-2.0, 0.5], [-0.3, 3.0]]
+_SIZES = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
+
+
+def _witness_cases():
+    for samples in _SIZES:
+        yield samples, "passes"
+        yield samples, "axis"
+        # the first chunk, both sides of its end, and the last point, which
+        # lies in the last partial chunk when there is one
+        for k in sorted({0, 100, _CHUNK - 1, _CHUNK, samples - 1}):
+            if 0 <= k < samples:
+                yield samples, k
+
+
+@pytest.mark.parametrize("samples, witness", list(_witness_cases()))
+def test_the_streamed_sampler_gives_the_unchunked_samplers_results(samples,
+                                                                   witness):
+    seed = 11
+    if witness == "passes":
+        f = lambda x: np.sum(x * x, axis=1)  # noqa: E731
+    elif witness == "axis":
+        f = lambda x: x[:, 0] ** 2 + x[:, 2] ** 2  # noqa: E731  zero along e2
+    else:
+        # a second bad point a chunk later must not replace the first
+        later = [k for k in (witness + _CHUNK,) if k < samples]
+        f = _failing_at([_halton_point(_BOX, samples, seed, k)
+                         for k in [witness] + later])
+    got = sampled_positive_definite(f, _BOX, samples, seed)
+    assert got == _unchunked_sampled_pd(f, _BOX, samples, seed)
+    assert got.passed is (witness == "passes")
+    if isinstance(witness, int):
+        assert got.points_checked == 1 + 2 * 3 + witness + 1
+        assert got.witness_value == -1.0
+
+
+@pytest.mark.parametrize("fails_after", [False, True])
+def test_a_halton_point_on_the_origin_is_skipped_and_not_counted(fails_after):
+    # in a box [-4u, 4(1 - u)] per coordinate, with 1/2 <= u < 1, the point
+    # u maps onto 4u - 4u = 0 exactly; take the first such point from the
+    # second chunk on
+    from scipy.stats import qmc
+    samples, seed = 2 * _CHUNK, 5
+    units = qmc.Halton(d=2, seed=seed).random(samples)
+    k = _CHUNK + int(np.flatnonzero((units[_CHUNK:] >= 0.5).all(axis=1))[0])
+    box = [[-4 * u, 4 * (1 - u)] for u in units[k]]
+    assert not _halton_point(box, samples, seed, k).any()
+    targets = [_halton_point(box, samples, seed, samples - 1)] if fails_after else []
+    f = _failing_at(targets)
+    got = sampled_positive_definite(f, box, samples, seed)
+    assert got == _unchunked_sampled_pd(f, box, samples, seed)
+    assert got.points_checked == 1 + 2 * 2 + samples - 1
+
+
+def test_sampled_pd_passes_f_the_axis_block_then_chunks_of_contiguous_rows():
     calls = []
 
     def f(x):
-        calls.append(x.shape)
+        calls.append((x.shape, x.T.flags.c_contiguous))
         return np.sum(x * x, axis=1)
 
-    res = sampled_positive_definite(f, [[-1, 1], [-1, 1], [-1, 1]], 50, seed=1)
-    assert calls == [(1 + 2 * 3 + 50, 3)]
-    assert res.points_checked == 1 + 2 * 3 + 50
+    res = sampled_positive_definite(f, [[-1, 1], [-1, 1], [-1, 1]],
+                                    2 * _CHUNK + 5, seed=1)
+    assert calls == [((1 + 2 * 3, 3), True), ((_CHUNK, 3), True),
+                     ((_CHUNK, 3), True), ((5, 3), True)]
+    assert res.points_checked == 1 + 2 * 3 + 2 * _CHUNK + 5
+
+
+def test_sampled_pd_stops_at_the_first_block_with_a_bad_point():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape[0])
+        return np.sum(x * x, axis=1) - 0.5 * x[:, 1] ** 2 - x[:, 0] ** 4
+
+    res = sampled_positive_definite(f, [[-1.5, 1.5], [-1, 1]], 3 * _CHUNK, 3)
+    assert not res.passed and res.points_checked <= 1 + 4 + _CHUNK
+    assert calls == [1 + 2 * 2, _CHUNK]
+    calls.clear()
+    res = sampled_positive_definite(lambda x: f(x) + 1.0, [[-1, 1]] * 2,
+                                    3 * _CHUNK, 3)
+    assert res == SamplingResult(False, 1, (0.0, 0.0), 1.0) and calls == [5]
 
 
 def test_sampled_pd_rejects_a_one_point_function():
@@ -441,30 +599,10 @@ def test_sampled_pd_rejects_a_one_point_function():
         sampled_positive_definite(lambda x: float(np.sum(x)), [[-1, 1]], 10, 0)
 
 
-@pytest.mark.parametrize("f, box", [
-    (lambda x: np.sum(x * x, axis=1), [[-1, 1], [-2, 2]]),
-    (lambda x: np.sum(x * x, axis=1) - 0.5 * x[:, 1] ** 2 - x[:, 0] ** 4,
-     [[-1.5, 1.5], [-1, 1]]),
-], ids=["passes", "fails"])
-def test_a_shared_draw_gives_the_results_of_the_samplers_own(f, box):
-    own = sampled_positive_definite(f, box, 3000, 7)
-    draw = _halton(5, 3000, 7).T
-    assert sampled_positive_definite(f, box, 3000, 7, draw=draw) == own
-
-
-def test_a_shared_draw_of_the_wrong_shape_is_a_value_error():
-    f = lambda x: np.sum(x * x, axis=1)  # noqa: E731
-    for draw in (_halton(1, 100, 0).T, _halton(3, 99, 0).T, np.zeros(100)):
-        with pytest.raises(ValueError, match="draw has shape"):
-            sampled_positive_definite(f, [[-1, 1], [-1, 1]], 100, 0, draw=draw)
-
-
-def test_sampled_pd_passes_f_the_transpose_of_contiguous_rows():
-    seen = []
-
+def test_sampled_pd_rejects_a_chunk_with_the_wrong_number_of_values():
     def f(x):
-        seen.append(x.T.flags.c_contiguous)
-        return np.sum(x * x, axis=1)
+        values = np.sum(x * x, axis=1)
+        return values if x.shape[0] < _CHUNK else values[:-1]
 
-    sampled_positive_definite(f, [[-1, 1], [-1, 1], [-1, 1]], 50, seed=1)
-    assert seen == [True]
+    with pytest.raises(ValueError, match="one value per"):
+        sampled_positive_definite(f, [[-1, 1]], _CHUNK + 1, 0)

@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import Future
 
@@ -16,13 +17,12 @@ import numpy as np
 import pytest
 
 import nisyn.cli
-import nisyn.lyapunov
 from nisyn.cli import (
     bundled_scenario_path, main, run_analyze, run_reproduce, run_simulate,
     run_synthesize, run_verify,
 )
 from nisyn.expr import compile_exprs
-from nisyn.lyapunov import sampled_positive_definite
+from nisyn.lyapunov import _CHUNK, sampled_positive_definite
 from nisyn.scenario import (
     RegressionBlock, ScenarioError, SpecBlock, VerificationBlock, build_plant,
     check_bounds, default_input_catalog, load_scenario, override,
@@ -919,16 +919,15 @@ def test_reproduce_builds_once_and_matches_simulate(tmp_path, monkeypatch):
         (tmp_path / "s" / "trajectory.csv").read_bytes()
 
 
-# --- one positivity draw per scenario --------------------------------------------
+# --- sampled positivity checks ---------------------------------------------------
 
-def test_a_failing_v2_gives_the_samplers_own_witness_through_the_shared_draw():
+def test_a_failing_v2_reports_the_samplers_own_witness():
     data = _fast_scenario()
     data["spec"]["V2"] = "xi1^2 + 3*xi1*xi2 + xi2^2"  # indefinite
     del data["regression"]
     scn = scenario_from_dict(data)
     pipe = nisyn.cli.Pipeline(scn)
     check = run_synthesize(pipe)["v2_positive_definite"]
-    assert pipe.positivity_draw.shape == (4 + 2, 2000)  # wider than the y box
     plant, ver = pipe.plant, scn.verification
     y_box = sampling_box(scn, plant.n_states)[plant.m:plant.m + plant.n_outputs]
     v2 = compile_exprs([pipe.spec.v2], plant.y_names)
@@ -939,7 +938,7 @@ def test_a_failing_v2_gives_the_samplers_own_witness_through_the_shared_draw():
                      "witness": own.witness}
 
 
-def test_verify_checks_through_the_shared_draw_as_through_their_own():
+def test_verify_reports_the_samplers_own_positivity_results():
     scn = scenario_from_dict(_fast_scenario())
     pipe = nisyn.cli.Pipeline(scn)
     checks = run_verify(pipe)["checks"]
@@ -956,7 +955,7 @@ def test_verify_checks_through_the_shared_draw_as_through_their_own():
                                "witness": own.witness}
 
 
-def test_synthesize_sizes_the_draw_by_the_uncertainty_block(tmp_path, capsys):
+def test_synthesize_rejects_an_f_sigma_of_the_wrong_width(tmp_path, capsys):
     data = _fast_scenario()
     data["uncertainty"]["f_sigma"] = ["-xs1"]  # n_sigma is 2
     path = _write(tmp_path, data)
@@ -965,18 +964,38 @@ def test_synthesize_sizes_the_draw_by_the_uncertainty_block(tmp_path, capsys):
                                        "f_sigma must have 2 entries, got 1\n")
 
 
-def test_reproduce_draws_the_positivity_sample_once(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, "_halton")
-    own = {"draws": 0}
-    original = nisyn.lyapunov._halton
+def test_reproduce_evaluates_each_storage_on_blocks_of_at_most_a_chunk(
+        tmp_path, monkeypatch):
+    rows = []
+    original = nisyn.cli.sampled_positive_definite
 
-    def counted(*args):
-        own["draws"] += 1
-        return original(*args)
+    def counted(f, box, samples, seed):
+        def g(x):
+            rows.append(x.shape[0])
+            return f(x)
+        return original(g, box, samples, seed)
 
-    monkeypatch.setattr(nisyn.lyapunov, "_halton", counted)
-    assert run_reproduce(scenario_from_dict(_fast_scenario()), tmp_path)["passed"]
-    assert calls == {"_halton": 1} and own == {"draws": 0}
+    monkeypatch.setattr(nisyn.cli, "sampled_positive_definite", counted)
+    data = _fast_scenario()
+    data["verification"]["samples"] = _CHUNK + 1
+    assert run_reproduce(scenario_from_dict(data), tmp_path)["passed"]
+    # V2, V, Vsigma and W: the axis block, one full chunk and one point each
+    assert len(rows) == 4 * 3 and max(rows) == _CHUNK
+    assert sorted(rows)[:4] == [1, 1, 1, 1]
+
+
+def test_verify_of_the_bundled_example_holds_no_sample_sized_array():
+    pipe = nisyn.cli.Pipeline(load_scenario(bundled_scenario_path()))
+    assert run_synthesize(pipe)["passed"]
+    assert pipe.scn.verification.samples == 100_000
+    tracemalloc.start()
+    try:
+        report = run_verify(pipe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"]
+    assert peak <= 5_000_000  # a (6, 100000) draw alone is 4.8 MB
 
 
 # --- stage products shared across stage calls on one scenario -------------------

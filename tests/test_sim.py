@@ -1097,6 +1097,36 @@ def test_check_dissipation_reads_the_recorded_storage(example_cl):
         check_dissipation(replace(traj, V=None), epsilon=1.0, tol=1e-3)
 
 
+def test_check_dissipation_takes_each_weights_residual_bit_for_bit(example_cl):
+    from dataclasses import replace
+
+    traj = simulate_closed_loop(example_cl, X0, 0.5, 1e-2)
+    n, width = traj.n_samples, traj.outputs.shape[1]
+    nan_v = traj.V.copy()
+    nan_v[5] = np.nan
+    # V falls everywhere but at sample k, where V' = (-0.0 - 0.0) / (2 dt);
+    # with zero outputs the NI residual's maximum is then -0.0 + 0.0 * 0.0
+    k = n // 2
+    zero_v = (k - np.arange(n)) * 1.0
+    zero_v[k - 1], zero_v[k + 1] = 0.0, -0.0
+    cases = (traj, replace(traj, V=nan_v),
+             replace(traj, V=zero_v, outputs=np.zeros_like(traj.outputs)),
+             replace(traj, outputs=np.full_like(traj.outputs, np.inf)))
+    got, want = [], []
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
+        for edited in cases:
+            rep = check_dissipation(edited, epsilon=0.7, tol=1e-3)
+            got += [rep.max_residual_ni, rep.max_residual_osni]
+            want += [sim._dissipation_residual(
+                edited.t, edited.V, edited.inputs, edited.outputs,
+                ((width, w),)).max() for w in (0.0, 0.7)]
+    assert [np.float64(v).tobytes() for v in got] == \
+        [np.float64(v).tobytes() for v in want]
+    assert np.signbit(sim._supply_residual(
+        cases[2].t, cases[2].V, cases[2].inputs, cases[2].outputs)[0].max())
+    assert got[4] == 0.0 and not np.signbit(got[4])
+
+
 def test_recorded_columns_match_one_point_evaluation(example_cl):
     ic = Interconnection(example_cl, _example_unc())
     traj = simulate_interconnection(ic, X0, np.array([0.5, -0.5]), 0.2, 1e-2)
