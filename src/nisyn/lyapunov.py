@@ -4,8 +4,9 @@ classify_stability() sorts a real matrix into Hurwitz / marginally stable /
 unstable, deciding semisimplicity of imaginary-axis eigenvalues through the
 numerical rank of A - lambda*I rather than a Jordan form.
 lyapunov_certificate() then constructs P > 0 with A^T P + P A <= 0 from
-numpy alone, through Newton's iteration for the matrix sign function, and
-verifies it post hoc by direct multiplication.
+numpy alone, through Newton's iteration for the matrix sign function and,
+for a marginally stable A, the complex eigenvectors of its critical block,
+and verifies it post hoc by direct multiplication.
 sampled_positive_definite() checks f(0) = 0 and f > 0 on scrambled Halton
 points of a box, streamed in fixed-size blocks by _halton_chunks(), a numpy
 copy of scipy's sampler, so that no array of the sample count's size is held.
@@ -169,12 +170,14 @@ def lyapunov_certificate(a, verdict: StabilityVerdict) -> np.ndarray:
     Hurwitz: solve A^T P + P A = -I by Roberts' identity, sign([[A^T, I],
     [0, -A]]) = [[-I, 2P], [0, I]].  Marginally stable: the sign of A - cI,
     c halfway between the stable and the critical real parts, gives the
-    projector onto the stable subspace; the critical subspace, lifted along
-    it, is brought to skew-symmetric form, and P = T^-T diag(P_h, I) T^-1
-    with P_h the Roberts solve on the stable block.  The sign function is
-    a Newton iteration (_sign) that raises ConditioningError if it has not
-    converged in _SIGN_MAX_STEPS steps.  The result is always verified by
-    direct multiplication.
+    projector onto the stable subspace; T holds a basis of that subspace
+    and the complex eigenvectors of the critical block, lifted along it,
+    and P = Re(T^-H diag(P_h, I) T^-1) with P_h the Roberts solve on the
+    stable block.  For a repeated critical eigenvalue P depends on the
+    eigenspace basis that eig returns.  The sign function is a Newton
+    iteration (_sign) that raises ConditioningError if it has not converged
+    in _SIGN_MAX_STEPS steps.  The result is always verified by direct
+    multiplication.
     """
     a = _as_square(a)
     if verdict.classification is Classification.UNSTABLE:
@@ -229,11 +232,14 @@ def _lyapunov_solve(a):
 
 
 def _marginal_certificate(a, verdict):
-    """P = T^-T diag(P_h, I) T^-1 for a marginally stable A.  The first
-    columns of T are an orthonormal basis Q_s of the stable subspace, the
-    others a basis of the critical subspace in which A is skew-symmetric,
-    lifted from the orthonormal complement Q_c along the stable subspace.
-    P does not depend on the choice of Q_s and Q_c."""
+    """P = Re(X^H diag(P_h, I) X), X = T^-1, for a marginally stable A.
+    The first columns of T are an orthonormal basis Q_s of the stable
+    subspace, the others the complex eigenvectors of Q_c^T A Q_c, lifted
+    from the orthonormal complement Q_c along the stable subspace.  In
+    these coordinates A is diag(A_h, Lambda) with Lambda imaginary, so the
+    critical block adds Re(Lambda + Lambda^H) = 0 to A^T P + P A.  P does
+    not depend on the choice of Q_s and Q_c; for a repeated critical
+    eigenvalue it depends on the eigenspace basis that eig returns."""
     n, tol = a.shape[0], verdict.tol
     re = np.array([lam.real for lam in verdict.eigenvalues])
     stable = re < -tol
@@ -246,7 +252,7 @@ def _marginal_certificate(a, verdict):
     u = np.linalg.svd(proj)[0]
     q_s, q_c = u[:, :s], u[:, s:]
     lifted = q_c - proj @ q_c
-    t_full = np.hstack([q_s, lifted @ _skew_basis(q_c.T @ a @ q_c, tol)])
+    t_full = np.hstack([q_s, lifted @ np.linalg.eig(q_c.T @ a @ q_c)[1]])
     cond = np.linalg.cond(t_full)
     if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise ConditioningError(
@@ -255,60 +261,8 @@ def _marginal_certificate(a, verdict):
     if s:
         d[:s, :s] = _lyapunov_solve(q_s.T @ a @ q_s)
     x = np.linalg.solve(t_full, np.eye(n))
-    p = x.T @ d @ x
+    p = (x.conj().T @ d @ x).real
     return 0.5 * (p + p.T)
-
-
-def _skew_basis(t22, tol):
-    """Real basis of the critical block in which it becomes skew-symmetric.
-
-    Complex conjugate eigenvector pairs span invariant planes; a phase
-    rotation orthogonalizes each pair for conditioning without disturbing
-    the skew form of the restriction.
-    """
-    n2 = t22.shape[0]
-    if n2 == 0:
-        return np.zeros((0, 0))
-    w, v = np.linalg.eig(t22)
-    im_tol = max(tol, 100 * np.finfo(float).eps * max(np.linalg.norm(t22, 2), 1.0))
-    used = np.zeros(n2, dtype=bool)
-    cols = []
-    for i in range(n2):
-        if used[i]:
-            continue
-        lam = w[i]
-        if abs(lam.imag) <= im_tol:
-            used[i] = True
-            vr = v[:, i].real
-            nr = np.linalg.norm(vr)
-            if nr == 0:
-                raise ConditioningError("degenerate real eigenvector in critical block")
-            cols.append(vr / nr)
-        elif lam.imag > 0:
-            used[i] = True
-            partner = None
-            best = np.inf
-            for j in range(n2):
-                if not used[j]:
-                    d = abs(np.conj(lam) - w[j])
-                    if d < best:
-                        best, partner = d, j
-            if partner is None:
-                raise ConditioningError("could not pair complex eigenvalues")
-            used[partner] = True
-            vec = v[:, i]
-            vr, vi = vec.real, vec.imag
-            theta = 0.5 * np.arctan2(2 * (vr @ vi), (vi @ vi) - (vr @ vr))
-            vec = np.exp(1j * theta) * vec
-            vr, vi = vec.real, vec.imag
-            scale = max(np.linalg.norm(vr), np.linalg.norm(vi))
-            if scale == 0:
-                raise ConditioningError("degenerate complex eigenvector in critical block")
-            cols.append(vr / scale)
-            cols.append(vi / scale)
-    if len(cols) != n2:
-        raise ConditioningError("critical block is not semisimple enough to pair")
-    return np.column_stack(cols)
 
 
 def _verify_certificate(a, p):

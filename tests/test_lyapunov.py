@@ -8,7 +8,7 @@ import pytest
 import nisyn.lyapunov
 from nisyn.lyapunov import (
     _CHUNK, _HALTON_TABLE, Classification, ConditioningError, SamplingResult,
-    StabilityError, _halton_chunks, _primes, _skew_basis, _verify_certificate,
+    StabilityError, _halton_chunks, _primes, _verify_certificate,
     classify_stability, default_tolerance, lyapunov_certificate,
     sampled_positive_definite,
 )
@@ -140,12 +140,35 @@ def test_certificate_marginal_nonnormal():
         assert np.linalg.eigvalsh(0.5 * (g + g.T)).max() <= 1e-8 * np.linalg.norm(p, 2)
 
 
-def test_certificate_semisimple_zero_eigenvalue():
-    a = np.array([[0.0, 0.0], [0.0, -2.0]])
-    p = lyapunov_certificate(a, classify_stability(a))
+def _rotation(omega):
+    return np.array([[0.0, omega], [-omega, 0.0]])
+
+
+def _similar(b, seed):
+    """T B T^-1 with T = default_rng(seed).normal(size=B.shape) + 2I."""
+    t = np.random.default_rng(seed).normal(size=b.shape) + 2 * np.eye(len(b))
+    return t @ b @ np.linalg.inv(t)
+
+
+def _semisimple_zero_cases():
+    rotation_zero = np.zeros((4, 4))
+    rotation_zero[:2, :2] = _rotation(1.0)
+    # in the last two, eig returns the critical block's double zero as a
+    # conjugate pair with imaginary parts of ~1e-17: the two complex
+    # eigenvectors are independent, their real parts are not
+    return [pytest.param(np.array([[0.0, 0.0], [0.0, -2.0]]), id="zero-beside-stable"),
+            pytest.param(_similar(np.diag([-1.0, 0.0, 0.0]), 8), id="double-zero"),
+            pytest.param(_similar(rotation_zero, 2), id="rotation-double-zero")]
+
+
+@pytest.mark.parametrize("a", _semisimple_zero_cases())
+def test_certificate_semisimple_zero_eigenvalue(a):
+    verdict = classify_stability(a)
+    assert verdict.classification is Classification.MARGINALLY_STABLE
+    p = lyapunov_certificate(a, verdict)
     g = a.T @ p + p @ a
     assert np.linalg.eigvalsh(p).min() > 0
-    assert np.linalg.eigvalsh(g).max() <= 1e-8 * np.linalg.norm(p, 2)
+    assert np.linalg.eigvalsh(0.5 * (g + g.T)).max() <= 1e-8 * np.linalg.norm(p, 2)
 
 
 def test_certificate_rejects_unstable():
@@ -166,8 +189,9 @@ def test_certificate_scaling_linearity():
 def schur_certificate(a, verdict):
     """The certificate by scipy's sorted real Schur form, a Sylvester solve
     that decouples its blocks and scipy's Lyapunov solver.  The bases it
-    picks span the subspaces that lyapunov_certificate's do, and P does not
-    depend on the choice, so the two agree up to rounding."""
+    picks span the subspaces that lyapunov_certificate's do, and while the
+    critical eigenvalues are simple P does not depend on the choice, so the
+    two agree up to rounding."""
     sla = pytest.importorskip("scipy.linalg")
     n, tol = a.shape[0], verdict.tol
     if verdict.classification is Classification.HURWITZ:
@@ -179,17 +203,13 @@ def schur_certificate(a, verdict):
     m = np.eye(n)
     m[:s, s:] = sla.solve_sylvester(t11, -t22, -t12)  # T11 R - R T22 = -T12
     t_full = q @ m
-    t_full[:, s:] = t_full[:, s:] @ _skew_basis(t22, tol)
+    t_full = np.hstack([t_full[:, :s], t_full[:, s:] @ np.linalg.eig(t22)[1]])
     d = np.eye(n)
     if s:
         d[:s, :s] = sla.solve_continuous_lyapunov(t11.T, -np.eye(s))
     x = np.linalg.solve(t_full, np.eye(n))
-    p = x.T @ d @ x
+    p = (x.conj().T @ d @ x).real
     return 0.5 * (p + p.T)
-
-
-def _rotation(omega):
-    return np.array([[0.0, omega], [-omega, 0.0]])
 
 
 def _oracle_cases():
