@@ -7,9 +7,10 @@ lyapunov_certificate() then constructs P > 0 with A^T P + P A <= 0 from
 numpy alone, through Newton's iteration for the matrix sign function and,
 for a marginally stable A, the complex eigenvectors of its critical block,
 and verifies it post hoc by direct multiplication.
-sampled_positive_definite() checks f(0) = 0 and f > 0 on scrambled Halton
-points of a box, streamed in fixed-size blocks by _halton_chunks(), a numpy
-copy of scipy's sampler, so that no array of the sample count's size is held.
+sampled_positive_definite() checks f(0) = 0 and f > 0 on seeded uniform
+points of a box, one random stream per coordinate, streamed in fixed-size
+blocks by _uniform_chunks() so that no array of the sample count's size is
+held.
 """
 
 from __future__ import annotations
@@ -292,141 +293,53 @@ class SamplingResult:
     witness_value: Optional[float] = None
 
 
-def _primes(count: int) -> list:
-    """The first ``count`` primes, by trial division."""
-    primes = []
-    k = 2
-    while len(primes) < count:
-        if all(k % q for q in primes if q * q <= k):
-            primes.append(k)
-        k += 1
-    return primes
-
-
-# the longest table of low-digit sums that _halton_chunks builds per dimension
-_HALTON_TABLE = 4096
-# the most points that one block of _halton_chunks holds, so the most that
+# the most points that one block of _uniform_chunks holds, so the most that
 # sampled_positive_definite passes f at once
 _CHUNK = 16384
 
 
-def _halton_chunks(d: int, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """The first ``samples`` points of the Owen-scrambled Halton sequence in
-    [0, 1)^d, as (d, <= _CHUNK) blocks of coordinate rows: block k holds the
-    points [k * _CHUNK, (k + 1) * _CHUNK).  Joined and transposed, the
-    blocks are bit for bit ``scipy.stats.qmc.Halton(d=d,
-    seed=seed).random(samples)`` (the tests check this against scipy).
+def _uniform_chunks(d: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """``samples`` uniform points in [0, 1)^d as (d, <= _CHUNK) blocks of
+    coordinate rows: block k holds the points [k * _CHUNK, (k + 1) * _CHUNK).
+    Joined, row j of the blocks is ``default_rng([seed, j]).random(samples)``,
+    one independent stream per dimension, so the first d rows of a draw in
+    more dimensions are this draw, bit for bit.
 
-    Dimension i uses the i-th prime b as base.  One ``default_rng(seed)``
-    shuffles, dimension after dimension, ``ceil(54 / log2 b) - 1`` copies of
-    ``arange(b)``, one per digit position j; ``terms[j]`` is that
-    permutation times b^-(j+1).  Point i is the sum over j of ``terms[j]``
-    at digit j of i, added from the lowest digit up as scipy's loop adds
-    it, and a position past every index's last digit adds ``terms[j][0]``.
-    Since the dimensions draw from the generator in order, the first d rows
-    of a draw in more dimensions are this draw, bit for bit.
-
-    The scrambles are drawn here, when the function is called, so a
-    negative seed or sample count is a ValueError before any block is made;
-    each block is made when the iterator reaches it (see _fill).
+    The streams are seeded here, when the function is called, so a negative
+    seed or sample count is a ValueError before any block is made; each
+    block is filled when the iterator reaches it (see _blocks).
     """
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
-    rng = np.random.default_rng(seed)
-    dims = [_scramble(rng, base, samples) for base in _primes(d)]
-    return _blocks(dims, samples)
+    if samples < 0 or seed < 0:
+        raise ValueError(f"samples and seed must be nonnegative, "
+                         f"got {samples} and {seed}")
+    return _blocks([np.random.default_rng([seed, j]) for j in range(d)], samples)
 
 
-def _scramble(rng, base: int, samples: int):
-    """One dimension's scramble for ``samples`` points: the table of its
-    low-digit sums, the (block length, value of each block) of each higher
-    digit that varies among the points, in order, and the nonzero terms of
-    the digits past every point's last one (adding a zero to the sum of
-    nonnegative terms changes no bit)."""
-    count = math.ceil(54 / math.log2(base)) - 1
-    # rows shuffled in order, as scipy shuffles one copy per digit
-    perms = rng.permuted(np.repeat(np.arange(base)[None], count, axis=0), axis=1)
-    scales = [1.0 / base]
-    for _ in range(count - 1):
-        scales.append(scales[-1] / base)
-    terms = perms * np.array(scales)[:, None]
-    digits = 1
-    while base ** digits < samples:
-        digits += 1
-    table = np.zeros(1)
-    low = 0
-    while low < digits and table.size * base <= _HALTON_TABLE:
-        table = (table + terms[low][:, None]).ravel()  # digit low outermost
-        low += 1
-    varying = [(base ** j, terms[j][np.arange(-(-samples // base ** j)) % base])
-               for j in range(low, min(digits, count))]
-    constants = [float(c) for c in terms[digits:, 0] if c]
-    return table, varying, constants
-
-
-def _blocks(dims: list, samples: int) -> Iterator[np.ndarray]:
-    """The blocks of _halton_chunks.  Every full block is made in one
+def _blocks(streams: list, samples: int) -> Iterator[np.ndarray]:
+    """The blocks of _uniform_chunks.  Every full block is made in one
     buffer, which the next block overwrites; the last partial block gets
     its own, so each block is C-contiguous."""
-    out = np.empty((len(dims), min(_CHUNK, samples)))
+    out = np.empty((len(streams), min(_CHUNK, samples)))
     for start in range(0, samples, _CHUNK):
         if samples - start < out.shape[1]:
-            out = np.empty((len(dims), samples - start))
-        for row, dim in zip(out, dims):
-            _fill(row, start, *dim)
+            out = np.empty((len(streams), samples - start))
+        for row, stream in zip(out, streams):
+            stream.random(out=row)
         yield out
-
-
-def _fill(row: np.ndarray, start: int, table: np.ndarray, varying: list,
-          constants: list) -> None:
-    """Fill ``row`` with one dimension's points from index ``start`` on, by
-    scipy's additions in scipy's order, and compute no digit: digit j of i
-    is (i // b^j) mod b, so its term is constant over blocks of b^j
-    indices.  The low digits' sums repeat with the table's period and are
-    copied in period by period (0 + x is x for x >= 0); each higher digit
-    adds one value per block through a (blocks, b^j) view of the row, plus
-    a partial block at each end, and each constant is added to the whole
-    row."""
-    head, body, tail = _periods(row, start, table.size)
-    offset = start % table.size
-    head[...] = table[offset:offset + head.size]
-    body[...] = table
-    tail[...] = table[:tail.size]
-    for period, values in varying:
-        head, body, tail = _periods(row, start, period)
-        k = start // period  # the block of the row's first point
-        if head.size:
-            head += values[k]
-            k += 1
-        body += values[k:k + len(body), None]
-        if tail.size:
-            tail += values[k + len(body)]
-    for c in constants:
-        row += c
-
-
-def _periods(row: np.ndarray, start: int, period: int):
-    """``row``, which holds the points from index ``start`` on, as the part
-    before the first multiple of ``period``, a (full periods, period) view
-    of the part after it, and the partial period left at the end."""
-    lead = min(-start % period, row.size)
-    full = (row.size - lead) // period
-    stop = lead + full * period
-    return row[:lead], row[lead:stop].reshape(full, period), row[stop:]
 
 
 def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
                               box: Sequence[Sequence[float]],
                               samples: int,
                               seed: int) -> SamplingResult:
-    """Check f(0) = 0 and f(x) > 0 on quasi-random samples of the box.
+    """Check f(0) = 0 and f(x) > 0 on random samples of the box.
 
-    The box must contain 0 strictly inside.  Besides ``samples`` scrambled
-    Halton points from ``_halton_chunks``, mapped onto the box as ``lo + u *
+    The box must contain 0 strictly inside.  Besides ``samples`` uniform
+    points from ``_uniform_chunks``, mapped onto the box as ``lo + u *
     (hi - lo)``, 2n axis points at distance 1e-6 from the origin are tested
     to catch functions that vanish along a coordinate direction.  ``f`` maps
     an (N, n) stack of points to N values.  It is called first on the
-    origin and the axis points, then on each block of at most _CHUNK Halton
+    origin and the axis points, then on each block of at most _CHUNK sampled
     points, and checking stops at the first point that fails; no array of
     the sample count's size is held.  Each stack is the transpose view of
     an (n, N) array, whose coordinate rows are each contiguous.
@@ -438,7 +351,7 @@ def sampled_positive_definite(f: Callable[[np.ndarray], np.ndarray],
     if not np.all((lo < 0) & (hi > 0)):
         raise ValueError("box must contain the origin strictly inside")
     n = box.shape[0]
-    chunks = _halton_chunks(n, int(samples), seed)
+    chunks = _uniform_chunks(n, int(samples), seed)
 
     points = np.zeros((n, 1 + 2 * n))
     points[:, 1:] = 1e-6 * np.hstack([np.eye(n), -np.eye(n)])

@@ -7,8 +7,8 @@ import pytest
 
 import nisyn.lyapunov
 from nisyn.lyapunov import (
-    _CHUNK, _HALTON_TABLE, Classification, ConditioningError, SamplingResult,
-    StabilityError, _halton_chunks, _primes, _verify_certificate,
+    _CHUNK, Classification, ConditioningError, SamplingResult,
+    StabilityError, _uniform_chunks, _verify_certificate,
     classify_stability, default_tolerance, lyapunov_certificate,
     sampled_positive_definite,
 )
@@ -343,49 +343,44 @@ def test_sampled_pd_deterministic():
     assert a == b
 
 
-def test_primes():
-    assert _primes(0) == []
-    assert _primes(25) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
-                           47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+def _oracle(d, samples, seed):
+    """Row j of the draw, ``default_rng([seed, j]).random(samples)``, for
+    each j < d, in the (samples, d) layout of points."""
+    rows = [np.random.default_rng([seed, j]).random(samples) for j in range(d)]
+    return np.array(rows).T
 
 
-
-
-def _halton(d, samples, seed):
-    """The blocks of _halton_chunks joined into scipy's (samples, d) layout."""
-    blocks = [b.copy() for b in _halton_chunks(d, samples, seed)]
+def _uniform(d, samples, seed):
+    """The blocks of _uniform_chunks joined into the (samples, d) layout."""
+    blocks = [b.copy() for b in _uniform_chunks(d, samples, seed)]
     return np.hstack(blocks).T if blocks else np.zeros((0, d))
 
 
 @pytest.mark.parametrize("d, samples, seed", [
     (1, 10, 0), (1, 1, 0), (3, 1, 4), (6, 0, 5), (2, 1025, 5), (4, 2000, 3),
     (6, 100_000, 12345), (7, 6000, 99), (12, 20_000, 1), (20, 3000, 2),
-    # the edges of base 2's 4096-point table and of its blocks, of base 3's
-    # blocks (3^8 = 6561), and fewer points than the base (37, at d = 12)
     (1, 2, 3), (1, 4095, 8), (2, 4096, 9), (3, 4097, 10), (2, 6561, 11),
     (2, 6562, 12), (5, 8193, 13), (2, 65537, 14), (12, 30, 15),
-    # the edges of the streamed blocks, and a last block that ends inside
-    # a table period or a block of a higher digit
+    # the edges of the streamed blocks, and a last block of a few points
     (2, _CHUNK - 1, 16), (3, _CHUNK, 17), (2, _CHUNK + 1, 18),
-    (4, 3 * _CHUNK + 7, 19), (6, 2 * _CHUNK + _HALTON_TABLE - 1, 20),
+    (4, 3 * _CHUNK + 7, 19), (6, 2 * _CHUNK + 4095, 20),
     (9, 5 * _CHUNK + 3 ** 8 + 1, 21),
 ] + [  # 20 seeded random cases: d <= 15, samples <= 30000
     (int(d), int(samples), int(seed)) for d, samples, seed in
     np.random.default_rng(2024).integers([1, 0, 0], [16, 30_001, 2**31],
                                          size=(20, 3))
 ])
-def test_halton_equals_scipy_bit_for_bit(d, samples, seed):
-    from scipy.stats import qmc
-    want = qmc.Halton(d=d, seed=seed).random(samples)
-    got = _halton(d, samples, seed)
+def test_the_joined_blocks_equal_the_oracle_byte_for_byte(d, samples, seed):
+    want = _oracle(d, samples, seed)
+    got = _uniform(d, samples, seed)
     assert got.shape == want.shape == (samples, d)
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("samples", [0, 1, _CHUNK, 2 * _CHUNK + 1])
-def test_halton_streams_blocks_of_the_chunk_size(samples):
+def test_uniform_chunks_streams_blocks_of_the_chunk_size(samples):
     blocks = [(b.shape, b.flags.c_contiguous)
-              for b in _halton_chunks(5, samples, 7)]
+              for b in _uniform_chunks(5, samples, 7)]
     assert blocks == [
         ((5, min(_CHUNK, samples - start)), True)
         for start in range(0, samples, _CHUNK)]
@@ -395,7 +390,7 @@ def test_a_streamed_check_holds_nothing_of_the_sample_count_size():
     # one block is 6 * _CHUNK * 8 = 786 kB; a (6, 100000) draw alone is 4.8 MB
     tracemalloc.start()
     try:
-        for _ in _halton_chunks(6, 100_000, 12345):
+        for _ in _uniform_chunks(6, 100_000, 12345):
             pass
         draw_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
@@ -409,32 +404,54 @@ def test_a_streamed_check_holds_nothing_of_the_sample_count_size():
     assert check_peak <= 3_000_000
 
 
-def test_halton_rows_are_pinned():
-    # qmc.Halton(d=3, seed=2024).random(4), scipy 1.17.1
+def test_uniform_rows_are_pinned():
+    # the first 4 points of _uniform_chunks(3, 4, 2024), numpy 2.4.6; a
+    # change of numpy's streams would move every sampled witness
     want = np.array([
-        [0.8384968189834792, 0.8242146834946684, 0.6420158068815491],
-        [0.33849681898347916, 0.15754801682800185, 0.042015806881548975],
-        [0.5884968189834792, 0.4908813501613352, 0.44201580688154896],
-        [0.08849681898347916, 0.7131035723835575, 0.24201580688154897],
+        [0.6758313379812818, 0.09183453929532381, 0.42706428035550714],
+        [0.21432320123825765, 0.08683496189721551, 0.5600786480186489],
+        [0.3094520308816917, 0.8939972118108674, 0.13842967712023757],
+        [0.7994660967748332, 0.29024044465477805, 0.25948556511349086],
     ])
-    assert _halton(3, 4, 2024).tobytes() == want.tobytes()
+    assert _uniform(3, 4, 2024).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("samples", [
-    0, 1, _HALTON_TABLE - 1, _HALTON_TABLE, _HALTON_TABLE + 1,
-    3 * _HALTON_TABLE + 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    0, 1, 4095, 4096, 4097, 3 * 4096 + 7,
+    _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
 @pytest.mark.parametrize("seed", [0, 12345, 2 ** 31 - 1])
 def test_the_leading_columns_of_a_wider_draw_are_the_narrower_draw(samples, seed):
-    wide = _halton(9, samples, seed)
+    wide = _uniform(9, samples, seed)
     for d in (1, 2, 4, 6, 8):
-        assert wide[:, :d].tobytes() == _halton(d, samples, seed).tobytes()
+        assert wide[:, :d].tobytes() == _uniform(d, samples, seed).tobytes()
 
 
-def test_halton_rejects_a_negative_seed_or_sample_count():
+def test_a_narrow_indefinite_form_gives_a_witness_for_every_seed():
+    # y1^2 + y2^2 + 2.02 y1 y2 is negative only in two thin wedges around
+    # the line y1 = -y2
+    f = lambda y: y[:, 0] ** 2 + y[:, 1] ** 2 + 2.02 * y[:, 0] * y[:, 1]  # noqa: E731
+    found = [not sampled_positive_definite(f, [[-2, 2]] * 2, 100_000, seed).passed
+             for seed in range(20)]
+    assert all(found)
+
+
+@pytest.mark.parametrize("d, samples", [(4, 2000), (9, 3000)])
+def test_no_two_dimensional_projection_leaves_a_hole(d, samples):
+    # a 16 x 16 grid over each pair of coordinates; a sequence whose points
+    # lie on a few lines of some projection leaves tens of cells empty there
+    for seed in range(5):
+        cells = np.floor(_uniform(d, samples, seed) * 16).astype(int)
+        for i in range(d):
+            for k in range(i + 1, d):
+                counts = np.bincount(16 * cells[:, i] + cells[:, k], minlength=256)
+                assert np.count_nonzero(counts == 0) <= 4, (seed, i, k)
+
+
+def test_uniform_chunks_rejects_a_negative_seed_or_sample_count():
     # at the call, before any block is made
     for samples, seed in ((4, -1), (0, -1), (-1, 0)):
         with pytest.raises(ValueError):
-            _halton_chunks(2, samples, seed)
+            _uniform_chunks(2, samples, seed)
     calls = []
 
     def f(x):
@@ -448,17 +465,15 @@ def test_halton_rejects_a_negative_seed_or_sample_count():
 
 
 def _reference_sampled_pd(f, box, samples, seed):
-    """The per-point loop: origin, then axis points, then Halton points;
-    exact-zero rows are skipped and not counted."""
-    from scipy.stats import qmc
+    """The per-point loop: origin, then axis points, then the oracle's
+    points; exact-zero rows are skipped and not counted."""
     box = np.asarray(box, dtype=float)
     n = box.shape[0]
     f0 = f(np.zeros((1, n)))[0]
     if not -1e-12 <= f0 <= 1e-12:
         return False, 1, (0.0,) * n, f0
     axis = 1e-6 * np.vstack([np.eye(n), -np.eye(n)])
-    halton = qmc.Halton(d=n, seed=seed)
-    points = qmc.scale(halton.random(samples), box[:, 0], box[:, 1])
+    points = _oracle(n, samples, seed) * (box[:, 1] - box[:, 0]) + box[:, 0]
     checked = 1
     for x in np.vstack([axis, points]):
         if not np.any(x):
@@ -486,16 +501,15 @@ def test_sampled_pd_matches_point_loop(f, box, passes):
 
 def _unchunked_sampled_pd(f, box, samples, seed):
     """The sampler before it streamed: one (n, N) stack of the origin, the
-    axis points and every Halton point (drawn here by scipy), mapped onto
-    the box in place, and one call of f on its transpose."""
-    from scipy.stats import qmc
+    axis points and every sampled point (drawn here by the oracle), mapped
+    onto the box in place, and one call of f on its transpose."""
     box = np.asarray(box, dtype=float)
     lo, hi = box[:, 0], box[:, 1]
     n = box.shape[0]
     points = np.zeros((n, 1 + 2 * n + samples))
     points[:, 1:1 + 2 * n] = 1e-6 * np.hstack([np.eye(n), -np.eye(n)])
     drawn = points[:, 1 + 2 * n:]
-    drawn[...] = qmc.Halton(d=n, seed=seed).random(samples).T
+    drawn[...] = _oracle(n, samples, seed).T
     drawn *= (hi - lo)[:, None]
     drawn += lo[:, None]
     values = np.asarray(f(points.T), dtype=float)
@@ -512,11 +526,10 @@ def _unchunked_sampled_pd(f, box, samples, seed):
     return SamplingResult(True, 1 + int(nonzero.sum()))
 
 
-def _halton_point(box, samples, seed, k):
-    """Halton point k of a check, mapped onto the box as the sampler maps it."""
-    from scipy.stats import qmc
+def _sample_point(box, samples, seed, k):
+    """Sampled point k of a check, mapped onto the box as the sampler maps it."""
     box = np.asarray(box, dtype=float)
-    u = qmc.Halton(d=box.shape[0], seed=seed).random(samples)[k]
+    u = _oracle(box.shape[0], samples, seed)[k]
     return u * (box[:, 1] - box[:, 0]) + box[:, 0]
 
 
@@ -556,7 +569,7 @@ def test_the_streamed_sampler_gives_the_unchunked_samplers_results(samples,
     else:
         # a second bad point a chunk later must not replace the first
         later = [k for k in (witness + _CHUNK,) if k < samples]
-        f = _failing_at([_halton_point(_BOX, samples, seed, k)
+        f = _failing_at([_sample_point(_BOX, samples, seed, k)
                          for k in [witness] + later])
     got = sampled_positive_definite(f, _BOX, samples, seed)
     assert got == _unchunked_sampled_pd(f, _BOX, samples, seed)
@@ -567,17 +580,16 @@ def test_the_streamed_sampler_gives_the_unchunked_samplers_results(samples,
 
 
 @pytest.mark.parametrize("fails_after", [False, True])
-def test_a_halton_point_on_the_origin_is_skipped_and_not_counted(fails_after):
+def test_a_sample_point_on_the_origin_is_skipped_and_not_counted(fails_after):
     # in a box [-4u, 4(1 - u)] per coordinate, with 1/2 <= u < 1, the point
     # u maps onto 4u - 4u = 0 exactly; take the first such point from the
     # second chunk on
-    from scipy.stats import qmc
     samples, seed = 2 * _CHUNK, 5
-    units = qmc.Halton(d=2, seed=seed).random(samples)
+    units = _oracle(2, samples, seed)
     k = _CHUNK + int(np.flatnonzero((units[_CHUNK:] >= 0.5).all(axis=1))[0])
     box = [[-4 * u, 4 * (1 - u)] for u in units[k]]
-    assert not _halton_point(box, samples, seed, k).any()
-    targets = [_halton_point(box, samples, seed, samples - 1)] if fails_after else []
+    assert not _sample_point(box, samples, seed, k).any()
+    targets = [_sample_point(box, samples, seed, samples - 1)] if fails_after else []
     f = _failing_at(targets)
     got = sampled_positive_definite(f, box, samples, seed)
     assert got == _unchunked_sampled_pd(f, box, samples, seed)
