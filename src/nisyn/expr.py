@@ -23,10 +23,10 @@ denominator are rejected at parse time because they are not real-valued on
 negative bases.
 
 Storages, gradients and laws share subtrees.  variables, substitute,
-normalize, differentiate, fold_constants and compile_exprs' subtree
-numbering walk through ``_walk``, which visits each node object once and
-shares its result wherever it is reached again; the structural walks take
-a node's children from ``_children``.
+normalize, differentiate, fold_constants, to_string and compile_exprs'
+subtree numbering walk through ``_walk``, which visits each node object
+once and shares its result wherever it is reached again; the structural
+walks take a node's children from ``_children``.
 
 compile_exprs() is the one evaluator, for a point or a stack of points; the
 tree walker evaluate() is its reference and serves one-point origin checks.
@@ -47,10 +47,10 @@ k other than 2 and -1 is a chain of squarings (of 1/x for a negative k),
 since numpy's power runs a scalar loop on negative bases; a Python float
 or a numpy scalar keeps ``**``.  One
 point runs on Python floats: the callable passes ``x.tolist()`` to its
-``point`` attribute, the one-point entry point, which the integrator also
-calls on float64 arrays to redo a step whose inlined body raised.  Python floats raise
+``point`` attribute, the one-point entry point.  Python floats raise
 ZeroDivisionError or OverflowError where numpy gives inf, so when the float
-call raises either, the point is evaluated again on numpy float64 scalars:
+call raises either, the point is evaluated again on numpy float64 scalars
+(as the integrator's RK4 loop redoes a step whose inlined body raised):
 there is one failure mode, inf or nan with numpy's RuntimeWarning.  (A
 subexpression of constants alone, such as ``0^(-1)``, is Python floats on
 both paths and raises on both.)  A power whose base holds no variable is
@@ -576,36 +576,40 @@ def _frac_str(v: Fraction) -> str:
 
 def to_string(e: Expr) -> str:
     """Render to a string that re-parses to normalize(e)."""
+    return _walk(_render)(e)
+
+
+def _render(e: Expr, walk: Callable[[Expr], str]) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Const):
         return _frac_str(e.value)
     if isinstance(e, Neg):
-        inner = to_string(e.child)
+        inner = walk(e.child)
         if isinstance(e.child, (Sum, Product)):
             return f"-({inner})"
         return f"-{inner}"
     if isinstance(e, Sum):
-        out = to_string(e.terms[0])
+        out = walk(e.terms[0])
         for t in e.terms[1:]:
             if isinstance(t, Neg):
-                inner = to_string(t.child)
+                inner = walk(t.child)
                 if isinstance(t.child, Sum):
                     inner = f"({inner})"
                 out += f" - {inner}"
             else:
-                out += f" + {to_string(t)}"
+                out += f" + {walk(t)}"
         return out
     if isinstance(e, Product):
         parts = []
         for f in e.factors:
-            s = to_string(f)
+            s = walk(f)
             if isinstance(f, Sum):
                 s = f"({s})"
             parts.append(s)
         return "*".join(parts)
     if isinstance(e, Pow):
-        base = to_string(e.base)
+        base = walk(e.base)
         if not (isinstance(e.base, Var)
                 or (isinstance(e.base, Const) and e.base.value >= 0)):
             base = f"({base})"

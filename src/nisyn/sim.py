@@ -134,18 +134,19 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
     ``inputs`` in p, and writes each new state into row k + 1 of ``states``.
     ``states`` and ``inputs`` are flat (1-D) memoryviews of the float64
     arrays, row after row, whose items read and write Python floats without
-    numpy calls (a list of every input row would raise the peak memory);
-    the loop keeps the offsets of its input row and of its state row as
-    running sums, ``ki += p`` and ``row += n``.  It returns ``(n_steps, x)`` at
-    the end, ``(k, x)`` with the state after step k as soon as its norm is
-    nan, inf or above ``bound``, and ``(k, None)`` when the body raises
-    ZeroDivisionError or OverflowError in step k, whose state is then still
-    in row k of ``states``; the caller classifies that state, or redoes that
-    step, and resumes from k + 1.  A short body is copied into the four
-    stages, which bind the roots to ``kJ_i``; a long one runs in a loop over
-    the stages that sums the roots with weights 1, 2, 2, 1 from -0.0, the
-    same float operations as ``k1 + 2.0 * k2 + 2.0 * k3 + k4``.  The
-    arithmetic is the array form's, operation for operation.
+    numpy calls (a list of every input row would raise the peak memory), or
+    the flat arrays, whose items are numpy scalars; the loop keeps the
+    offsets of its input and state rows as running sums, ``ki += p`` and
+    ``row += n``.  It returns ``(n_steps, x)`` at the end, ``(k, x)`` with
+    the state after step k as soon as its norm is nan, inf or above
+    ``bound``, and ``(k, None)`` when the body raises ZeroDivisionError or
+    OverflowError in step k, whose state is then still in row k of
+    ``states``; the caller classifies that state, or redoes that step, and
+    resumes from k + 1.  A short body is copied into the four stages, which
+    bind the roots to ``kJ_i``; a long one runs in a loop over the stages
+    that sums the roots with weights 1, 2, 2, 1 from -0.0, the same float
+    operations as ``k1 + 2.0 * k2 + 2.0 * k3 + k4``.  The arithmetic is the
+    array form's, operation for operation.
     """
     if field.n_vars != n + p or len(field.roots) != n:
         raise ValueError(
@@ -198,20 +199,6 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
     return field.rk4
 
 
-def _array_step(point: Callable, x: np.ndarray, u: np.ndarray,
-                dt: float) -> list:
-    """One RK4 step in array form, each stage through ``point`` on numpy
-    float64: the step that a loop leaves when its float body raises."""
-    def f(s):
-        return np.array(point(np.concatenate([s, u])), dtype=float)
-
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return (x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tolist()
-
-
 def integrate(rhs: Callable,
               x0: Sequence[float],
               t_end: float,
@@ -228,10 +215,11 @@ def integrate(rhs: Callable,
     inline in each stage: a compiled field keeps its loop, a plain callable
     gets a new one per call.  The loop holds the state in n Python floats
     and does the same operations in the same order as on float64 arrays.
-    When the body raises ZeroDivisionError or OverflowError in a step, that
-    one step is done again in array form, through the field's ``point`` on
-    numpy float64, which gives inf or nan with numpy's RuntimeWarning
-    instead; the loop then resumes on Python floats at the next step.
+    When the body raises ZeroDivisionError or OverflowError in a step, the
+    loop runs that step again on the flat float64 arrays, whose items are
+    numpy scalars that give inf or nan with numpy's RuntimeWarning instead,
+    and then resumes on Python floats; a body that raises on them too (a
+    plain callable, or a power of a zero constant) is an IntegrationError.
     The input is open-loop and zero-order-hold at the grid times
     t_k = k*dt, so it is sampled once per run: ``input_fn`` maps the (N,)
     time grid to an (N, p) array (None means p = 0), and any other shape is
@@ -266,13 +254,17 @@ def integrate(rhs: Callable,
     loop = _inlined_loop(rhs, n, p)
     states = np.empty((n_steps + 1, n))
     states[0] = x
-    # flat views: reshape copies only an input array that no 1-D view spans
-    flat = memoryview(states.reshape(-1))
-    flat_inputs = memoryview(inputs.reshape(-1))
-    k, x = loop(flat, flat_inputs, x, 0, n_steps, dt, blowup_norm)
+    # flat arrays: reshape copies only an input array that no 1-D view spans
+    flat = states.reshape(-1), inputs.reshape(-1)
+    views = tuple(map(memoryview, flat))
+    k, x = loop(*views, x, 0, n_steps, dt, blowup_norm)
     while k < n_steps:
-        if x is None:  # the float body raised in step k
-            x = _array_step(rhs.point, states[k], inputs[k], dt)
+        if x is None:  # the float body raised in step k: redo it on numpy scalars
+            x = loop(*flat, tuple(states[k]), k, k + 1, dt, blowup_norm)[1]
+            if x is None:
+                raise IntegrationError(
+                    "the field raised ZeroDivisionError or OverflowError on "
+                    "numpy scalars too", k + 1, states[k])
         norm = math.hypot(*x)  # nan or inf when a state is
         if not math.isfinite(norm) and not all(map(math.isfinite, x)):
             raise IntegrationError("non-finite state encountered", k + 1, states[k])
@@ -283,7 +275,7 @@ def integrate(rhs: Callable,
         # a redone step, or finite states whose norm overflows under an
         # infinite bound
         states[k + 1] = x
-        k, x = loop(flat, flat_inputs, x, k + 1, n_steps, dt, blowup_norm)
+        k, x = loop(*views, tuple(map(float, x)), k + 1, n_steps, dt, blowup_norm)
     if state_names is None:
         state_names = tuple(f"x{i + 1}" for i in range(n))
     if input_names is None:

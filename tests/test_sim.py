@@ -4,6 +4,7 @@ import csv
 import dis
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -450,6 +451,66 @@ def test_a_redone_step_resumes_the_loop_on_python_floats(monkeypatch, exprs,
     with pytest.warns(RuntimeWarning, match="divide by zero"):
         integrate(field, x0, 2.0, 0.1, input_fn=input_fn)
     assert resumed == [(1, {float})]
+
+
+def test_a_step_redone_after_the_first_resumes_on_python_floats(monkeypatch):
+    """x' = 1 + (x^(-1))^(-1) - x is 1 on floats except at x = 0, where
+    floats raise: from some multiple of -dt a stage reaches 0 exactly in a
+    step k >= 1, which is redone, and the loop resumes at k + 1."""
+    dt, n_steps = 0.1, 20
+    field = _field(["1 + (x^(-1))^(-1) - x"], ["x"])
+    loop, calls = sim._inlined_loop(field, 1, 0), []
+
+    def spy(states, inputs, x, k0, *rest):
+        k, out = loop(states, inputs, x, k0, *rest)
+        calls.append((k0, {type(v) for v in x}, k, out is None))
+        return k, out
+
+    monkeypatch.setattr(field, "rk4", spy)
+    for j in range(1, 20):
+        calls.clear()
+        x0 = [-j * dt]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always", RuntimeWarning)
+            got = integrate(field, x0, n_steps * dt, dt).states
+        _, _, k, raised = calls[0]
+        if raised and k >= 1:
+            break
+    else:
+        pytest.fail("no x0 on the grid reaches 0 in a step after the first")
+    assert any("divide by zero" in str(w.message) for w in record)
+    # a state that lands on 0 makes the next step raise too
+    assert (k + 1, {float}) in [call[:2] for call in calls]
+    assert calls[-1][1:] == ({float}, n_steps, False)
+    with np.errstate(divide="ignore"):
+        want = _rk4_on_arrays(field, x0, n_steps * dt, dt, zero_signal(0))
+    assert np.isfinite(want).all()
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_redone_step_reads_its_input_as_a_numpy_scalar():
+    """u1 = 0 makes u1^(-1) raise on floats; the redo reads u1 from the
+    float64 array, so it gives inf, not a second ZeroDivisionError."""
+    field = _field(["-x + u1^(-1)"], ["x", "u1"])
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        with pytest.raises(IntegrationError, match="non-finite") as err:
+            integrate(field, [1.0], 1.0, 0.1, input_fn=zero_signal(1))
+    assert type(err.value) is IntegrationError
+    assert err.value.step == 1
+    assert err.value.last_state.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("rhs", [
+    lambda x, u: np.array([1.0 / float(x[0])]),  # raises on arrays too
+    _field(["-x + 0^(-1)*x"], ["x"]),  # constants are Python floats on both
+])
+def test_a_body_that_raises_on_numpy_scalars_too_ends_the_run(rhs):
+    with pytest.raises(IntegrationError, match="raised ZeroDivisionError or "
+                       "OverflowError on numpy scalars too") as err:
+        integrate(rhs, [0.0], 1.0, 0.1)
+    assert err.value.step == 1
+    assert err.value.last_state.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("x0, signal, error", [
