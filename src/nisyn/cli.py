@@ -512,6 +512,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
+        # refuse an --out that cannot become a directory before the scenario
+        # loads, without making it: a scenario refused on load leaves none
+        found = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+        if not found.is_dir():
+            raise NotADirectoryError(
+                f"--out {args.out}: {found} exists and is not a directory")
         if args.command == "reproduce-example" and args.scenario is None:
             scn = load_scenario(bundled_scenario_path())
         else:
@@ -533,11 +539,11 @@ def main(argv=None) -> int:
         else:
             report = run_reproduce(scn, out_dir, jobs=args.jobs)
             name = "reproduce.json"
+        path = _write_report(report, out_dir, name)
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    path = _write_report(report, out_dir, name)
     _print_summary(report)
     print(f"report written to {path}")
     return 0 if report.get("passed") else 1

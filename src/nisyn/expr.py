@@ -51,11 +51,12 @@ point runs on Python floats: the callable passes ``x.tolist()`` to its
 ZeroDivisionError or OverflowError where numpy gives inf, so when the float
 call raises either, the point is evaluated again on numpy float64 scalars
 (as the integrator's RK4 loop redoes a step whose inlined body raised):
-there is one failure mode, inf or nan with numpy's RuntimeWarning.  (A
-subexpression of constants alone, such as ``0^(-1)``, is Python floats on
-both paths and raises on both.)  A power whose base holds no variable is
-compiled to the literal of its value, and one whose value is beyond the
-float range is an ExprError at compile time.
+there is one failure mode, inf or nan with numpy's RuntimeWarning.  A power
+whose base holds no variable is compiled to the literal of its value, and
+one that divides by zero, such as ``0^(-1)``, or whose value is beyond the
+float range is an ExprError at compile time.  Of the float operations only
+a power raises, and every power left in the code reads a variable, so on
+numpy scalars no compiled function raises.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+import math
 import re
 
 import numpy as np
@@ -758,18 +760,21 @@ def _int_power(x, k: int):
     return out
 
 
-def _const_power(e: Pow) -> Optional[str]:
+def _const_power(e: Pow) -> str:
     """The literal of a power whose base holds no variable, computed by the
     float operations that its code would run on every call (evaluate() runs
-    the same ones).  None for a zero base under a negative exponent: that
-    code is kept, and raises ZeroDivisionError."""
+    the same ones).  A zero base under a negative exponent, and a value
+    beyond the float range (inf or nan, also from a base that overflowed),
+    are ExprErrors: no literal holds them."""
     try:
-        return repr(evaluate(e, {}))
-    except OverflowError:
-        raise ExprError(f"power {to_string(e)} is beyond the float "
-                        "range") from None
+        value = evaluate(e, {})
     except ZeroDivisionError:
-        return None
+        raise ExprError(f"power {to_string(e)} divides by zero") from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ExprError(f"power {to_string(e)} is beyond the float range")
+    return repr(value)
 
 
 def _float_power(base: str, exponent: Fraction) -> str:
@@ -806,8 +811,8 @@ def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
     for i, (e, kids) in enumerate(nodes):
         if not isinstance(e, Var) and constant.issuperset(kids):
             constant.add(i)
-            if isinstance(e, Pow) and (literal := _const_power(e)) is not None:
-                literals[i] = literal
+            if isinstance(e, Pow):
+                literals[i] = _const_power(e)
     for i in reversed(range(len(nodes))):  # parents first: drop unread uses
         if i in literals or not uses[i]:
             for k in nodes[i][1]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -106,28 +105,12 @@ def _at(offset: str, i: int) -> str:
 _UNROLL_CHARS = 2000
 
 
-def _plain_field(rhs: Callable, n: int, p: int) -> SimpleNamespace:
-    """A plain rhs(x, u) in the shape of a compile_exprs field: its body
-    unpacks ``_call`` (its ``point``, which passes the state and the input
-    as ndarrays) into its roots, so a result of the wrong length is the
-    unpack's ValueError."""
-    def point(xu):
-        return np.asarray(rhs(np.array(xu[:n]), np.array(xu[n:])),
-                          dtype=float).tolist()
-
-    return SimpleNamespace(
-        body=(f"({_items('_r', n)}) = _call(({_items('_x', n + p)}))",),
-        roots=tuple(f"_r{i}" for i in range(n)), n_vars=n + p, rk4=None,
-        point=point)
-
-
 def _inlined_loop(field, n: int, p: int) -> Callable:
-    """The RK4 loop of a compile_exprs field or a _plain_field, built on
-    first use and kept in ``field.rk4``.  Each stage assigns its arguments
-    to the field's variable locals ``_x0 …``, runs the field's body inline
-    and binds its roots.  A compiled field's body is its float form, whose
-    fractional powers are conditional expressions, so a stage calls no
-    function but ``abs``.
+    """The RK4 loop of a compile_exprs field, built on first use and kept in
+    ``field.rk4``.  Each stage assigns its arguments to the field's variable
+    locals ``_x0 …``, runs the field's body inline and binds its roots.  The
+    body is the field's float form, whose fractional powers are conditional
+    expressions, so a stage calls no function but ``abs``.
 
     ``loop(states, inputs, x, k, n_steps, dt, bound)`` steps from state
     ``x`` at step ``k``, with the state in n local floats and row k of
@@ -141,12 +124,13 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
     the state after step k as soon as its norm is nan, inf or above
     ``bound``, and ``(k, None)`` when the body raises ZeroDivisionError or
     OverflowError in step k, whose state is then still in row k of
-    ``states``; the caller classifies that state, or redoes that step, and
-    resumes from k + 1.  A short body is copied into the four stages, which
-    bind the roots to ``kJ_i``; a long one runs in a loop over the stages
-    that sums the roots with weights 1, 2, 2, 1 from -0.0, the same float
-    operations as ``k1 + 2.0 * k2 + 2.0 * k3 + k4``.  The arithmetic is the
-    array form's, operation for operation.
+    ``states``; the caller classifies that state, or redoes that step on
+    the flat arrays, where the body cannot raise, and resumes from k + 1.
+    A short body is copied into the four stages, which bind the roots to
+    ``kJ_i``; a long one runs in a loop over the stages that sums the roots
+    with weights 1, 2, 2, 1 from -0.0, the same float operations as
+    ``k1 + 2.0 * k2 + 2.0 * k3 + k4``.  The arithmetic is the array form's,
+    operation for operation.
     """
     if field.n_vars != n + p or len(field.roots) != n:
         raise ValueError(
@@ -193,7 +177,7 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
         "        return k, None\n",
         f"    return n_steps, ({s})\n",
     ])
-    namespace = {"hypot": math.hypot, "inf": math.inf, "_call": field.point}
+    namespace = {"hypot": math.hypot, "inf": math.inf}
     exec(compile(source, "<nisyn-rk4-field>", "exec"), namespace)
     field.rk4 = namespace["_loop"]
     return field.rk4
@@ -209,17 +193,15 @@ def integrate(rhs: Callable,
               blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
     """Integrate x' = rhs(x, u(t)) with classical RK4 at fixed step.
 
-    ``rhs`` is a compile_exprs field over the state followed by the input,
-    or a callable rhs(x, u) on ndarrays, which becomes a field whose body
-    calls it.  Each field runs in its own RK4 loop, generated with its body
-    inline in each stage: a compiled field keeps its loop, a plain callable
-    gets a new one per call.  The loop holds the state in n Python floats
-    and does the same operations in the same order as on float64 arrays.
-    When the body raises ZeroDivisionError or OverflowError in a step, the
-    loop runs that step again on the flat float64 arrays, whose items are
-    numpy scalars that give inf or nan with numpy's RuntimeWarning instead,
-    and then resumes on Python floats; a body that raises on them too (a
-    plain callable, or a power of a zero constant) is an IntegrationError.
+    ``rhs`` is a compile_exprs field over the state followed by the input;
+    anything else is a TypeError.  Each field runs in its own RK4 loop,
+    generated with its body inline in each stage and kept on the field.
+    The loop holds the state in n Python floats and does the same
+    operations in the same order as on float64 arrays.  When the body
+    raises ZeroDivisionError or OverflowError in a step, the loop runs that
+    step again on the flat float64 arrays, whose items are numpy scalars
+    that give inf or nan with numpy's RuntimeWarning instead (no compiled
+    body raises on them), and then resumes on Python floats.
     The input is open-loop and zero-order-hold at the grid times
     t_k = k*dt, so it is sampled once per run: ``input_fn`` maps the (N,)
     time grid to an (N, p) array (None means p = 0), and any other shape is
@@ -229,6 +211,8 @@ def integrate(rhs: Callable,
     NaN/Inf and raises DivergenceError when the state norm exceeds
     ``blowup_norm``; both carry the step and the last good state.
     """
+    if getattr(rhs, "body", None) is None:
+        raise TypeError(f"integrate takes a compile_exprs field, got {rhs!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < dt:
@@ -249,8 +233,6 @@ def integrate(rhs: Callable,
                 f"input_fn gave shape {inputs.shape} on a time grid of shape "
                 f"{t_grid.shape}; a signal maps times (N,) to inputs (N, p)")
     p = inputs.shape[1]
-    if getattr(rhs, "body", None) is None:
-        rhs = _plain_field(rhs, n, p)
     loop = _inlined_loop(rhs, n, p)
     states = np.empty((n_steps + 1, n))
     states[0] = x
@@ -261,10 +243,6 @@ def integrate(rhs: Callable,
     while k < n_steps:
         if x is None:  # the float body raised in step k: redo it on numpy scalars
             x = loop(*flat, tuple(states[k]), k, k + 1, dt, blowup_norm)[1]
-            if x is None:
-                raise IntegrationError(
-                    "the field raised ZeroDivisionError or OverflowError on "
-                    "numpy scalars too", k + 1, states[k])
         norm = math.hypot(*x)  # nan or inf when a state is
         if not math.isfinite(norm) and not all(map(math.isfinite, x)):
             raise IntegrationError("non-finite state encountered", k + 1, states[k])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nisyn.cli import bundled_scenario_path, run_analyze
-from nisyn.expr import evaluate, parse_expr
+from nisyn.expr import compile_exprs, evaluate, parse_expr
 from nisyn.lyapunov import classify_stability, lyapunov_certificate, \
     sampled_positive_definite
 from nisyn.scenario import (
@@ -253,8 +253,9 @@ def test_criterion_9_integrator_order():
     with criterion(9, "RK4 error vs the exponential oracle shrinks ~16x per "
                       "halving"):
         errors = []
+        decay = compile_exprs([parse_expr("-x", ["x"])], ["x"])
         for dt in (0.1, 0.05, 0.025):
-            traj = integrate(lambda x, u: -x, [1.0], 1.0, dt)
+            traj = integrate(decay, [1.0], 1.0, dt)
             errors.append(abs(traj.states[-1, 0] - np.exp(-1.0)))
         for a, b in zip(errors, errors[1:]):
             assert 12.0 <= a / b <= 20.0, errors

@@ -1208,6 +1208,63 @@ def _write(tmp_path, data, name="scn.json"):
     return str(path)
 
 
+_COMMANDS = ["analyze", "synthesize", "simulate", "verify", "reproduce-example"]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under a file"])
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_an_out_that_cannot_be_a_directory_exits_2_before_the_scenario_loads(
+        tmp_path, capsys, monkeypatch, command, under):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "o" if under else taken
+
+    def load(_path):
+        raise AssertionError("the scenario loaded")
+
+    monkeypatch.setattr(nisyn.cli, "load_scenario", load)
+    assert main([command, "--scenario", str(bundled_scenario_path()),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --out {out}: {taken} exists and is not a directory\n")
+    assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_report_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch,
+                                                 command):
+    """An OSError from the report's write, after the stages ran, is a usage
+    error too: one line and exit 2."""
+    def refuse(report, out_dir, name):
+        raise PermissionError(f"cannot write {out_dir / name}")
+
+    monkeypatch.setattr(nisyn.cli, "_write_report", refuse)
+    data = _fast_scenario()
+    data["simulation"]["t_end"] = 0.05
+    out = tmp_path / "o"
+    assert main([command, "--scenario", _write(tmp_path, data),
+                 "--out", str(out)]) == 2
+    name = command.split("-")[0]
+    assert capsys.readouterr() == ("", f"error: cannot write {out / name}.json\n")
+
+
+@pytest.mark.parametrize("command, block", [("synthesize", "regression"),
+                                            ("simulate", "general_form")])
+def test_a_power_of_constants_that_divides_by_zero_exits_2(tmp_path, capsys,
+                                                           command, block):
+    data = _fast_scenario()
+    data["simulation"]["t_end"] = 0.05
+    if block == "regression":
+        data["regression"]["u1"][0] = "0^(-1)*xi1"
+    else:  # the general form maps the loop's inputs when there is no uncertainty
+        del data["uncertainty"], data["regression"]
+        data["general_form"] = dict(copy.deepcopy(_GENERAL_FORM),
+                                    j1=["0^(-1)*xi1"])
+    assert main([command, "--scenario", _write(tmp_path, data),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: power 0^-1 divides by zero\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("block, key, index, value", [
     ("simulation", "x0", 0, float("nan")),

@@ -5,7 +5,6 @@ import dis
 import math
 import re
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,24 +41,36 @@ def _example_unc():
 X0 = np.array([3.0, 1.0, -1.0, 2.0])
 
 
+def _field(exprs, names):
+    return compile_exprs([parse_expr(e, names) for e in exprs], names)
+
+
+_DECAY = _field(["-x"], ["x"])  # x' = -x
+_GROWTH = _field(["x"], ["x"])  # x' = x
+
+
+def _zero_field(n):
+    names = [f"x{i + 1}" for i in range(n)]
+    return _field(["0"] * n, names)
+
+
 # --- integrator ---------------------------------------------------------------
 
 def test_zero_field_constant():
-    traj = integrate(lambda x, u: np.zeros_like(x), [2.0, -1.0], 1.0, 0.1)
+    traj = integrate(_zero_field(2), [2.0, -1.0], 1.0, 0.1)
     assert np.all(traj.states == np.array([2.0, -1.0]))
     assert traj.t[0] == 0.0 and traj.t[-1] == pytest.approx(1.0)
     assert np.all(np.diff(traj.t) > 0)
 
 
 def test_exponential_oracle():
-    traj = integrate(lambda x, u: -x, [1.0], 1.0, 1e-3)
+    traj = integrate(_DECAY, [1.0], 1.0, 1e-3)
     assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 1e-9
 
 
 def test_rotation_energy_conservation():
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     dt = 1e-2
-    traj = integrate(lambda x, u: a @ x, [1.0, 0.0], 10.0, dt)
+    traj = integrate(_field(["x2", "-x1"], ["x1", "x2"]), [1.0, 0.0], 10.0, dt)
     norms = np.linalg.norm(traj.states, axis=1)
     # RK4 drift per unit time is O(dt^4)
     assert abs(norms[-1] - 1.0) <= 100 * dt ** 4 * 10
@@ -68,39 +79,50 @@ def test_rotation_energy_conservation():
 def test_rk4_order_against_exponential():
     errors = []
     for dt in (0.1, 0.05, 0.025):
-        traj = integrate(lambda x, u: -x, [1.0], 1.0, dt)
+        traj = integrate(_DECAY, [1.0], 1.0, dt)
         errors.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
     for a, b in zip(errors, errors[1:]):
         assert 12.0 <= a / b <= 20.0
 
 
 def test_nan_abort():
-    def rhs(x, u):
-        return np.array([np.nan]) if x[0] > 0.5 else np.array([1.0])
-
-    with pytest.raises(IntegrationError) as err:
-        integrate(rhs, [0.49], 1.0, 0.1)
+    # x' = -1 off 0; the fourth stage of step 4 reaches 0, where the redo
+    # on numpy scalars gives inf - inf
+    field = _field(["x^(-1) - x^(-1) - 1"], ["x"])
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(IntegrationError) as err:
+            integrate(field, [0.5], 1.0, 0.125)
     assert not isinstance(err.value, DivergenceError)
-    assert err.value.step >= 1
-    assert np.isfinite(err.value.last_state).all()
+    assert err.value.step == 4
+    assert err.value.last_state.tolist() == [0.125]
 
 
 def test_blowup_guard():
     with pytest.raises(DivergenceError) as err:
-        integrate(lambda x, u: x, [1.0], 100.0, 0.1, blowup_norm=1e3)
+        integrate(_GROWTH, [1.0], 100.0, 0.1, blowup_norm=1e3)
     assert err.value.step > 0
 
 
 def test_integrate_validation():
     with pytest.raises(ValueError):
-        integrate(lambda x, u: x, [1.0], 1.0, 0.0)
+        integrate(_GROWTH, [1.0], 1.0, 0.0)
     with pytest.raises(ValueError):
-        integrate(lambda x, u: x, [1.0], 0.05, 0.1)
+        integrate(_GROWTH, [1.0], 0.05, 0.1)
+
+
+@pytest.mark.parametrize("rhs", [lambda x, u: -x, np.negative, None])
+def test_integrate_takes_only_a_compiled_field(rhs):
+    calls = []
+    with pytest.raises(TypeError, match=re.escape(
+            f"integrate takes a compile_exprs field, got {rhs!r}")):
+        integrate(rhs, [1.0], 1.0, 0.1, input_fn=lambda t: calls.append(t))
+    assert calls == []  # refused before the input is sampled
 
 
 def test_zoh_input_recorded():
     sig = step_signal([1.0], start_time=0.5)
-    traj = integrate(lambda x, u: u - x, [0.0], 1.0, 0.25, input_fn=sig)
+    traj = integrate(_field(["u1 - x"], ["x", "u1"]), [0.0], 1.0, 0.25,
+                     input_fn=sig)
     assert traj.inputs[:2] == pytest.approx(np.zeros((2, 1)))
     assert traj.inputs[2:] == pytest.approx(np.ones((3, 1)))
 
@@ -114,7 +136,7 @@ def test_zoh_input_recorded():
 ])
 def test_integrate_rejects_an_input_of_the_wrong_shape(signal, shape):
     with pytest.raises(ValueError, match=re.escape(f"input_fn gave shape {shape}")):
-        integrate(lambda x, u: -x, [1.0], 1.1, 0.1, input_fn=signal)
+        integrate(_DECAY, [1.0], 1.1, 0.1, input_fn=signal)
 
 
 def test_integrate_samples_the_input_once_on_the_grid():
@@ -124,12 +146,13 @@ def test_integrate_samples_the_input_once_on_the_grid():
         calls.append(np.array(t))
         return np.column_stack([t, -t])
 
-    traj = integrate(lambda x, u: u[:1] - x, [0.0], 1.0, 0.1, input_fn=signal)
+    traj = integrate(_field(["u1 - x"], ["x", "u1", "u2"]), [0.0], 1.0, 0.1,
+                     input_fn=signal)
     assert len(calls) == 1
     assert calls[0].tobytes() == np.array([k * 0.1 for k in range(11)]).tobytes()
     assert traj.t.tobytes() == calls[0].tobytes()
     assert traj.inputs.shape == (11, 2) and traj.input_names == ("u1", "u2")
-    assert integrate(lambda x, u: -x, [1.0], 1.0, 0.1).inputs.shape == (11, 0)
+    assert integrate(_DECAY, [1.0], 1.0, 0.1).inputs.shape == (11, 0)
 
 
 def test_an_input_array_in_any_layout_integrates_to_the_same_bytes():
@@ -191,11 +214,9 @@ def test_list_loop_matches_the_array_loop_bit_for_bit(example_cl):
     for field, x0, signal in _loops_for_identity(example_cl):
         n = len(x0)
         want = _rk4_on_arrays(field, x0, 1.0, 1e-2, signal)
-        wrapped = lambda x, u: field(np.concatenate([x, u]))
-        for rhs in (field, wrapped):
-            got = integrate(rhs, x0, 1.0, 1e-2, input_fn=signal).states
-            assert got.shape == (101, n)
-            assert got.tobytes() == want.tobytes()
+        got = integrate(field, x0, 1.0, 1e-2, input_fn=signal).states
+        assert got.shape == (101, n)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_integrate_float_failures_give_integration_error():
@@ -211,10 +232,6 @@ def test_integrate_float_failures_give_integration_error():
         with pytest.raises(IntegrationError, match="non-finite"):
             simulate_uncertainty(_example_unc(), [1e120, 0.0], 1.0, 0.1)
     assert "overflow" in str(record[0].message)
-
-
-def _field(exprs, names):
-    return compile_exprs([parse_expr(e, names) for e in exprs], names)
 
 
 _GENERATED = [
@@ -257,11 +274,9 @@ def test_generated_loop_matches_the_array_loop_bit_for_bit(exprs, names, x0, sig
     want = _rk4_on_arrays(field, x0, 1.0, 1e-2, signal)
     n = len(x0)
     input_fn = None if len(names) == n else signal
-    wrapped = lambda x, u: field(np.concatenate([x, u]))
-    for rhs in (field, wrapped):
-        got = integrate(rhs, x0, 1.0, 1e-2, input_fn=input_fn).states
-        assert got.shape == (101, n)
-        assert got.tobytes() == want.tobytes()
+    got = integrate(field, x0, 1.0, 1e-2, input_fn=input_fn).states
+    assert got.shape == (101, n)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_no_loop_of_a_compiled_field_calls_a_function_for_a_rational_power(
@@ -283,8 +298,6 @@ def test_no_loop_of_a_compiled_field_calls_a_function_for_a_rational_power(
 @pytest.mark.parametrize("rhs", [
     _field(["x1"], ["x1", "x2"]),
     _field(["x1", "x2", "x1"], ["x1", "x2"]),
-    lambda x, u: np.zeros(3),
-    lambda x, u: np.zeros(1),
 ])
 def test_a_field_with_the_wrong_number_of_values_is_a_value_error(rhs):
     with pytest.raises(ValueError):
@@ -328,12 +341,9 @@ def test_a_float_failure_retries_one_step_on_numpy_scalars_and_resumes(
     assert field.rk4 is not None
 
 
-def _first_failure(rhs, x0, t_end, dt, bound):
+def _first_failure(field, x0, t_end, dt, bound):
     """(step, last good state) of the first state of the array-form RK4 run
     that is non-finite or whose norm exceeds ``bound``."""
-    n = len(x0)
-    field = rhs if hasattr(rhs, "point") else \
-        SimpleNamespace(point=lambda xu: rhs(xu[:n], xu[n:]))
     with np.errstate(all="ignore"):
         states = _rk4_on_arrays(field, x0, t_end, dt, zero_signal(0))
         norms = np.hypot.reduce(states, axis=1)
@@ -341,19 +351,11 @@ def _first_failure(rhs, x0, t_end, dt, bound):
     return step, states[step - 1]
 
 
-def _nan_past(level):
-    return lambda x, u: np.array([np.nan]) if x[0] > level else np.array([1.0])
-
-
 _FAILURES = [
-    (_nan_past(0.8), [0.49], 1.0, 0.1, 1e6, IntegrationError, 4),
     (_field(["x^3 - x^3 + 1"], ["x"]), [1e120], 1.0, 0.1, np.inf,
      IntegrationError, 1),
     (_field(["x"], ["x"]), [1.0], 100.0, 0.1, 1e3, DivergenceError, 70),
-    (lambda x, u: x, [1.0], 100.0, 0.1, 1e3, DivergenceError, 70),
     (_field(["x1", "2*x2"], ["x1", "x2"]), [1.0, -1.0], 100.0, 0.01, 1e5,
-     DivergenceError, 576),
-    (lambda x, u: np.array([x[0], 2.0 * x[1]]), [1.0, -1.0], 100.0, 0.01, 1e5,
      DivergenceError, 576),
     # x reaches 0 exactly in the fourth stage of step 8: floats raise, and
     # the retry on numpy scalars gives inf - inf
@@ -384,8 +386,7 @@ def test_the_loop_over_the_stages_passes_the_unrolled_loops_checks(example_cl,
     the form of a long body, through the checks of the four-copy form."""
     monkeypatch.setattr(sim, "_UNROLL_CHARS", -1)
     for case in _FAILURES:
-        if hasattr(case[0], "rk4"):
-            monkeypatch.setattr(case[0], "rk4", None)
+        monkeypatch.setattr(case[0], "rk4", None)
         test_failures_keep_their_class_step_and_last_state(*case)
     monkeypatch.setattr(example_cl._rhs_fn, "rk4", None)
     test_list_loop_matches_the_array_loop_bit_for_bit(example_cl)
@@ -398,13 +399,13 @@ def test_the_loop_over_the_stages_passes_the_unrolled_loops_checks(example_cl,
 
 def test_an_overflowing_norm_of_finite_states_under_an_infinite_bound_runs_on():
     x0 = [1.5e308, 1.5e308]  # finite, but hypot(x0) is inf
-    for rhs in (_field(["0", "0"], ["x1", "x2"]), lambda x, u: np.zeros(2)):
-        traj = integrate(rhs, x0, 1.0, 0.1, blowup_norm=np.inf)
-        assert traj.states.shape == (11, 2)
-        assert np.all(traj.states == np.array(x0))
-        with pytest.raises(DivergenceError) as err:
-            integrate(rhs, x0, 1.0, 0.1)
-        assert err.value.step == 1
+    rhs = _zero_field(2)
+    traj = integrate(rhs, x0, 1.0, 0.1, blowup_norm=np.inf)
+    assert traj.states.shape == (11, 2)
+    assert np.all(traj.states == np.array(x0))
+    with pytest.raises(DivergenceError) as err:
+        integrate(rhs, x0, 1.0, 0.1)
+    assert err.value.step == 1
 
 
 def test_a_body_longer_than_the_bound_runs_in_a_loop_over_the_stages(monkeypatch):
@@ -499,18 +500,6 @@ def test_a_redone_step_reads_its_input_as_a_numpy_scalar():
     assert type(err.value) is IntegrationError
     assert err.value.step == 1
     assert err.value.last_state.tolist() == [1.0]
-
-
-@pytest.mark.parametrize("rhs", [
-    lambda x, u: np.array([1.0 / float(x[0])]),  # raises on arrays too
-    _field(["-x + 0^(-1)*x"], ["x"]),  # constants are Python floats on both
-])
-def test_a_body_that_raises_on_numpy_scalars_too_ends_the_run(rhs):
-    with pytest.raises(IntegrationError, match="raised ZeroDivisionError or "
-                       "OverflowError on numpy scalars too") as err:
-        integrate(rhs, [0.0], 1.0, 0.1)
-    assert err.value.step == 1
-    assert err.value.last_state.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("x0, signal, error", [
@@ -813,14 +802,14 @@ def test_check_dissipation_short_trajectory(example_cl):
 # --- convergence metrics -------------------------------------------------------
 
 def test_convergence_zero_trajectory():
-    traj = integrate(lambda x, u: np.zeros_like(x), np.zeros(3), 1.0, 0.1)
+    traj = integrate(_zero_field(3), np.zeros(3), 1.0, 0.1)
     m = convergence_metrics(traj, threshold=0.05, window=0.5)
     assert m.final_norm == 0.0
     assert m.settled_time == 0.0
 
 
 def test_convergence_exponential_settle_time():
-    traj = integrate(lambda x, u: -x, [1.0], 10.0, 1e-3)
+    traj = integrate(_DECAY, [1.0], 10.0, 1e-3)
     threshold = 0.01
     m = convergence_metrics(traj, threshold=threshold, window=1.0)
     assert m.settled_time == pytest.approx(math.log(1.0 / threshold), abs=2e-3)
@@ -828,7 +817,7 @@ def test_convergence_exponential_settle_time():
 
 
 def test_convergence_never_settles():
-    traj = integrate(lambda x, u: np.zeros_like(x), [1.0], 1.0, 0.1)
+    traj = integrate(_zero_field(1), [1.0], 1.0, 0.1)
     m = convergence_metrics(traj, threshold=0.5, window=0.5)
     assert m.settled_time is None
 
@@ -860,7 +849,7 @@ def test_settle_search_matches_the_slice_loop_on_random_runs():
 
 
 def test_convergence_window_longer_than_any_run_never_settles():
-    traj = integrate(lambda x, u: np.zeros_like(x), np.zeros(2), 1.0, 0.1)
+    traj = integrate(_zero_field(2), np.zeros(2), 1.0, 0.1)
     assert convergence_metrics(traj, 0.5, 1.0).settled_time == 0.0
     for window in (1.1, 1e300, math.inf):
         assert convergence_metrics(traj, 0.5, window).settled_time is None
@@ -868,7 +857,7 @@ def test_convergence_window_longer_than_any_run_never_settles():
 
 @pytest.mark.parametrize("window", [-1.0, -0.01, math.nan])
 def test_convergence_rejects_a_negative_window(window):
-    traj = integrate(lambda x, u: np.zeros_like(x), np.zeros(2), 1.0, 0.1)
+    traj = integrate(_zero_field(2), np.zeros(2), 1.0, 0.1)
     with pytest.raises(ValueError, match="window must be at least 0"):
         convergence_metrics(traj, 0.5, window)
 
