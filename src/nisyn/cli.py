@@ -323,6 +323,10 @@ def run_simulate(scn: Scenario | Pipeline, out_dir: Path) -> dict:
     pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
     plant, closed_loop, unc = pipe.plant, pipe.closed_loop, pipe.uncertainty
     sim, ver = pipe.scn.simulation, pipe.scn.verification
+    gform = pipe.general_form if unc is None else None
+    # a general form of the wrong size or that does not compile is refused
+    # before the run
+    inputs_at = None if gform is None else reduce_general_form(gform, plant)
     try:
         traj = pipe.interconnection_run if unc is not None else pipe.input_run
     except IntegrationError as err:
@@ -345,21 +349,21 @@ def run_simulate(scn: Scenario | Pipeline, out_dir: Path) -> dict:
     if unc is not None:
         report["final_nominal_norm"] = float(
             np.linalg.norm(traj.states[-1, :plant.n_states]))
-    gform = pipe.general_form
-    if gform is not None and unc is None:
+    if inputs_at is not None:
         report["applied_inputs_csv"] = str(
-            _write_applied_inputs(gform, plant, closed_loop, traj, out_dir))
+            _write_applied_inputs(inputs_at, plant, closed_loop, traj, out_dir))
     return report
 
 
-def _write_applied_inputs(gform, plant, closed_loop, traj, out_dir: Path) -> Path:
+def _write_applied_inputs(inputs_at, plant, closed_loop, traj, out_dir: Path) -> Path:
     """Map the total normal-form input along the trajectory through the
-    general-form transform and export the inputs to apply upstream."""
+    general-form transform ``inputs_at`` (reduce_general_form's) and export
+    the inputs to apply upstream."""
     # the xi1' and xi3' rows of the loop's field are v + law
     rates = closed_loop.rhs(traj.states, traj.inputs)
     total = rates[:, np.r_[plant.m:plant.m + plant.p1,
                            plant.n_states - plant.p2:plant.n_states]]
-    applied = reduce_general_form(gform, plant, traj.states)(total)
+    applied = inputs_at(traj.states)(total)
     path = out_dir / "applied_inputs.csv"
     write_columns_csv(path, ["t"] + [f"ut{i + 1}" for i in range(plant.n_outputs)],
                       [traj.t, applied])

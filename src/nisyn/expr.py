@@ -24,7 +24,7 @@ negative bases.
 
 Storages, gradients and laws share subtrees.  variables, substitute,
 normalize, differentiate, fold_constants, to_string and compile_exprs'
-subtree numbering walk through ``_walk``, which visits each node object
+subtree numbering walk through ``_Walk``, which visits each node object
 once and shares its result wherever it is reached again; the structural
 walks take a node's children from ``_children``.
 
@@ -213,31 +213,36 @@ def _with_children(e: Expr, kids: Sequence[Expr]) -> Expr:
     return e
 
 
-def _walk(step: Callable) -> Callable[[Expr], object]:
+class _Walk:
     """A walk that calls ``step(node, walk)`` once per node object and
     returns its result wherever the object is reached again; ``step``
-    reaches the children through ``walk``."""
-    done: dict = {}  # id -> (node, result); the node keeps its id valid
-    get = done.get
+    reaches the children through ``walk``, the walk itself.  A walk is an
+    object, not a closure that holds itself, so it and its memo are freed
+    when the last reference goes, without waiting for the cyclic garbage
+    collector."""
 
-    def walk(e: Expr):
-        hit = get(id(e))
+    __slots__ = ("step", "done")
+
+    def __init__(self, step: Callable):
+        self.step = step
+        self.done: dict = {}  # id -> (node, result); the node keeps its id valid
+
+    def __call__(self, e: Expr):
+        hit = self.done.get(id(e))
         if hit is None:
-            hit = done[id(e)] = (e, step(e, walk))
+            hit = self.done[id(e)] = (e, self.step(e, self))
         return hit[1]
-
-    return walk
 
 
 def variables(e: Expr) -> frozenset:
-    return _walk(lambda e, walk: frozenset((e.name,)) if isinstance(e, Var)
+    return _Walk(lambda e, walk: frozenset((e.name,)) if isinstance(e, Var)
                  else frozenset().union(*map(walk, _children(e))))(e)
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace each variable named in ``mapping`` by its expression.  The
     tree is otherwise kept node for node, so it evaluates in the same order."""
-    return _walk(lambda e, walk: mapping.get(e.name, e) if isinstance(e, Var)
+    return _Walk(lambda e, walk: mapping.get(e.name, e) if isinstance(e, Var)
                  else _with_children(e, tuple(map(walk, _children(e)))))(e)
 
 
@@ -431,7 +436,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     simplified; apply fold_constants() separately, which folds it to what
     it folds the derivative that keeps every zero term to.
     """
-    out = _walk(lambda e, d: _derivative(e, var, d))(e)
+    out = _Walk(lambda e, d: _derivative(e, var, d))(e)
     return Const(Fraction(0)) if out is None else out
 
 
@@ -495,14 +500,14 @@ def _exact_rational_pow(value: Fraction, exponent: Fraction) -> Optional[Fractio
 def fold_constants(e: Expr) -> Expr:
     """Fold constant subexpressions with exact rational arithmetic.
     Evaluation-equivalent to the input; not a canonical form."""
-    return _walk(_fold)(e)
+    return _Walk(_fold)(e)
 
 
 def _fold_above(e: Expr, folded: Expr) -> Expr:
     """fold_constants(e) for an ``e`` built on ``folded``, a result of
     fold_constants: only the nodes above ``folded`` are folded, since
     fold_constants gives a folded tree back node for node."""
-    return _walk(lambda node, fold: node if node is folded
+    return _Walk(lambda node, fold: node if node is folded
                  else _fold(node, fold))(e)
 
 
@@ -578,7 +583,7 @@ def _frac_str(v: Fraction) -> str:
 
 def to_string(e: Expr) -> str:
     """Render to a string that re-parses to normalize(e)."""
-    return _walk(_render)(e)
+    return _Walk(_render)(e)
 
 
 def _render(e: Expr, walk: Callable[[Expr], str]) -> str:
@@ -629,7 +634,7 @@ def normalize(e: Expr) -> Expr:
     wrappers and rewrite negative constants as Neg(positive).  This is the
     shape the parser itself produces, so parse(to_string(e)) == normalize(e).
     """
-    return _walk(_normal)(e)
+    return _Walk(_normal)(e)
 
 
 def _normal(e: Expr, walk: Callable[[Expr], Expr]) -> Expr:
@@ -672,7 +677,7 @@ def _subtrees(exprs: Sequence[Expr]):
                 uses[k] += 1
         return i
 
-    roots = list(map(_walk(number), exprs))
+    roots = list(map(_Walk(number), exprs))
     for r in roots:
         uses[r] += 1
     return roots, nodes, uses

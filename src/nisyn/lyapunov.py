@@ -4,9 +4,10 @@ classify_stability() sorts a real matrix into Hurwitz / marginally stable /
 unstable, deciding semisimplicity of imaginary-axis eigenvalues through the
 numerical rank of A - lambda*I rather than a Jordan form.
 lyapunov_certificate() then constructs P > 0 with A^T P + P A <= 0 from
-numpy alone, through Newton's iteration for the matrix sign function and,
-for a marginally stable A, the complex eigenvectors of its critical block,
-and verifies it post hoc by direct multiplication.
+numpy alone, in one construction for every Lyapunov-stable A: Roberts'
+solve, through Newton's iteration for the matrix sign function, on the
+stable block and the complex eigenvectors of the critical block, which is
+empty for a Hurwitz A.  It verifies P post hoc by direct multiplication.
 sampled_positive_definite() checks f(0) = 0 and f > 0 on seeded uniform
 points of a box, one random stream per coordinate, streamed in fixed-size
 blocks by _uniform_chunks() so that no array of the sample count's size is
@@ -88,18 +89,15 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def classify_stability(a, tol: Optional[float] = None) -> StabilityVerdict:
+def classify_stability(a) -> StabilityVerdict:
     """Classify the spectrum of ``a`` relative to the closed left half-plane.
 
-    Real parts greater than ``tol`` mean unstable; all real parts below
-    ``-tol`` mean Hurwitz; otherwise every near-axis eigenvalue must be
-    semisimple for a marginally stable verdict.
+    With tol = default_tolerance(a): real parts greater than tol mean
+    unstable; all real parts below -tol mean Hurwitz; otherwise every
+    near-axis eigenvalue must be semisimple for a marginally stable verdict.
     """
     a = _as_square(a)
-    if tol is None:
-        tol = default_tolerance(a)
-    if tol <= 0 and np.any(a):
-        raise ValueError("tol must be positive")
+    tol = default_tolerance(a)
     try:
         eigs = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as err:
@@ -166,27 +164,52 @@ def _critical_multiplicities(a, eigs, idx, tol, norm2):
 
 
 def lyapunov_certificate(a, verdict: StabilityVerdict) -> np.ndarray:
-    """Construct symmetric P > 0 with A^T P + P A <= 0.
+    """Construct symmetric P > 0 with A^T P + P A <= 0 for a Lyapunov-stable A.
 
-    Hurwitz: solve A^T P + P A = -I by Roberts' identity, sign([[A^T, I],
-    [0, -A]]) = [[-I, 2P], [0, I]].  Marginally stable: the sign of A - cI,
-    c halfway between the stable and the critical real parts, gives the
-    projector onto the stable subspace; T holds a basis of that subspace
-    and the complex eigenvectors of the critical block, lifted along it,
-    and P = Re(T^-H diag(P_h, I) T^-1) with P_h the Roberts solve on the
-    stable block.  For a repeated critical eigenvalue P depends on the
-    eigenspace basis that eig returns.  The sign function is a Newton
-    iteration (_sign) that raises ConditioningError if it has not converged
-    in _SIGN_MAX_STEPS steps.  The result is always verified by direct
-    multiplication.
+    The eigenvalues with real part below -verdict.tol are stable, the
+    others critical.  The first columns of T are an orthonormal basis Q_s
+    of the stable subspace, the others the complex eigenvectors of
+    Q_c^T A Q_c, lifted from the orthonormal complement Q_c along the
+    stable subspace.  In these coordinates A is diag(A_h, Lambda) with
+    Lambda imaginary, so P = Re(X^H diag(P_h, I) X), X = T^-1, with P_h
+    the solve of A_h^T P_h + P_h A_h = -I (_lyapunov_solve), gives
+    A^T P + P A <= 0: the critical block adds Re(Lambda + Lambda^H) = 0.
+    The projector onto the stable subspace is (I - sign(A - cI))/2, c
+    halfway between the stable and the critical real parts; for a Hurwitz
+    A it is I, the critical block is empty and P is the solve on the whole
+    of A.  P does not depend on the choice of Q_s and Q_c; for a repeated
+    critical eigenvalue it depends on the eigenspace basis that eig
+    returns.  The sign function, in both the projector and the solve, is a
+    Newton iteration (_sign) that raises ConditioningError if it has not
+    converged in _SIGN_MAX_STEPS steps.  The result is always verified by
+    direct multiplication.
     """
     a = _as_square(a)
     if verdict.classification is Classification.UNSTABLE:
         raise StabilityError("no Lyapunov certificate exists for an unstable matrix")
-    if verdict.classification is Classification.HURWITZ:
-        p = _lyapunov_solve(a)
-    else:
-        p = _marginal_certificate(a, verdict)
+    n, tol = a.shape[0], verdict.tol
+    re = np.array([lam.real for lam in verdict.eigenvalues])
+    stable = re < -tol
+    s = int(stable.sum())
+    # the spectral projector onto the stable subspace
+    proj = np.eye(n) if s == n else np.zeros((n, n))
+    if 0 < s < n:
+        c = 0.5 * (re[stable].max() + re[~stable].min())
+        proj = 0.5 * (np.eye(n) - _sign(a - c * np.eye(n)))
+    u = np.linalg.svd(proj)[0]
+    q_s, q_c = u[:, :s], u[:, s:]
+    lifted = q_c - proj @ q_c
+    t_full = np.hstack([q_s, lifted @ np.linalg.eig(q_c.T @ a @ q_c)[1]])
+    cond = np.linalg.cond(t_full)
+    if not np.isfinite(cond) or cond > _MAX_CONDITION:
+        raise ConditioningError(
+            f"block-diagonalizing transform is ill-conditioned (cond={cond:.3e})")
+    d = np.eye(n)
+    if s:
+        d[:s, :s] = _lyapunov_solve(q_s.T @ a @ q_s)
+    x = np.linalg.solve(t_full, np.eye(n))
+    p = (x.conj().T @ d @ x).real
+    p = 0.5 * (p + p.T)
     _verify_certificate(a, p)
     return p
 
@@ -229,40 +252,6 @@ def _lyapunov_solve(a):
     h = np.zeros((2 * n, 2 * n))
     h[:n, :n], h[:n, n:], h[n:, n:] = a.T, np.eye(n), -a
     p = 0.5 * _sign(h)[:n, n:]
-    return 0.5 * (p + p.T)
-
-
-def _marginal_certificate(a, verdict):
-    """P = Re(X^H diag(P_h, I) X), X = T^-1, for a marginally stable A.
-    The first columns of T are an orthonormal basis Q_s of the stable
-    subspace, the others the complex eigenvectors of Q_c^T A Q_c, lifted
-    from the orthonormal complement Q_c along the stable subspace.  In
-    these coordinates A is diag(A_h, Lambda) with Lambda imaginary, so the
-    critical block adds Re(Lambda + Lambda^H) = 0 to A^T P + P A.  P does
-    not depend on the choice of Q_s and Q_c; for a repeated critical
-    eigenvalue it depends on the eigenspace basis that eig returns."""
-    n, tol = a.shape[0], verdict.tol
-    re = np.array([lam.real for lam in verdict.eigenvalues])
-    stable = re < -tol
-    s = int(stable.sum())
-    proj = np.zeros((n, n))  # the spectral projector onto the stable subspace
-    if s:
-        # sign(A - cI), c halfway between the stable and critical real parts
-        c = 0.5 * (re[stable].max() + re[~stable].min())
-        proj = 0.5 * (np.eye(n) - _sign(a - c * np.eye(n)))
-    u = np.linalg.svd(proj)[0]
-    q_s, q_c = u[:, :s], u[:, s:]
-    lifted = q_c - proj @ q_c
-    t_full = np.hstack([q_s, lifted @ np.linalg.eig(q_c.T @ a @ q_c)[1]])
-    cond = np.linalg.cond(t_full)
-    if not np.isfinite(cond) or cond > _MAX_CONDITION:
-        raise ConditioningError(
-            f"block-diagonalizing transform is ill-conditioned (cond={cond:.3e})")
-    d = np.eye(n)
-    if s:
-        d[:s, :s] = _lyapunov_solve(q_s.T @ a @ q_s)
-    x = np.linalg.solve(t_full, np.eye(n))
-    p = (x.conj().T @ d @ x).real
     return 0.5 * (p + p.T)
 
 

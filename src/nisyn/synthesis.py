@@ -35,7 +35,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .expr import (
-    Const, Expr, Neg, Pow, Sum, Var, _children, _fold_above, _walk, add,
+    Const, Expr, Neg, Pow, Sum, Var, _children, _fold_above, _Walk, add,
     compile_exprs, differentiate, evaluate, fold_constants, mul, to_string,
     variables,
 )
@@ -310,7 +310,7 @@ def _negative_powers(e: Expr) -> list:
         for part in _children(e):
             walk(part)
 
-    _walk(visit)(e)
+    _Walk(visit)(e)
     return out
 
 
@@ -408,36 +408,44 @@ class GeneralForm:
         self.l2 = tuple(tuple(row) for row in self.l2)
 
 
-def reduce_general_form(gform: GeneralForm, plant: NormalFormPlant,
-                        state: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Input transform at ``state``, one (n,) or a stack (N, n), mapping a desired
-    normal-form input u, (p,) or (N, p), to u~ = [l1; l2]^{-1} (u - j)."""
+def reduce_general_form(gform: GeneralForm, plant: NormalFormPlant
+                        ) -> Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The input transform of ``gform`` as a function of the state, one (n,)
+    or a stack (N, n): at a state it maps a desired normal-form input u,
+    (p,) or (N, p), to u~ = [l1; l2]^{-1} (u - j).  The sizes of the drift
+    and the stacked gain are checked, and the entries compiled, here; the
+    gain is checked at each state it is given."""
     p = plant.n_outputs
     if len(gform.j1) != plant.p1 or len(gform.j2) != plant.p2:
         raise SynthesisError("general form drift dimensions do not match the plant")
     rows = list(gform.l1) + list(gform.l2)
     if len(rows) != p or any(len(r) != p for r in rows):
         raise SynthesisError(f"stacked input gain must be {p}x{p}")
-    state = np.asarray(state, dtype=float)
-    values = compile_exprs([*gform.j1, *gform.j2, *(e for r in rows for e in r)],
-                           plant.state_names)(state)
-    finite = np.atleast_1d(np.isfinite(values).all(axis=-1))
-    if not finite.all():
-        at = np.atleast_2d(state)[np.argmin(finite)]
-        raise SingularMatrixError(
-            "input gain or drift is not finite at state "
-            + ", ".join(f"{n}={x:.6g}" for n, x in zip(plant.state_names, at)))
-    j_vec, l_mat = values[..., :p], values[..., p:].reshape(state.shape[:-1] + (p, p))
-    cond = np.atleast_1d(np.linalg.cond(l_mat))
-    bad = cond[~(cond <= 1e10)]  # also catches nan and inf
-    if bad.size:
-        raise SingularMatrixError(
-            f"input gain is singular or ill-conditioned at this state (cond={bad[0]:.3e})")
+    field = compile_exprs([*gform.j1, *gform.j2, *(e for r in rows for e in r)],
+                          plant.state_names)
 
-    def transform(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != j_vec.shape:
-            raise SynthesisError("input transform: dimension mismatch")
-        return np.linalg.solve(l_mat, (u - j_vec)[..., None])[..., 0]
+    def at(state: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        state = np.asarray(state, dtype=float)
+        values = field(state)
+        finite = np.atleast_1d(np.isfinite(values).all(axis=-1))
+        if not finite.all():
+            where = np.atleast_2d(state)[np.argmin(finite)]
+            raise SingularMatrixError(
+                "input gain or drift is not finite at state "
+                + ", ".join(f"{n}={x:.6g}" for n, x in zip(plant.state_names, where)))
+        j_vec, l_mat = values[..., :p], values[..., p:].reshape(state.shape[:-1] + (p, p))
+        cond = np.atleast_1d(np.linalg.cond(l_mat))
+        bad = cond[~(cond <= 1e10)]  # also catches nan and inf
+        if bad.size:
+            raise SingularMatrixError(
+                f"input gain is singular or ill-conditioned at this state (cond={bad[0]:.3e})")
 
-    return transform
+        def transform(u: np.ndarray) -> np.ndarray:
+            u = np.asarray(u, dtype=float)
+            if u.shape != j_vec.shape:
+                raise SynthesisError("input transform: dimension mismatch")
+            return np.linalg.solve(l_mat, (u - j_vec)[..., None])[..., 0]
+
+        return transform
+
+    return at

@@ -1,5 +1,6 @@
 """Expression language: parser, evaluator, derivative and printer."""
 
+import gc
 import re
 import warnings
 from fractions import Fraction
@@ -16,7 +17,7 @@ from nisyn.expr import (
 )
 import nisyn.expr
 import nisyn.synthesis
-from nisyn.expr import _body
+from nisyn.expr import _body, _subtrees
 
 
 # --- parsing ----------------------------------------------------------------
@@ -496,6 +497,23 @@ def test_a_walk_refuses_what_is_not_a_node():
                  lambda e: compile_exprs([e], ["x"])):
         with pytest.raises(TypeError, match="not an expression node: 3.0"):
             walk(Sum((Var("x"), 3.0)))
+
+
+def test_a_walk_leaves_no_reference_cycle():
+    # a walk that held itself would leave itself and its memo to the cyclic
+    # garbage collector on every call
+    e = Sum((_doubling(6), Pow(Var("x"), Fraction(-1))))
+    walks = (variables, lambda e: substitute(e, {"x": Var("y")}), normalize,
+             lambda e: differentiate(e, "x"), fold_constants, to_string,
+             lambda e: _subtrees([e]), nisyn.synthesis._negative_powers)
+    gc.collect()
+    gc.disable()
+    try:
+        for walk in walks:
+            walk(e)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_rational_power_on_arrays_matches_scalar():

@@ -8,7 +8,7 @@ import pytest
 import nisyn.lyapunov
 from nisyn.lyapunov import (
     _CHUNK, Classification, ConditioningError, SamplingResult,
-    StabilityError, _uniform_chunks, _verify_certificate,
+    StabilityError, _lyapunov_solve, _uniform_chunks, _verify_certificate,
     classify_stability, default_tolerance, lyapunov_certificate,
     sampled_positive_definite,
 )
@@ -82,8 +82,6 @@ def test_classify_input_validation():
         classify_stability([[1.0, 2.0]])
     with pytest.raises(ValueError):
         classify_stability([[np.inf]])
-    with pytest.raises(ValueError):
-        classify_stability([[1.0]], tol=-1.0)
 
 
 def test_default_tolerance_scales_with_norm():
@@ -111,6 +109,32 @@ def test_certificate_random_hurwitz_residual():
         a = _random_hurwitz(rng, n)
         p = lyapunov_certificate(a, classify_stability(a))
         assert np.linalg.norm(a.T @ p + p @ a + np.eye(n), 2) <= 1e-8
+
+
+def _hurwitz_cases(rng):
+    """Hurwitz matrices of every size 1-8: as drawn, with entries rounded
+    to 3 significant digits, and with -0.0 across the last row and column
+    but for a stable diagonal entry."""
+    for n in range(1, 9):
+        a = _random_hurwitz(rng, n)
+        yield a
+        yield np.vectorize(lambda v: float(f"{v:.3g}"))(a)
+        if n > 1:
+            b = np.full((n, n), -0.0)
+            b[:-1, :-1] = _random_hurwitz(rng, n - 1)
+            b[-1, -1] = -rng.uniform(0.2, 1.0)
+            yield b
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_hurwitz_certificate_is_the_solve_on_the_whole_matrix(seed):
+    # with no critical block the projector, the basis and the transform of
+    # the split are I, so P is Roberts' solve on A bit for bit
+    for a in _hurwitz_cases(np.random.default_rng(seed)):
+        verdict = classify_stability(a)
+        assert verdict.classification is Classification.HURWITZ
+        assert (lyapunov_certificate(a, verdict).tobytes()
+                == _lyapunov_solve(a).tobytes())
 
 
 def _nonnormal_marginal(rng):

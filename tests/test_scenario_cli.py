@@ -1265,6 +1265,24 @@ def test_a_power_of_constants_that_divides_by_zero_exits_2(tmp_path, capsys,
     assert capsys.readouterr().err == "error: power 0^-1 divides by zero\n"
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"j1": ["0^(-1)*xi1"]}, "power 0^-1 divides by zero"),
+    ({"l1": [["1", "0", "0"]], "l2": [["0", "1", "0"]]},
+     "stacked input gain must be 2x2"),
+])
+def test_main_simulate_refuses_a_bad_general_form_before_the_run(
+        tmp_path, capsys, change, message):
+    # the full 10 s horizon: a refusal after the run would write its CSV
+    data = json.loads(bundled_scenario_path().read_text())
+    del data["uncertainty"], data["regression"]
+    data["general_form"] = dict(copy.deepcopy(_GENERAL_FORM), **change)
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", _write(tmp_path, data),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("block, key, index, value", [
     ("simulation", "x0", 0, float("nan")),

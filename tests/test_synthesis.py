@@ -445,7 +445,7 @@ def test_reduce_identity(example_plant):
         l1=((parse_expr("1", []), zero),),
         l2=((zero, parse_expr("1", [])),),
     )
-    t = reduce_general_form(gform, example_plant, np.array([0.3, 1.0, -1.0, 0.5]))
+    t = reduce_general_form(gform, example_plant)(np.array([0.3, 1.0, -1.0, 0.5]))
     u = np.array([0.7, -0.2])
     assert t(u) == pytest.approx(u)
 
@@ -458,7 +458,7 @@ def test_reduce_scalar_row(example_plant):
         l2=((zero, parse_expr("1", []),),),
     )
     state = np.array([0.0, 0.0, 3.0, 0.0])  # xi2 = 3
-    t = reduce_general_form(gform, example_plant, state)
+    t = reduce_general_form(gform, example_plant)(state)
     out = t(np.array([5.0, 1.0]))
     assert out[0] == pytest.approx((5.0 - 3.0) / 2.0)
     assert out[1] == pytest.approx(1.0)
@@ -473,7 +473,7 @@ def test_reduce_singular_gain_rejected(example_plant):
     )
     state = np.array([0.0, 0.0, 1.0, 0.0])  # xi1 = 0 makes the gain singular
     with pytest.raises(SingularMatrixError):
-        reduce_general_form(gform, example_plant, state)
+        reduce_general_form(gform, example_plant)(state)
 
 
 def test_storage_expr_uses_plant_variables_only(example_cl):
@@ -545,14 +545,14 @@ def test_reduce_general_form_on_a_stack(example_plant):
     rng = np.random.default_rng(5)
     states = rng.uniform(0.1, 1, size=(5, 4))
     inputs = rng.uniform(-1, 1, size=(5, 2))
-    got = reduce_general_form(gform, example_plant, states)(inputs)
+    at = reduce_general_form(gform, example_plant)
+    got = at(states)(inputs)
     assert got.shape == (5, 2)
     for s, u, g in zip(states, inputs, got):
-        want = reduce_general_form(gform, example_plant, s)(u)
-        assert g == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert g == pytest.approx(at(s)(u), rel=1e-12, abs=1e-15)
     states[3, 1] = -1.0  # one singular state rejects the whole stack
     with pytest.raises(SingularMatrixError, match="cond=inf"):
-        reduce_general_form(gform, example_plant, states)
+        at(states)
 
 
 def test_reduce_general_form_rejects_non_finite_gain(example_plant):
@@ -565,13 +565,13 @@ def test_reduce_general_form_rejects_non_finite_gain(example_plant):
     )
     good = np.array([0.0, 0.5, 1.0, 0.0])
     bad = np.array([0.0, 0.0, 1.0, 0.0])
-    assert reduce_general_form(gform, example_plant, good)(np.ones(2)) == \
+    assert reduce_general_form(gform, example_plant)(good)(np.ones(2)) == \
         pytest.approx(np.ones(2))
     with np.errstate(divide="ignore", invalid="ignore"):
         for state in (bad, np.array([good, good, bad, bad])):
             with pytest.raises(SingularMatrixError,
                                match="not finite at state z1=0, xi1=0, xi2=1, xi3=0"):
-                reduce_general_form(gform, example_plant, state)
+                reduce_general_form(gform, example_plant)(state)
 
 
 def test_compiled_field_of_an_m2_loop_matches_sympy():
