@@ -305,6 +305,7 @@ def run_synthesize(scn: Scenario | Pipeline) -> dict:
         epsilon=closed_loop.epsilon,
         **{"lambda": closed_loop.spec.lam},
         p_matrix=[list(map(float, row)) for row in spec.p_matrix],
+        p_condition=spec.p_condition,
         v2_positive_definite=_positivity(v2_check),
     )
     passed = v2_check.passed

@@ -32,31 +32,36 @@ compile_exprs() is the one evaluator, for a point or a stack of points; the
 tree walker evaluate() is its reference and serves one-point origin checks.
 It emits one straight-line function for the whole vector: it unpacks its
 argument into the locals ``_x0 … _x{n-1}`` once, then binds every non-leaf
-subtree that occurs more than once, and every non-leaf base of a
-fractional power, to a local ``_tN`` ahead of the ``return``; subtrees are
-matched on (kind, payload, child numbers), numbered bottom-up, so no
-subtree is hashed whole.  The same pass gives a float form of that body,
-in which each fractional power is a conditional expression instead of a
-call to rational_power; the callable keeps it (``body``, ``roots``,
-``n_vars``), and the integrator inlines it into its RK4 loop without a
-second pass over the tree.  Both forms fold negations into subtractions
-by exact IEEE identities (``a + (-b)`` is ``a - b``, a leading ``(-a) +
-b`` is ``b - a``, a product led by -1 is ``-(rest)``), so they keep the
-tree walker's bits, signed zeros included.  On a stack, an integer power
-k other than 2 and -1 is a chain of squarings (of 1/x for a negative k),
-since numpy's power runs a scalar loop on negative bases; a Python float
-or a numpy scalar keeps ``**``.  One
-point runs on Python floats: the callable passes ``x.tolist()`` to its
-``point`` attribute, the one-point entry point.  Python floats raise
-ZeroDivisionError or OverflowError where numpy gives inf, so when the float
-call raises either, the point is evaluated again on numpy float64 scalars
-(as the integrator's RK4 loop redoes a step whose inlined body raised):
-there is one failure mode, inf or nan with numpy's RuntimeWarning.  A power
+subtree that occurs more than once, and every non-leaf base of a power,
+to a local ``_tN`` ahead of the ``return``; subtrees are matched on
+(kind, payload, child numbers), numbered bottom-up, so no subtree is
+hashed whole.  The same pass gives a float form of that body, in which
+each power is written out: an integer power as products, a fractional
+power as a conditional expression instead of a call to rational_power;
+the callable keeps it (``body``, ``roots``, ``n_vars``), and the
+integrator inlines it into its RK4 loop without a second pass over the
+tree.  Both forms fold negations into subtractions by exact IEEE
+identities (``a + (-b)`` is ``a - b``, a leading ``(-a) + b`` is ``b -
+a``, a product led by -1 is ``-(rest)``), so they keep the tree walker's
+bits, signed zeros included.  x^k for an integer k is one rule,
+_int_power's chain (1/x first for a negative k, then ``x*x``,
+``(x*x)*x`` and square-and-multiply), in evaluate(), on a point and on a
+stack, so they agree bit for bit on it; on a stack this also keeps
+numpy's power, which runs a scalar loop on negative bases, out of the
+code.  One point runs on Python floats: the callable passes
+``x.tolist()`` to its ``point`` attribute, the one-point entry point.
+Python floats raise ZeroDivisionError (1/0, or a fractional power of 0
+under a negative exponent) or OverflowError (a fractional power beyond
+the float range) where numpy gives inf; an integer power that overflows
+is inf on both.  When the float call raises either, the point is
+evaluated again on numpy float64 scalars (as the integrator's RK4 loop
+redoes a step whose inlined body raised): there is one failure mode, inf
+or nan with numpy's RuntimeWarning.  A power
 whose base holds no variable is compiled to the literal of its value, and
 one that divides by zero, such as ``0^(-1)``, or whose value is beyond the
 float range is an ExprError at compile time.  Of the float operations only
-a power raises, and every power left in the code reads a variable, so on
-numpy scalars no compiled function raises.
+a fractional power and a division raise, and every one left in the code
+reads a variable, so on numpy scalars no compiled function raises.
 """
 
 from __future__ import annotations
@@ -392,9 +397,38 @@ def rational_power(x, num: int, den: int):
     return np.where(x < 0, -r, r)
 
 
+def _int_power(x, k: int):
+    """x^k for an integer k, one chain of IEEE operations that gives the
+    same bits on a Python float, a numpy scalar or an array: 1/x first for
+    a negative k, then ``x*x``, ``(x*x)*x`` and square-and-multiply from
+    the top bit (in place on an array, whose first product is a new one).
+    On a stack it replaces numpy's power, which loops over negative bases
+    one value at a time (about 8 ms per 100 000 values against 0.1 ms for
+    x*x*x).  Every partial product is a power of x (or 1/x) up to the
+    k-th, so the chain meets overflow and division by zero where a power
+    would, up to a rounding at the edge of the float range; on Python
+    floats only 1/0 raises, and an overflow is inf.  k = 0 and k = 1 keep
+    ``**``."""
+    if 0 <= k <= 1:
+        return x ** k
+    if k < 0:
+        x, k = 1.0 / x, -k
+        if k == 1:
+            return x
+    out = x * x  # k has at least two bits; square-and-multiply from the top
+    for i, bit in enumerate(bin(k)[3:]):
+        if i:
+            out *= out
+        if bit == "1":
+            out *= x
+    return out
+
+
 def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
     """Evaluate to a float.  Deterministic: identical AST and binding give a
-    bit-identical result."""
+    bit-identical result.  An integer power is _int_power's chain, so only
+    1/0 and a fractional power (of 0 under a negative exponent, or beyond
+    the float range) raise."""
     if isinstance(e, Var):
         try:
             return float(binding[e.name])
@@ -417,7 +451,7 @@ def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
     if isinstance(e, Pow):
         b = evaluate(e.base, binding)
         if e.exponent.denominator == 1:
-            return b ** e.exponent.numerator
+            return _int_power(b, e.exponent.numerator)
         return rational_power(b, e.exponent.numerator, e.exponent.denominator)
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -730,38 +764,38 @@ def _code(e: Expr, kids: Sequence[tuple], index: Mapping[str, int],
         return ("(" + "*".join(codes) + ")",
                 "(" + "*".join([codes[0][1:], *codes[1:]]) + ")")
     if isinstance(e, Pow):
+        # the base is a name: a variable, or a local that _body binds
         base, (num, den) = kids[0][0], e.exponent.as_integer_ratio()
         if den != 1:
             return (_float_power(base, e.exponent) if floats
                     else f"_rp({base}, {num}, {den})"), None
-        if not floats and (num > 2 or num < -1):
-            return f"_ip({base}, {num})", None
-        # parenthesize the base: ** binds tighter than unary minus, and a
-        # negative constant renders with a leading sign
-        return f"(({base})**{num})", None
+        if 0 <= num <= 1:
+            return f"(({base})**{num})", None
+        if floats or num in (2, -1):
+            return _chain(base, num), None
+        return f"_ip({base}, {num})", None
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _int_power(x, k: int):
-    """``x**k`` for k >= 3 or k <= -2, by square-and-multiply in place on an
-    array, of 1/x for a negative k: numpy's power runs a scalar loop on negative bases
-    (about 8 ms per 100 000 values against 0.1 ms for x*x*x), and x**2 and
-    x**-1 are numpy's square and reciprocal already.  Every partial product is a power of x (or 1/x)
-    between the first and the k-th, so the chain meets overflow and
-    division by zero where numpy's power meets them, up to a rounding at
-    the edge of the float range.  A Python float or a numpy scalar keeps
-    ``**``, so a point evaluates as evaluate() does; an array gets within a
-    few roundings of it."""
-    if not isinstance(x, np.ndarray):
-        return x ** k
+def _chain(base: str, k: int) -> str:
+    """_int_power(base, k) written out for a name ``base`` and k >= 2 or
+    k <= -1: the same products in the same order, ``(b*b)``, ``((b*b)*b)``
+    and ``(1.0/b)`` for k = 2, 3 and -1.  Above that, 1/b is bound to
+    ``_inv`` and each partial power that is squared to ``_sq`` (with
+    ``:=``) where it is computed and read at once after, so nothing is
+    computed twice, and no chain runs inside another, since every base is
+    a name."""
+    first = base
     if k < 0:
-        x, k = 1.0 / x, -k
-    out = x * x  # k has at least two bits; square-and-multiply from the top
+        if k == -1:
+            return f"(1.0/{base})"
+        first, base, k = f"(_inv := 1.0/{base})", "_inv", -k
+    out = f"({first}*{base})"
     for i, bit in enumerate(bin(k)[3:]):
         if i:
-            out *= out
+            out = f"((_sq := {out})*_sq)"
         if bit == "1":
-            out *= x
+            out = f"({out}*{base})"
     return out
 
 
@@ -783,32 +817,42 @@ def _const_power(e: Pow) -> str:
 
 
 def _float_power(base: str, exponent: Fraction) -> str:
-    """rational_power inlined for a Python float: ``base`` is a name or a
-    literal, since it is read twice."""
+    """rational_power inlined for a Python float, with a sign branch instead
+    of a call to abs: ``base`` is a name, since it is read more than once,
+    and is compared with the float 0.0, which CPython compares faster than
+    the int 0.  A base that is not below 0 (0.0, -0.0 and nan too) is
+    raised as it is: CPython's float ``**`` gives 0.0 for -0.0 under a
+    positive fractional exponent and raises ZeroDivisionError under a
+    negative one, as on 0.0, so it gives rational_power's bits, signed
+    zeros included (and nan for nan, whose sign abs would clear)."""
     try:
-        r = f"abs({base}) ** {exponent.numerator / exponent.denominator!r}"
+        e = repr(exponent.numerator / exponent.denominator)
     except OverflowError:
         raise ExprError(f"exponent {_frac_str(exponent)} is beyond the "
                         "float range") from None
-    return f"(-({r}) if {base} < 0 else {r})" if exponent.numerator % 2 else r
+    if exponent.numerator % 2:
+        return f"(-((-{base}) ** {e}) if {base} < 0.0 else {base} ** {e})"
+    return f"(-{base} if {base} < 0.0 else {base}) ** {e}"
 
 
 def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
     """The straight-line bodies over the locals ``_x0 … _x{n-1}``, as
     ``(statements, roots)`` twice: the statements that bind to a local
     ``_tN`` every non-leaf subtree used more than once and every non-leaf
-    base of a fractional power, then the code of each root.  A power of
-    a base without variables is the literal of its value, and a subtree
-    read only there is not bound.  The first
-    form calls ``_rp`` (rational_power) for a fractional power and ``_ip``
-    (_int_power) for an integer power k other than 2 and -1, which
-    multiplies it out on a stack, and runs on arrays; the second, the float form, inlines a
-    fractional power as a conditional expression, keeps ``**`` and runs on
-    floats.  In both, a negation or a product led by a negative constant
-    that is a term of a sum is subtracted (see _code), and a product led
-    by -1 is the negation of the rest.  Both come from one numbering of
-    the subtrees and share every string outside the powers and the
-    subtrees above them."""
+    base of a power, then the code of each root.  A power of a base
+    without variables is the literal of its value, and a subtree read only
+    there is not bound.  Both forms write x^2 and x^-1 as ``(b*b)`` and
+    ``(1.0/b)`` (see _chain).  The first form calls ``_rp``
+    (rational_power) for a fractional power and ``_ip`` (_int_power) for
+    any other integer power, which multiplies it out in place on a stack,
+    and runs on arrays; the second, the float form, writes out every
+    integer power as _int_power's chain and a fractional power as a
+    conditional expression, so it calls no function, and runs on floats.
+    In both, a negation or a product led by a negative constant that is a
+    term of a sum is subtracted (see _code), and a product led by -1 is
+    the negation of the rest.  Both come from one numbering of the
+    subtrees and share every string outside the powers and the subtrees
+    above them."""
     index = {n: i for i, n in enumerate(var_names)}
     roots, nodes, uses = _subtrees(exprs)
     constant: set = set()  # the subtrees that hold no variable
@@ -823,8 +867,7 @@ def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
             for k in nodes[i][1]:
                 uses[k] -= 1
     bases = {kids[0] for i, (e, kids) in enumerate(nodes)
-             if isinstance(e, Pow) and e.exponent.denominator != 1
-             and i not in literals}
+             if isinstance(e, Pow) and i not in literals}
     statements: list = []
     float_statements: list = []
     forms: list = []  # the (source, operand) of each subtree, per form
@@ -855,13 +898,18 @@ def compile_exprs(exprs: Sequence[Expr],
 
     The callable maps a point (n,) ordered like ``var_names`` to (k,), with
     arithmetic identical to evaluate() term for term, and a stack (N, n) to
-    (N, k), within 1e-12 * (1 + |value|) of the one-point values.  Its
-    ``point`` attribute is the list entry point: a sequence of n values to
-    a tuple of k.  ``body`` and ``roots`` are the float form of the
-    generated statements and root expressions over the locals
-    ``_x0 … _x{n-1}`` (``n_vars`` of them), with each fractional power
-    inlined, so they run on Python floats only; ``rk4`` holds the RK4 loop
-    that sim.integrate builds on them.
+    (N, k).  Every integer power is _int_power's chain on a point and on a
+    stack alike, so a stack row has the point's bits wherever no
+    fractional power is read; numpy's array power may round a fractional
+    power otherwise than C's pow, and the row is then within
+    1e-12 * (1 + |value|) of the one-point value.  Its ``point`` attribute
+    is the list entry point: a sequence of n values to a tuple of k.
+    ``body`` and ``roots`` are the float form of the generated statements
+    and root expressions over the locals ``_x0 … _x{n-1}`` (``n_vars`` of
+    them), with every power written out as products or a conditional
+    expression, so they call no function and run on scalars only (Python
+    floats, or numpy scalars); ``rk4`` holds the RK4 loop that
+    sim.integrate builds on them.
     """
     k = len(exprs)
     (statements, roots), float_body = _body(exprs, var_names)

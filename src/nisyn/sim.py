@@ -109,8 +109,10 @@ def _inlined_loop(field, n: int, p: int) -> Callable:
     """The RK4 loop of a compile_exprs field, built on first use and kept in
     ``field.rk4``.  Each stage assigns its arguments to the field's variable
     locals ``_x0 …``, runs the field's body inline and binds its roots.  The
-    body is the field's float form, whose fractional powers are conditional
-    expressions, so a stage calls no function but ``abs``.
+    body is the field's float form, whose integer powers are products (and
+    a quotient for a negative power) and whose fractional powers are
+    conditional expressions on the sign of their base, so a stage calls no
+    function, and the only ``**`` it runs has a fractional exponent.
 
     ``loop(states, inputs, x, k, n_steps, dt, bound)`` steps from state
     ``x`` at step ``k``, with the state in n local floats and row k of

@@ -27,6 +27,7 @@ expressions.  A11^{-1} and, for P = "auto", the certificate P
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -160,10 +161,14 @@ def default_v2(plant: NormalFormPlant) -> Expr:
 
 @dataclass
 class SynthesisSpec:
-    """Designer choices: certificate P for A11, output storage V2, lambda."""
+    """Designer choices: certificate P for A11, output storage V2, lambda.
+    ``p_condition`` is cond_2(P), the ratio of P's largest eigenvalue to
+    its smallest, taken from the eigenvalues that the positive definiteness
+    check computes."""
     p_matrix: np.ndarray
     v2: Expr
     lam: float = 1.0
+    p_condition: float = dataclasses.field(init=False)
 
     def __post_init__(self):
         self.p_matrix = np.asarray(self.p_matrix, dtype=float)
@@ -175,8 +180,10 @@ class SynthesisSpec:
         if np.linalg.norm(self.p_matrix - self.p_matrix.T, 2) > \
                 1e-9 * max(1.0, np.linalg.norm(self.p_matrix, 2)):
             raise SynthesisError("P must be symmetric")
-        if np.linalg.eigvalsh(self.p_matrix).min() <= 0:
+        eigenvalues = np.linalg.eigvalsh(self.p_matrix)  # ascending
+        if eigenvalues[0] <= 0:
             raise SynthesisError("P must be positive definite")
+        self.p_condition = float(eigenvalues[-1] / eigenvalues[0])
 
 
 class Dissipative:

@@ -1,6 +1,7 @@
 """Expression language: parser, evaluator, derivative and printer."""
 
 import gc
+import math
 import re
 import warnings
 from fractions import Fraction
@@ -582,7 +583,7 @@ def test_shared_subtrees_are_computed_once():
     shared = Sum((x, Pow(y, Fraction(1, 3))))
     forms = _body(
         [mul(shared, shared), Neg(Sum((x, Pow(y, Fraction(1, 3)))))], ["x", "y"])
-    for (statements, roots), power in zip(forms, ("_rp(", " < 0 else ")):
+    for (statements, roots), power in zip(forms, ("_rp(", " < 0.0 else ")):
         src = "\n".join(statements + roots)
         assert src.count(power) == 1  # the copy is matched by structure
         assert src.count("_t") == 4  # one binding, three uses
@@ -670,26 +671,57 @@ def test_negations_fold_into_subtractions_keeping_every_signed_zero(e, folded):
                 assert got == want and np.signbit(got) == np.signbit(want)
 
 
-@pytest.mark.parametrize("k, chained", [(2, False), (3, True), (4, True),
-                                        (-1, False), (-2, True), (5, True),
-                                        (-3, True)])
-def test_small_powers_are_product_chains_on_stacks_only(k, chained):
-    e = Pow(Var("x"), Fraction(k))
-    (_, array_roots), (_, float_roots) = _body([e], ["x"])
-    assert float_roots == (f"((_x0)**{k})",)
-    assert array_roots == ((f"_ip(_x0, {k})",) if chained else float_roots)
+_GRID_POINTS = [s * x for x in (0.0, 5e-324, 1e-200, 0.7, 3.0, 1e103, 1e200,
+                                 math.inf) for s in (1.0, -1.0)] + [math.nan]
+
+
+def _bits(value) -> str:
+    """The exact value, signed zeros apart; every nan alike."""
+    return float(value).hex()
+
+
+def _outcome(call):
+    """The value of ``call()``, or the type of the error Python floats raise."""
+    try:
+        return call()
+    except (ZeroDivisionError, OverflowError) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("exponent", [
+    *map(Fraction, (-3, -2, -1, 2, 3, 4, 5)),
+    Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), Fraction(5, 3),
+    Fraction(-1, 3), Fraction(-2, 3)], ids=str)
+def test_every_evaluator_gives_the_same_power(exponent):
+    """evaluate(), the list entry point, numpy scalars, the inlined float
+    form and a stack row give x^k one value for an integer k, bit for bit;
+    a fractional power's stack row is within the stack tolerance, since
+    numpy's array power may round otherwise than C's pow."""
+    e = Pow(Var("x"), exponent)
     fn = compile_exprs([e], ["x"])
-    xs = np.geomspace(1e-3, 1e3, 500)
-    xs = np.concatenate([-xs, xs])
-    got = fn(xs[:, None])[:, 0]
-    for x, g in zip(xs.tolist(), got):
-        want = fn.point([x])[0]
-        assert want == evaluate(e, {"x": x})  # a point keeps **, bit for bit
-        assert type(want) is float
-        assert abs(g - want) <= 1e-12 * (1.0 + abs(want))
-        assert np.signbit(g) == np.signbit(want)
-    scalar = fn.point(np.array([-1.3]))[0]  # numpy scalars keep ** too
-    assert scalar == (-1.3) ** k
+    with np.errstate(all="ignore"):
+        stack = fn(np.array(_GRID_POINTS)[:, None])[:, 0]
+    for x, row in zip(_GRID_POINTS, stack):
+        tree = _outcome(lambda: evaluate(e, {"x": x}))
+        inlined = _outcome(lambda: _float_form(fn, [x])[0])
+        with np.errstate(all="ignore"):
+            listed = fn.point([x])[0]
+            scalar = fn.point(np.array([x]))[0]
+        assert type(scalar) is np.float64
+        values = [listed, scalar]
+        if isinstance(tree, type):  # Python floats raise the same error
+            assert inlined is tree
+        else:
+            assert type(listed) is float
+            values += [tree, inlined]
+        if exponent.denominator == 1:
+            values.append(row)
+        elif np.isfinite(scalar):
+            assert abs(row - scalar) <= 1e-12 * (1.0 + abs(scalar))
+            assert np.signbit(row) == np.signbit(scalar)
+        else:
+            assert _bits(row) == _bits(scalar)
+        assert {_bits(v) for v in values} == {_bits(scalar)}, x
 
 
 def _warning_kinds(caught):
@@ -778,7 +810,7 @@ def test_fold_constants_folds_a_shared_subtree_object_once():
 @pytest.mark.parametrize("text, value, warning", [
     ("xi1^(-1)", 0.0, "divide by zero"),
     ("xi1^(-1/3)", 0.0, "divide by zero"),
-    ("xi1^3", 1e120, "overflow"),
+    ("xi1^(5/3)", 1e200, "overflow"),
 ])
 def test_float_failure_falls_back_to_numpy_inf(text, value, warning):
     fn = compile_exprs([parse_expr(text, ["xi1"])], ["xi1"])
@@ -786,6 +818,18 @@ def test_float_failure_falls_back_to_numpy_inf(text, value, warning):
         assert fn.point([value]) == (np.inf,)
     with pytest.warns(RuntimeWarning, match=warning):
         assert fn(np.array([value])).tolist() == [np.inf]
+
+
+def test_an_integer_power_that_overflows_is_inf_on_python_floats():
+    """A product of Python floats overflows to inf without raising, so the
+    point needs no second call on numpy scalars, and warns of nothing."""
+    fn = compile_exprs([parse_expr("xi1^3", ["xi1"])], ["xi1"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fn.point([1e120]) == (np.inf,)
+        assert fn(np.array([1e120])).tolist() == [np.inf]
+    with pytest.warns(RuntimeWarning, match="overflow"):  # a stack warns
+        assert fn(np.array([[1e120]])).tolist() == [[np.inf]]
 
 
 # --- sympy oracle ------------------------------------------------------------

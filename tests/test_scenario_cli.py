@@ -811,6 +811,23 @@ VECTOR_MARGINAL = {
 }
 
 
+def test_synthesize_reports_the_condition_number_of_p():
+    assert run_synthesize(scenario_from_dict(_fast_scenario()))["p_condition"] == 1.0
+    # P = "auto" on random plant seed 28's Hurwitz A11, whose eigenvalue
+    # pair near the axis makes P ill-conditioned
+    from random_plants import random_plant_scenario
+    pipe = nisyn.cli.Pipeline(scenario_from_dict(random_plant_scenario(28, samples=500)))
+    assert pipe.scn.spec.p_matrix == "auto"
+    report = run_synthesize(pipe)
+    want = np.linalg.cond(pipe.spec.p_matrix)  # from the singular values
+    assert want > 1e3
+    # the smallest eigenvalue and singular value are each found to within
+    # about eps * |P|, so the two ratios agree to about eps * cond(P)
+    assert report["p_condition"] == pytest.approx(
+        want, rel=8 * np.finfo(float).eps * want)
+    assert json.loads(json.dumps(report))["p_condition"] == report["p_condition"]
+
+
 def test_vector_marginal_plant_pipeline(tmp_path):
     # vector blocks with indexed names and a marginally stable internal
     # matrix, driven through the whole pipeline with an auto certificate
