@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .expr import ExprError, compile_exprs, parse_expr, to_string
+# classify_stability is unused here but kept for tracers that patch it by name
 from .lyapunov import (
     StabilityError, classify_stability, sampled_positive_definite,
 )
@@ -127,12 +128,12 @@ class _KeptRun:
 
 class Pipeline:
     """One scenario's chain, built on first use and shared by every stage:
-    plant -> stability verdict -> spec -> closed loop -> uncertainty ->
-    interconnection.  Of the trajectories it keeps only the two that more
-    than one stage reads: the interconnection run and the closed-loop run
-    under ``simulation.input``, each kept as its IntegrationError if it
-    diverged.  The scenario's field bounds are checked when the pipeline is
-    built, so they hold for a scenario made in code.
+    plant -> spec -> closed loop -> uncertainty -> interconnection.  Of the
+    trajectories it keeps only the two that more than one stage reads: the
+    interconnection run and the closed-loop run under ``simulation.input``,
+    each kept as its IntegrationError if it diverged.  The scenario's field
+    bounds are checked when the pipeline is built, so they hold for a
+    scenario made in code.
 
     Every pipeline built on one Scenario object shares these products, so
     stage functions called in turn on it synthesize once and integrate each
@@ -152,10 +153,6 @@ class Pipeline:
     @cached_property
     def plant(self):
         return build_plant(self.scn)
-
-    @cached_property
-    def verdict(self):
-        return classify_stability(self.plant.a11)
 
     @cached_property
     def spec(self):
@@ -242,7 +239,7 @@ def _positivity(check) -> dict:
 
 def run_analyze(scn: Scenario | Pipeline) -> dict:
     pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
-    verdict = pipe.verdict
+    verdict = pipe.plant.verdict
     equivalent = bool(verdict.det_nonzero and verdict.lyapunov_stable)
     return _report(
         "analyze",

@@ -7,13 +7,15 @@ define plant nonlinearities and storage functions.  Grammar (EBNF):
     term     = unary , { "*" , unary } ;
     unary    = "-" , unary | power ;
     power    = atom , { "^" , exponent } ;        (* right-associative *)
-    exponent = [ "-" ] , number
+    exponent = [ "-" ] , digits , [ "." , digits ]
              | "(" , [ "-" ] , number , ")" ;
     atom     = number | identifier | "(" , expr , ")" ;
     number   = digits , [ "." , digits | "/" , digits ] ;
 
 There is no division operator; "/" only appears inside rational literals
-such as ``4/3``.  Rational exponents must reduce to an odd denominator and
+such as ``4/3``, and a rational exponent is written in parentheses:
+``x^(4/3)``, while ``x^4/3`` is a ParseError, not x^4 over 3 nor
+x^(4/3).  Rational exponents must reduce to an odd denominator and
 evaluate as the sign-preserving real root
 
     x^(p/q) = sign(x)^p * |x|^(p/q),
@@ -32,36 +34,35 @@ compile_exprs() is the one evaluator, for a point or a stack of points; the
 tree walker evaluate() is its reference and serves one-point origin checks.
 It emits one straight-line function for the whole vector: it unpacks its
 argument into the locals ``_x0 … _x{n-1}`` once, then binds every non-leaf
-subtree that occurs more than once, and every non-leaf base of a power,
-to a local ``_tN`` ahead of the ``return``; subtrees are matched on
-(kind, payload, child numbers), numbered bottom-up, so no subtree is
-hashed whole.  The same pass gives a float form of that body, in which
-each power is written out: an integer power as products, a fractional
-power as a conditional expression instead of a call to rational_power;
-the callable keeps it (``body``, ``roots``, ``n_vars``), and the
-integrator inlines it into its RK4 loop without a second pass over the
-tree.  Both forms fold negations into subtractions by exact IEEE
-identities (``a + (-b)`` is ``a - b``, a leading ``(-a) + b`` is ``b -
-a``, a product led by -1 is ``-(rest)``), so they keep the tree walker's
-bits, signed zeros included.  x^k for an integer k is one rule,
-_int_power's chain (1/x first for a negative k, then ``x*x``,
-``(x*x)*x`` and square-and-multiply), in evaluate(), on a point and on a
-stack, so they agree bit for bit on it; on a stack this also keeps
-numpy's power, which runs a scalar loop on negative bases, out of the
-code.  One point runs on Python floats: the callable passes
-``x.tolist()`` to its ``point`` attribute, the one-point entry point.
-Python floats raise ZeroDivisionError (1/0, or a fractional power of 0
-under a negative exponent) or OverflowError (a fractional power beyond
-the float range) where numpy gives inf; an integer power that overflows
-is inf on both.  When the float call raises either, the point is
-evaluated again on numpy float64 scalars (as the integrator's RK4 loop
-redoes a step whose inlined body raised): there is one failure mode, inf
-or nan with numpy's RuntimeWarning.  A power
-whose base holds no variable is compiled to the literal of its value, and
-one that divides by zero, such as ``0^(-1)``, or whose value is beyond the
-float range is an ExprError at compile time.  Of the float operations only
-a fractional power and a division raise, and every one left in the code
-reads a variable, so on numpy scalars no compiled function raises.
+subtree that occurs more than once, every non-leaf base of a power and
+every fractional power to a local ``_tN`` ahead of the ``return``;
+subtrees are matched on (kind, payload, child numbers), numbered
+bottom-up, so no subtree is hashed whole.  Negations are folded into
+subtractions by exact IEEE identities (``a + (-b)`` is ``a - b``, a
+leading ``(-a) + b`` is ``b - a``, a product led by -1 is ``-(rest)``),
+so the tree walker's bits are kept, signed zeros included.  x^k for an
+integer k is one rule, _int_power's chain (1/x first for a negative k,
+then ``x*x``, ``(x*x)*x`` and square-and-multiply), written out in the
+body, so evaluate(), a point and a stack agree bit for bit on it, and
+numpy's power, which runs a scalar loop on negative bases, stays out of
+the code.  The callable keeps the float form of that body (``body``,
+``roots``, ``n_vars``), which the integrator inlines into its RK4 loop:
+the same statements and roots, but each fractional power's binding is a
+conditional expression instead of a call to rational_power.  One point
+runs on Python floats: the callable passes ``x.tolist()`` to its
+``point`` attribute, the one-point entry point.  Python floats raise
+ZeroDivisionError (1/0, or a fractional power of 0 under a negative
+exponent) or OverflowError (a fractional power beyond the float range)
+where numpy gives inf; an integer power that overflows is inf on both.
+When the float call raises either, the point is evaluated again on numpy
+float64 scalars (as the integrator's RK4 loop redoes a step whose inlined
+body raised): there is one failure mode, inf or nan with numpy's
+RuntimeWarning.  A power whose base holds no variable is compiled to the
+literal of its value, and one that divides by zero, such as ``0^(-1)``,
+or whose value is beyond the float range is an ExprError at compile time.
+Of the float operations only a fractional power and a division raise,
+and every one left in the code reads a variable, so on numpy scalars no
+compiled function raises.
 """
 
 from __future__ import annotations
@@ -351,7 +352,14 @@ class _Parser:
             value = self._signed_number()
             self.expect(")")
             return value
-        return self._signed_number()
+        value = self._signed_number()
+        number = self.tokens[self.i - 1][1]
+        if "/" in number:  # x^3/3 would read as x^(3/3), not x^3 over 3
+            number = "-" + number if text == "-" else number
+            raise ParseError(f"the rational exponent {number} must be in "
+                             f"parentheses, ^({number}); there is no division "
+                             "operator", pos)
+        return value
 
     def _signed_number(self) -> Fraction:
         sign = 1
@@ -398,17 +406,11 @@ def rational_power(x, num: int, den: int):
 
 
 def _int_power(x, k: int):
-    """x^k for an integer k, one chain of IEEE operations that gives the
-    same bits on a Python float, a numpy scalar or an array: 1/x first for
-    a negative k, then ``x*x``, ``(x*x)*x`` and square-and-multiply from
-    the top bit (in place on an array, whose first product is a new one).
-    On a stack it replaces numpy's power, which loops over negative bases
-    one value at a time (about 8 ms per 100 000 values against 0.1 ms for
-    x*x*x).  Every partial product is a power of x (or 1/x) up to the
-    k-th, so the chain meets overflow and division by zero where a power
-    would, up to a rounding at the edge of the float range; on Python
-    floats only 1/0 raises, and an overflow is inf.  k = 0 and k = 1 keep
-    ``**``."""
+    """x^k for an integer k, the chain of IEEE operations that _chain
+    writes into compiled code: 1/x first for a negative k, then ``x*x``,
+    ``(x*x)*x`` and square-and-multiply from the top bit.  Every partial
+    product is a power of x (or 1/x) up to the k-th, so on a float only 1/0
+    raises, and an overflow is inf.  k = 0 and k = 1 keep ``**``."""
     if 0 <= k <= 1:
         return x ** k
     if k < 0:
@@ -717,20 +719,21 @@ def _subtrees(exprs: Sequence[Expr]):
     return roots, nodes, uses
 
 
-def _code(e: Expr, kids: Sequence[tuple], index: Mapping[str, int],
-          floats: bool) -> tuple:
-    """Source for one node in the array form, or with ``floats`` in the
-    float form, as ``(source, operand)`` given those of its children.
-    ``operand`` is the source of what the node negates, None if it is no
-    negation: a Neg negates its child, a product led by -1 (whose source is
-    ``-(rest)``) the product of the rest, and a product led by another
-    negative constant -k the product of k and the rest.  A sum subtracts
-    the operand of each negation after its first term, and a leading
-    negation from the second term: ``a + (-b)`` is ``a - b`` and ``(-a) +
-    b`` is ``b - a``.  These rewrites are exact, since IEEE defines a - b
-    as a + (-b), addition commutes and rounding is symmetric in sign, so
-    evaluate()'s bits are kept.  ``(-a) + (-b)`` stays ``(-a) - b``:
-    -(a + b) would give -0.0 at a = -b, where the sum gives +0.0."""
+def _code(e: Expr, kids: Sequence[tuple], index: Mapping[str, int]) -> tuple:
+    """Source for one node as ``(source, operand)`` given those of its
+    children.  ``operand`` is the source of what the node negates, None if
+    it is no negation: a Neg negates its child, a product led by -1 (whose
+    source is ``-(rest)``) the product of the rest, and a product led by
+    another negative constant -k the product of k and the rest.  A sum
+    subtracts the operand of each negation after its first term, and a
+    leading negation from the second term: ``a + (-b)`` is ``a - b`` and
+    ``(-a) + b`` is ``b - a``.  These rewrites are exact, since IEEE
+    defines a - b as a + (-b), addition commutes and rounding is symmetric
+    in sign, so evaluate()'s bits are kept.  ``(-a) + (-b)`` stays ``(-a) -
+    b``: -(a + b) would give -0.0 at a = -b, where the sum gives +0.0.  An
+    integer power is _int_power's chain written out (see _chain), and a
+    fractional power a call to ``_rp`` (rational_power), which _body binds
+    to a local and rewrites in the float form."""
     if isinstance(e, Var):
         try:
             return f"_x{index[e.name]}", None
@@ -767,13 +770,10 @@ def _code(e: Expr, kids: Sequence[tuple], index: Mapping[str, int],
         # the base is a name: a variable, or a local that _body binds
         base, (num, den) = kids[0][0], e.exponent.as_integer_ratio()
         if den != 1:
-            return (_float_power(base, e.exponent) if floats
-                    else f"_rp({base}, {num}, {den})"), None
+            return f"_rp({base}, {num}, {den})", None
         if 0 <= num <= 1:
             return f"(({base})**{num})", None
-        if floats or num in (2, -1):
-            return _chain(base, num), None
-        return f"_ip({base}, {num})", None
+        return _chain(base, num), None
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -836,23 +836,17 @@ def _float_power(base: str, exponent: Fraction) -> str:
 
 
 def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
-    """The straight-line bodies over the locals ``_x0 … _x{n-1}``, as
-    ``(statements, roots)`` twice: the statements that bind to a local
-    ``_tN`` every non-leaf subtree used more than once and every non-leaf
-    base of a power, then the code of each root.  A power of a base
-    without variables is the literal of its value, and a subtree read only
-    there is not bound.  Both forms write x^2 and x^-1 as ``(b*b)`` and
-    ``(1.0/b)`` (see _chain).  The first form calls ``_rp``
-    (rational_power) for a fractional power and ``_ip`` (_int_power) for
-    any other integer power, which multiplies it out in place on a stack,
-    and runs on arrays; the second, the float form, writes out every
-    integer power as _int_power's chain and a fractional power as a
-    conditional expression, so it calls no function, and runs on floats.
-    In both, a negation or a product led by a negative constant that is a
-    term of a sum is subtracted (see _code), and a product led by -1 is
-    the negation of the rest.  Both come from one numbering of the
-    subtrees and share every string outside the powers and the subtrees
-    above them."""
+    """The straight-line body over the locals ``_x0 … _x{n-1}``, as
+    ``(statements, float_statements, roots)``: the statements bind to a
+    local ``_tN`` every non-leaf subtree used more than once, every non-leaf
+    base of a power and every fractional power, and the roots are the code
+    of each root.  A power of a base without variables is the literal of its
+    value, and a subtree read only there is not bound.  The statements call
+    ``_rp`` (rational_power) for a fractional power and run on arrays; the
+    float statements are the same but for each fractional power, written
+    as a conditional expression (see _float_power), so they call no
+    function and run on floats.  Every other statement and every root is
+    one string for both; see _code for the integer powers and negations."""
     index = {n: i for i, n in enumerate(var_names)}
     roots, nodes, uses = _subtrees(exprs)
     constant: set = set()  # the subtrees that hold no variable
@@ -869,27 +863,24 @@ def _body(exprs: Sequence[Expr], var_names: Sequence[str]) -> tuple:
     bases = {kids[0] for i, (e, kids) in enumerate(nodes)
              if isinstance(e, Pow) and i not in literals}
     statements: list = []
-    float_statements: list = []
-    forms: list = []  # the (source, operand) of each subtree, per form
-    float_forms: list = []
+    floats: dict = {}  # statement position -> float form of a fractional power
+    forms: list = []  # the (source, operand) of each subtree
     for i, ((e, kids), n) in enumerate(zip(nodes, uses)):
         if i in literals:  # a leaf, as a constant is
             forms.append((literals[i], None))
-            float_forms.append(forms[-1])
             continue
-        c = _code(e, [forms[k] for k in kids], index, False)
-        f = c
-        if isinstance(e, Pow) or any(float_forms[k] is not forms[k] for k in kids):
-            f = _code(e, [float_forms[k] for k in kids], index, True)
-            f = c if f == c else f
-        if kids and (n > 1 or i in bases):
-            statements.append(f"_t{i} = {c[0]}")
-            float_statements.append(statements[-1] if f is c else f"_t{i} = {f[0]}")
-            c = f = (f"_t{i}", None)
-        forms.append(c)
-        float_forms.append(f)
-    return ((tuple(statements), tuple(forms[r][0] for r in roots)),
-            (tuple(float_statements), tuple(float_forms[r][0] for r in roots)))
+        code = _code(e, [forms[k] for k in kids], index)
+        fractional = isinstance(e, Pow) and e.exponent.denominator != 1
+        if fractional:
+            base = forms[kids[0]][0]
+            floats[len(statements)] = f"_t{i} = {_float_power(base, e.exponent)}"
+        if fractional or kids and (n > 1 or i in bases):
+            statements.append(f"_t{i} = {code[0]}")
+            code = (f"_t{i}", None)
+        forms.append(code)
+    return (tuple(statements),
+            tuple(floats.get(j, s) for j, s in enumerate(statements)),
+            tuple(forms[r][0] for r in roots))
 
 
 def compile_exprs(exprs: Sequence[Expr],
@@ -898,26 +889,25 @@ def compile_exprs(exprs: Sequence[Expr],
 
     The callable maps a point (n,) ordered like ``var_names`` to (k,), with
     arithmetic identical to evaluate() term for term, and a stack (N, n) to
-    (N, k).  Every integer power is _int_power's chain on a point and on a
-    stack alike, so a stack row has the point's bits wherever no
-    fractional power is read; numpy's array power may round a fractional
-    power otherwise than C's pow, and the row is then within
-    1e-12 * (1 + |value|) of the one-point value.  Its ``point`` attribute
-    is the list entry point: a sequence of n values to a tuple of k.
-    ``body`` and ``roots`` are the float form of the generated statements
-    and root expressions over the locals ``_x0 … _x{n-1}`` (``n_vars`` of
-    them), with every power written out as products or a conditional
-    expression, so they call no function and run on scalars only (Python
-    floats, or numpy scalars); ``rk4`` holds the RK4 loop that
-    sim.integrate builds on them.
+    (N, k).  Both run one body, whose integer powers are _int_power's
+    chain, so a stack row has the point's bits wherever no fractional power
+    is read; numpy's array power may round a fractional power otherwise
+    than C's pow, and the row is then within 1e-12 * (1 + |value|) of the
+    one-point value.  Its ``point`` attribute is the list entry point: a
+    sequence of n values to a tuple of k.  ``body`` and ``roots`` are the
+    float form of that body over the locals ``_x0 … _x{n-1}`` (``n_vars``
+    of them): its statements with each fractional power's rewritten as a
+    conditional expression, and its roots, so they call no function and
+    run on scalars only (Python floats, or numpy scalars); ``rk4`` holds
+    the RK4 loop that sim.integrate builds on them.
     """
     k = len(exprs)
-    (statements, roots), float_body = _body(exprs, var_names)
+    statements, float_statements, roots = _body(exprs, var_names)
     names = "".join(f"_x{i}, " for i in range(len(var_names)))
     source = ("def _f(_x):\n" + (f"    ({names}) = _x\n" if names else "")
               + "".join(f"    {s}\n" for s in statements)
               + "    return (" + "".join(r + ", " for r in roots) + ")\n")
-    namespace = {"_rp": rational_power, "_ip": _int_power}
+    namespace = {"_rp": rational_power}
     exec(compile(source, "<nisyn-expr>", "exec"), namespace)
     f = namespace["_f"]
 
@@ -938,6 +928,6 @@ def compile_exprs(exprs: Sequence[Expr],
         return out.T
 
     fn.point = point
-    (fn.body, fn.roots), fn.n_vars = float_body, len(var_names)
+    fn.body, fn.roots, fn.n_vars = float_statements, roots, len(var_names)
     fn.rk4 = None
     return fn

@@ -37,6 +37,7 @@ from typing import Optional, Union, get_args, get_origin
 import numpy as np
 
 from .expr import ExprError, parse_expr
+# classify_stability is unused here but kept for tracers that patch it by name
 from .lyapunov import classify_stability, lyapunov_certificate
 from .sim import bandlimited_signal, multisine_signal, step_signal, zero_signal
 from .synthesis import (
@@ -455,8 +456,7 @@ def resolve_synthesis_spec(scn: Scenario, plant: NormalFormPlant) -> SynthesisSp
     if block.target == "OSNI" and lam <= 0:
         raise ScenarioError("the OSNI target requires lambda > 0")
     if isinstance(block.p_matrix, str):  # "auto"
-        verdict = classify_stability(plant.a11)
-        p_matrix = lyapunov_certificate(plant.a11, verdict)
+        p_matrix = lyapunov_certificate(plant.a11, plant.verdict)
     else:
         p_matrix = np.asarray(block.p_matrix, dtype=float)
     if isinstance(block.v2, str) and block.v2 == "default":

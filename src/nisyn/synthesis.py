@@ -40,6 +40,7 @@ from .expr import (
     compile_exprs, differentiate, evaluate, fold_constants, mul, to_string,
     variables,
 )
+from .lyapunov import StabilityVerdict, classify_stability
 
 __all__ = [
     "SynthesisError", "SingularMatrixError",
@@ -152,6 +153,11 @@ class NormalFormPlant:
                 f"A11 is singular or numerically singular: sigma_min = "
                 f"{sigma[-1]:.3e}, sigma_max = {sigma[0]:.3e}")
         return np.linalg.solve(self.a11, np.eye(self.m))
+
+    @cached_property
+    def verdict(self) -> StabilityVerdict:
+        """classify_stability(A11), computed once per plant."""
+        return classify_stability(self.a11)
 
 
 def default_v2(plant: NormalFormPlant) -> Expr:

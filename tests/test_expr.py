@@ -58,6 +58,24 @@ def test_parse_exponent_forms():
     assert parse_expr("x^(-1/3)", ["x"]) == Pow(Var("x"), Fraction(-1, 3))
     # exponents are stored in lowest terms
     assert parse_expr("x^(2/6)", ["x"]) == Pow(Var("x"), Fraction(1, 3))
+    assert parse_expr("x^1.2", ["x"]) == Pow(Var("x"), Fraction(6, 5))
+    assert parse_expr("x^(4/3)", ["x"]) == Pow(Var("x"), Fraction(4, 3))
+
+
+@pytest.mark.parametrize("text, exponent, position", [
+    ("x^3/3", "3/3", 2), ("x^-4/3", "-4/3", 2), ("x^4/3^3", "4/3", 2),
+    ("2 + x^4/3", "4/3", 6),
+])
+def test_a_rational_exponent_must_be_in_parentheses(text, exponent, position):
+    """Bare, ``x^3/3`` would read as x^(3/3) = x where x^3 over 3 is meant."""
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, ["x"])
+    assert err.value.position == position
+    assert str(err.value) == (
+        f"the rational exponent {exponent} must be in parentheses, "
+        f"^({exponent}); there is no division operator (at position {position})")
+    e = parse_expr(text.replace(f"^{exponent}", f"^({exponent})"), ["x"])
+    assert parse_expr(to_string(e), ["x"]) == normalize(e)
 
 
 def test_parse_power_tower_right_associative():
@@ -581,12 +599,14 @@ def test_list_entry_point_matches_numpy_scalars_bit_for_bit(e, g, seed):
 def test_shared_subtrees_are_computed_once():
     x, y = Var("x"), Var("y")
     shared = Sum((x, Pow(y, Fraction(1, 3))))
-    forms = _body(
+    statements, float_statements, roots = _body(
         [mul(shared, shared), Neg(Sum((x, Pow(y, Fraction(1, 3)))))], ["x", "y"])
-    for (statements, roots), power in zip(forms, ("_rp(", " < 0.0 else ")):
-        src = "\n".join(statements + roots)
+    for body, power in ((statements, "_rp("), (float_statements, " < 0.0 else ")):
+        src = "\n".join(body + roots)
         assert src.count(power) == 1  # the copy is matched by structure
-        assert src.count("_t") == 4  # one binding, three uses
+        # the power and the sum are bound; the sum reads the power once and
+        # is read three times
+        assert src.count("_t") == 6
     fn = compile_exprs([mul(shared, shared), Neg(shared)], ["x", "y"])
     assert fn(np.array([1.0, 8.0])).tolist() == [9.0, -3.0]
 
@@ -767,6 +787,53 @@ def test_the_bundled_loop_body_has_no_negation_left_to_fold():
     for system in (pipe.closed_loop, pipe.interconnection):
         source = "\n".join(system._rhs_fn.body + system._rhs_fn.roots)
         assert "+ (-" not in source and "-1.0*" not in source
+
+
+_WIDE_SHAPED = {  # m = 4: a rotation block and a coupled Hurwitz block
+    "plant": {"m": 4, "p1": 1, "p2": 2,
+              "A11": [[0.0, 1.2, 0.0, 0.0], [-1.2, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, -1.5, 0.3], [0.0, 0.0, -0.4, -0.9]],
+              "p": ["0.5*xi1^2*xi2_1 - 0.3*xi2_2^3 + 0.7*xi1*xi2_1*xi2_2",
+                    "-0.6*xi1^3 + 0.4*xi2_1^2*xi2_2 + 0.8*xi1*xi2_2^2",
+                    "0.9*xi2_1^3 - 0.2*xi1^2*xi2_2 + 0.5*xi1*xi2_1^2",
+                    "0.3*xi2_2^2*xi2_1 + 0.6*xi1^2*xi2_2 - 0.7*xi2_1^3"]},
+    "spec": {"P": "auto", "V2": "xi1^(4/3) + 1.1*xi2_1^2 + 0.8*xi2_2^2",
+             "lambda": 1.0, "target": "OSNI"},
+    "simulation": {"x0": [0.1] * 9},
+}
+
+
+def test_the_float_form_differs_from_the_stack_form_only_at_fractional_powers():
+    """One body: the statements the RK4 loop inlines are the stack form's
+    with each fractional power's binding written as a sign branch, the roots
+    are shared, and no integer power calls a helper.  On the bundled loop,
+    its uncertainty and interconnection, and a plant of the wide
+    benchmark's shape."""
+    from nisyn.cli import Pipeline, bundled_scenario_path
+    from nisyn.scenario import load_scenario, scenario_from_dict
+    pipe = Pipeline(load_scenario(bundled_scenario_path()))
+    wide = Pipeline(scenario_from_dict(_WIDE_SHAPED))
+    fractional = []
+    for system in (pipe.closed_loop, pipe.uncertainty, pipe.interconnection,
+                   wide.closed_loop):
+        names = system.state_names + system.input_names
+        statements, float_statements, roots = _body(system.rhs_exprs, names)
+        assert len(float_statements) == len(statements)
+        for stack, floats in zip(statements, float_statements):
+            if "_rp(" in stack:
+                assert re.fullmatch(r"_t\d+ = _rp\(\w+, -?\d+, \d+\)", stack)
+                local = stack.split(" = ")[0]
+                assert floats.startswith(f"{local} = (")
+                assert " < 0.0 else " in floats and "_rp(" not in floats
+            else:
+                assert floats == stack
+        assert not any("_rp(" in root for root in roots)
+        assert "_ip(" not in "\n".join(statements + float_statements + roots)
+        assert (system._rhs_fn.body, system._rhs_fn.roots) == (float_statements,
+                                                               roots)
+        fractional.append(sum("_rp(" in stack for stack in statements))
+    # V2's xi1^(4/3) gives each loop an xi1^(1/3); the uncertainty has none
+    assert fractional[0] >= 1 and fractional[2] >= 1 and fractional[3] >= 1
 
 
 @pytest.mark.parametrize("text, power", [

@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 import nisyn.cli
+import nisyn.lyapunov
+import nisyn.scenario
+import nisyn.synthesis
 from nisyn.cli import (
     bundled_scenario_path, main, run_analyze, run_reproduce, run_simulate,
     run_synthesize, run_verify,
@@ -1280,6 +1283,31 @@ def test_a_power_of_constants_that_divides_by_zero_exits_2(tmp_path, capsys,
     assert main([command, "--scenario", _write(tmp_path, data),
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: power 0^-1 divides by zero\n"
+
+
+def test_a_bare_rational_exponent_in_v2_exits_2(tmp_path, capsys):
+    """``xi1^3/3`` once gave xi1^(3/3) = xi1 without a word."""
+    data = _fast_scenario()
+    data["spec"]["V2"] = "xi1^3/3 + xi2^2"
+    assert main(["synthesize", "--scenario", _write(tmp_path, data),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid V2 expression: the rational exponent 3/3 must be in "
+        "parentheses, ^(3/3); there is no division operator (at position 4)\n")
+
+
+def test_reproduce_classifies_a11_once(tmp_path, monkeypatch):
+    """analyze's verdict and the P = "auto" certificate read one
+    classification of A11."""
+    calls = []
+    classify = nisyn.lyapunov.classify_stability
+    for module in (nisyn.cli, nisyn.scenario, nisyn.synthesis):
+        monkeypatch.setattr(module, "classify_stability",
+                            lambda a: calls.append(a) or classify(a), raising=False)
+    data = _fast_scenario()
+    data["spec"]["P"] = "auto"
+    run_reproduce(scenario_from_dict(data), tmp_path / "o")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("change, message", [
