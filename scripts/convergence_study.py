@@ -37,12 +37,12 @@ def main() -> int:
         scn = _apply_overrides(load_scenario(bundled_scenario_path()), args)
         pipe = Pipeline(scn)
         traj = pipe.interconnection_run
-    except IntegrationError as err:
-        print(f"the interconnection run failed: {err}", file=sys.stderr)
-        return 1
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if isinstance(traj, IntegrationError):
+        print(f"the interconnection run failed: {traj}", file=sys.stderr)
+        return 1
     dt, t_end = scn.simulation.dt, scn.simulation.t_end
     n = pipe.plant.n_states
     joint = np.linalg.norm(traj.states, axis=1)

@@ -104,36 +104,25 @@ def _products(scn: Scenario) -> dict:
     return products
 
 
-class _KeptRun:
-    """A Pipeline run that more than one stage reads, made on first read and
-    kept with the shared products as ``_<name>``.  A run that diverged
-    keeps its IntegrationError, which every read raises again, so it too is
-    integrated once."""
-
-    def __init__(self, run):
-        self.run, self.key = run, "_" + run.__name__
-
-    def __get__(self, pipe, owner=None):
-        out = pipe.__dict__.get(self.key)
-        if out is None:
-            try:
-                out = self.run(pipe)
-            except IntegrationError as err:
-                out = err
-            pipe.__dict__[self.key] = out
-        if isinstance(out, IntegrationError):
-            raise out
-        return out
+def _outcome(run, *args, **kwargs):
+    """``run(*args, **kwargs)``, or the IntegrationError it ended in.  The
+    error is kept without its traceback, whose frames would keep the failed
+    run's arrays alive for as long as the error is."""
+    try:
+        return run(*args, **kwargs)
+    except IntegrationError as err:
+        return err.with_traceback(None)
 
 
 class Pipeline:
     """One scenario's chain, built on first use and shared by every stage:
-    plant -> spec -> closed loop -> uncertainty -> interconnection.  Of the
-    trajectories it keeps only the two that more than one stage reads: the
-    interconnection run and the closed-loop run under ``simulation.input``,
-    each kept as its IntegrationError if it diverged.  The scenario's field
-    bounds are checked when the pipeline is built, so they hold for a
-    scenario made in code.
+    plant -> spec -> closed loop -> uncertainty -> interconnection.  Each
+    run it makes is a value, its Trajectory or the IntegrationError it ended
+    in (``_outcome``).  It keeps, as products like the others, the two runs
+    that more than one stage reads: ``interconnection_run`` and
+    ``input_run``, the closed-loop run under ``simulation.input``.  The
+    scenario's field bounds are checked when the pipeline is built, so they
+    hold for a scenario made in code.
 
     Every pipeline built on one Scenario object shares these products, so
     stage functions called in turn on it synthesize once and integrate each
@@ -168,7 +157,9 @@ class Pipeline:
 
     @cached_property
     def interconnection(self):
-        return Interconnection(self.closed_loop, self.uncertainty)
+        """The loop wired to the uncertainty; None without an uncertainty."""
+        if self.uncertainty is not None:
+            return Interconnection(self.closed_loop, self.uncertainty)
 
     @cached_property
     def general_form(self):
@@ -182,22 +173,22 @@ class Pipeline:
     def x0(self) -> np.ndarray:
         return initial_state(self.scn, self.plant.n_states)
 
-    @_KeptRun
+    @cached_property
     def interconnection_run(self):
         sim = self.scn.simulation
-        return simulate_interconnection(self.interconnection, self.x0,
-                                        self.scn.uncertainty.x_sigma0,
-                                        sim.t_end, sim.dt)
+        return _outcome(simulate_interconnection, self.interconnection,
+                        self.x0, self.scn.uncertainty.x_sigma0, sim.t_end,
+                        sim.dt)
 
-    @_KeptRun
+    @cached_property
     def input_run(self):
         return self._closed_loop_run(self.scn.simulation.input)
 
     def _closed_loop_run(self, signal_spec: dict):
         sim = self.scn.simulation
         signal = signal_from_spec(signal_spec, self.plant.n_outputs, sim.seed)
-        return simulate_closed_loop(self.closed_loop, self.x0, sim.t_end,
-                                    sim.dt, signal=signal)
+        return _outcome(simulate_closed_loop, self.closed_loop, self.x0,
+                        sim.t_end, sim.dt, signal=signal)
 
     def signal_check(self, block: str, spec: dict) -> dict:
         """Dissipation report of the synthesized loop (``block`` is
@@ -205,18 +196,18 @@ class Pipeline:
         catalog signal.  The loop passes on the inequality of its target, the
         uncertainty on OSNI; a run that diverges gives a failed entry."""
         sim = self.scn.simulation
-        try:
-            if block == "closed_loop":
-                system, target = self.closed_loop, self.scn.spec.target
-                traj = (self.input_run if spec == sim.input
-                        else self._closed_loop_run(spec))
-            else:
-                system, target = self.uncertainty, "OSNI"
-                signal = signal_from_spec(spec, system.n_outputs, sim.seed)
-                traj = simulate_uncertainty(system, self.scn.uncertainty.x_sigma0,
-                                            sim.t_end, sim.dt, signal=signal)
-        except IntegrationError as err:
-            return _diverged(err)
+        if block == "closed_loop":
+            system, target = self.closed_loop, self.scn.spec.target
+            traj = (self.input_run if spec == sim.input
+                    else self._closed_loop_run(spec))
+        else:
+            system, target = self.uncertainty, "OSNI"
+            signal = signal_from_spec(spec, system.n_outputs, sim.seed)
+            traj = _outcome(simulate_uncertainty, system,
+                            self.scn.uncertainty.x_sigma0, sim.t_end, sim.dt,
+                            signal=signal)
+        if isinstance(traj, IntegrationError):
+            return _diverged(traj)
         (_, epsilon), = system.strictness
         rep = check_dissipation(traj, epsilon,
                                 self.scn.verification.dissipation_tol)
@@ -286,7 +277,7 @@ def run_synthesize(scn: Scenario | Pipeline) -> dict:
                        passed=False)
     scn, plant, spec = pipe.scn, pipe.plant, pipe.spec
     closed_loop, ver = pipe.closed_loop, scn.verification
-    pipe.uncertainty  # a malformed uncertainty block is a usage error here too
+    pipe.interconnection  # a malformed or misfit uncertainty is a usage error
 
     # V2 positivity on the output slice of the sampling box
     y_box = sampling_box(scn, plant.n_states)[plant.m:plant.m + plant.n_outputs]
@@ -325,10 +316,9 @@ def run_simulate(scn: Scenario | Pipeline, out_dir: Path) -> dict:
     # a general form of the wrong size or that does not compile is refused
     # before the run
     inputs_at = None if gform is None else reduce_general_form(gform, plant)
-    try:
-        traj = pipe.interconnection_run if unc is not None else pipe.input_run
-    except IntegrationError as err:
-        return _report("simulate", **_diverged(err))
+    traj = pipe.interconnection_run if unc is not None else pipe.input_run
+    if isinstance(traj, IntegrationError):
+        return _report("simulate", **_diverged(traj))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "trajectory.csv"
     write_trajectory_csv(traj, csv_path)
@@ -412,7 +402,8 @@ def run_verify(scn: Scenario | Pipeline, jobs: int = 1) -> dict:
     if not analyze["equivalent"]:
         return _report("verify", equivalent=False, analyze=analyze, passed=False)
     scn, closed_loop, unc = pipe.scn, pipe.closed_loop, pipe.uncertainty
-    pipe.x0  # a malformed x0 is a usage error before any check runs
+    # a malformed uncertainty or x0 is a usage error before any check runs
+    ic, _ = pipe.interconnection, pipe.x0
     ver, sim = scn.verification, scn.simulation
     w_tol = ver.w_decrease_tol if ver.w_decrease_tol is not None else 10.0 * sim.dt
     n_plant = pipe.plant.n_states
@@ -433,15 +424,13 @@ def run_verify(scn: Scenario | Pipeline, jobs: int = 1) -> dict:
     if unc is not None:
         checks["uncertainty_dissipation"] = _signal_checks(
             pipe, "uncertainty", jobs)
-        ic = pipe.interconnection
         joint_box = sampling_box(scn, ic.n_states)
         checks["uncertainty_storage_positive_definite"] = positivity(
             unc, joint_box[n_plant:])
         checks["composite_storage_positive_definite"] = positivity(ic, joint_box)
-        try:
-            traj = pipe.interconnection_run
-        except IntegrationError as err:
-            checks["w_decrease"] = checks["convergence"] = _diverged(err)
+        traj = pipe.interconnection_run
+        if isinstance(traj, IntegrationError):
+            checks["w_decrease"] = checks["convergence"] = _diverged(traj)
         else:
             checks["w_decrease"] = asdict(check_w_decrease(traj, w_tol))
             conv = asdict(convergence_metrics(traj, ver.convergence_threshold,

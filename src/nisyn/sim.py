@@ -54,7 +54,7 @@ class IntegrationError(Exception):
         super().__init__(f"{message} (step {step})")
         self.message = message
         self.step = step
-        self.last_state = np.asarray(last_state)
+        self.last_state = np.array(last_state)  # a copy, not a view of the run
 
     def __reduce__(self):
         return type(self), (self.message, self.step, self.last_state)
@@ -295,18 +295,18 @@ def simulate(system: Dissipative,
              x0: Sequence[float],
              t_end: float,
              dt: float,
-             signal: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-             blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
-    """Run a Dissipative system from ``x0`` under ``signal`` (None: zero) and
-    record its outputs, its storage (as ``V``) and its residual, whose finite
-    differences need at least 3 samples (fewer is a ValueError).  An ``x0``
-    of the wrong width is a ValueError that names the system."""
+             signal: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> Trajectory:
+    """Run a Dissipative system from ``x0`` under ``signal`` (None: zero),
+    up to the blow-up bound DEFAULT_BLOWUP_NORM, and record its outputs,
+    its storage (as ``V``) and its residual, whose finite differences need
+    at least 3 samples (fewer is a ValueError).  An ``x0`` of the wrong
+    width is a ValueError that names the system."""
     x0 = system._checked(x0)
     if signal is None:
         signal = zero_signal(len(system.input_names))
     traj = integrate(system._rhs_fn, x0, t_end, dt, input_fn=signal,
                      state_names=system.state_names,
-                     input_names=system.input_names, blowup_norm=blowup_norm)
+                     input_names=system.input_names)
     if traj.n_samples < 3:
         raise ValueError(
             f"t_end = {t_end!r} with dt = {dt!r} gives {traj.n_samples} "
@@ -327,8 +327,7 @@ def simulate_interconnection(interconnection: Interconnection,
                              x0: Sequence[float],
                              xs0: Sequence[float],
                              t_end: float,
-                             dt: float,
-                             blowup_norm: float = DEFAULT_BLOWUP_NORM) -> Trajectory:
+                             dt: float) -> Trajectory:
     """Simulate the closed interconnection.  Records the loop storage V, the
     uncertainty storage Vsigma, the composite W and the strong decrease
     residual W' + eps|y'|^2 + eps_sigma|w'|^2 (nonpositive in theory)."""
@@ -338,8 +337,7 @@ def simulate_interconnection(interconnection: Interconnection,
     if np.shape(x0) != (n,):
         raise ValueError(f"Interconnection takes the loop's {n} states first, "
                          f"got shape {np.shape(x0)}")
-    traj = simulate(interconnection, np.concatenate([x0, xs0]), t_end, dt,
-                    None, blowup_norm)
+    traj = simulate(interconnection, np.concatenate([x0, xs0]), t_end, dt)
     # the applied input of the loop is the uncertainty output w = h(xs)
     traj.W, traj.inputs, traj.outputs = \
         traj.V, traj.outputs[:, p:], traj.outputs[:, :p]

@@ -102,9 +102,7 @@ class NormalFormPlant:
                     f"p[{i}] references non-output variables {sorted(extra)}")
         origin = {name: 0.0 for name in self.y_names}
         for i, e in enumerate(self.p):
-            v = evaluate(e, origin)
-            if abs(v) > _ORIGIN_TOL:
-                raise SynthesisError(f"p[{i}] must vanish at y = 0, got {v:.3e}")
+            _check_vanishes(e, origin, f"p[{i}]", "y = 0", SynthesisError)
 
     @property
     def m(self) -> int:
@@ -332,6 +330,18 @@ def _vanishes(e: Expr, origin: dict) -> bool:
         return abs(evaluate(e, origin)) <= _ORIGIN_TOL
     except ZeroDivisionError:
         return True
+
+
+def _check_vanishes(e: Expr, origin: dict, label: str, where: str,
+                    error: type) -> None:
+    """Refuse with ``error`` a scenario entry, named ``label``, that is
+    singular at the origin ``where`` (say "y = 0") or does not vanish there."""
+    try:
+        v = evaluate(e, origin)
+    except ZeroDivisionError:
+        raise error(f"{label} is singular at {where}") from None
+    if abs(v) > _ORIGIN_TOL:
+        raise error(f"{label} must vanish at {where}, got {v:.3e}")
 
 
 def synthesize(plant: NormalFormPlant, spec: SynthesisSpec) -> ClosedLoopSystem:

@@ -31,10 +31,10 @@ import numpy as np
 # compile_exprs stays imported, although the Dissipative base compiles every
 # field here: perfbench's tracer wraps this module's name for it.
 from .expr import (
-    Const, Expr, Var, add, compile_exprs, evaluate, fold_constants, mul,
-    substitute, variables,
+    Const, Expr, Var, add, compile_exprs, fold_constants, mul, substitute,
+    variables,
 )
-from .synthesis import _ORIGIN_TOL, ClosedLoopSystem, Dissipative
+from .synthesis import ClosedLoopSystem, Dissipative, _check_vanishes
 
 __all__ = [
     "UncertaintyError", "OsniUncertainty", "Interconnection",
@@ -79,9 +79,7 @@ class OsniUncertainty(Dissipative):
                     f"{label} references unknown variables {sorted(extra)}")
         origin = {n: 0.0 for n in allowed_f}
         for label, e, _ in entries:
-            v = evaluate(e, origin)
-            if abs(v) > _ORIGIN_TOL:
-                raise UncertaintyError(f"{label} must vanish at the origin, got {v:.3e}")
+            _check_vanishes(e, origin, label, "the origin", UncertaintyError)
         self.rhs_exprs = self.f_sigma
         self.output_exprs = self.h_sigma
         self.storage_expr = self.v_sigma

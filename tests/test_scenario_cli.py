@@ -31,6 +31,7 @@ from nisyn.scenario import (
     check_bounds, default_input_catalog, load_scenario, override,
     resolve_synthesis_spec, sampling_box, scenario_from_dict, save_scenario,
 )
+from nisyn.sim import IntegrationError
 
 MINIMAL = {
     "plant": {"m": 1, "p1": 1, "p2": 1, "A11": [[-1.0]], "p": ["xi1^2*xi2"]},
@@ -984,6 +985,36 @@ def test_synthesize_rejects_an_f_sigma_of_the_wrong_width(tmp_path, capsys):
                                        "f_sigma must have 2 entries, got 1\n")
 
 
+@pytest.mark.parametrize("command", ["synthesize", "verify", "simulate",
+                                     "reproduce-example"])
+def test_an_uncertainty_that_does_not_fit_the_plant_is_refused_by_every_stage(
+        tmp_path, capsys, command):
+    data = _fast_scenario()
+    data["uncertainty"]["h_sigma"] = ["xs1"]
+    data["uncertainty"]["f_sigma"] = ["-xs1^3+us1", "-xs2"]
+    path = _write(tmp_path, data)
+    assert main([command, "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: uncertainty output dimension 1 does not match the plant "
+        "output dimension 2\n")
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("plant", "p", ["xi1^(-1)*xi2^2"],
+     "invalid plant block: p[0] is singular at y = 0"),
+    ("uncertainty", "V_sigma", "xs1^(-1)*xs2^2",
+     "invalid uncertainty block: V_sigma is singular at the origin"),
+])
+def test_main_names_an_entry_singular_at_the_origin(tmp_path, capsys, block,
+                                                    key, value, message):
+    data = _fast_scenario()
+    data[block][key] = value
+    path = _write(tmp_path, data)
+    assert main(["synthesize", "--scenario", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_reproduce_evaluates_each_storage_on_blocks_of_at_most_a_chunk(
         tmp_path, monkeypatch):
     rows = []
@@ -1089,6 +1120,17 @@ def test_a_diverging_kept_run_is_integrated_once(tmp_path, monkeypatch, data,
     assert run_verify(scn) == want_verify
     assert run_simulate(scn, tmp_path / "kept") == want_simulate
     assert calls == {name: runs}
+
+
+def test_a_diverged_kept_run_holds_neither_traceback_nor_the_run(tmp_path):
+    data = _diverging_scenarios()[0][0]
+    scn = scenario_from_dict(data)
+    run_simulate(scn, tmp_path / "o")
+    err = nisyn.cli.Pipeline(scn).input_run
+    assert isinstance(err, IntegrationError)
+    assert err.__traceback__ is None
+    # the last good state is its own array, not a row of the run's states
+    assert err.last_state.base is None
 
 
 def _edit_x0(scn):
@@ -1661,6 +1703,16 @@ def test_convergence_study_refuses_a_bad_step_or_horizon(args, message):
                           capture_output=True, text=True, env=_src_env())
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_convergence_study_reports_a_diverged_run():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "convergence_study.py")
+    proc = subprocess.run([sys.executable, script, "--dt", "0.2", "--t-end", "5"],
+                          capture_output=True, text=True, env=_src_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("the interconnection run failed: ")
+    assert proc.stderr.endswith("(step 2)\n") and proc.stderr.count("\n") == 1
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

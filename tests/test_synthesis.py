@@ -65,6 +65,14 @@ def test_plant_rejects_nonvanishing_p():
                         p1=1, p2=1)
 
 
+def test_plant_names_an_entry_singular_at_the_origin():
+    with pytest.raises(SynthesisError) as err:
+        NormalFormPlant(a11=[[-1.0]],
+                        p=(parse_expr("xi1^(-1)*xi2^2", ["xi1", "xi2"]),),
+                        p1=1, p2=1)
+    assert str(err.value) == "p[0] is singular at y = 0"
+
+
 def test_plant_rejects_foreign_variables():
     with pytest.raises(SynthesisError, match="non-output"):
         NormalFormPlant(a11=[[-1.0]], p=(parse_expr("z1", None),), p1=1, p2=1)

@@ -62,6 +62,23 @@ def test_uncertainty_validation():
         )
 
 
+@pytest.mark.parametrize("f, h, v, label", [
+    ("-xs1+us1", "xs1", "xs1^(-1)*xs1^4", "V_sigma"),
+    ("-xs1+us1", "xs1^(-2)*xs1^3", "xs1^2", "h_sigma[0]"),
+    ("us1*xs1^(-1)", "xs1", "xs1^2", "f_sigma[0]"),
+])
+def test_uncertainty_names_an_entry_singular_at_the_origin(f, h, v, label):
+    with pytest.raises(UncertaintyError) as err:
+        OsniUncertainty(
+            n_sigma=1,
+            f_sigma=(parse_expr(f, ("xs1", "us1")),),
+            h_sigma=(parse_expr(h, ("xs1",)),),
+            v_sigma=parse_expr(v, ("xs1",)),
+            epsilon_sigma=1.0,
+        )
+    assert str(err.value) == f"{label} is singular at the origin"
+
+
 def test_interconnection_dimension_check(example_cl):
     unc = OsniUncertainty(
         n_sigma=1,
