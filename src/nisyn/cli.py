@@ -231,12 +231,13 @@ def _positivity(check) -> dict:
 def run_analyze(scn: Scenario | Pipeline) -> dict:
     pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
     verdict = pipe.plant.verdict
-    equivalent = bool(verdict.det_nonzero and verdict.lyapunov_stable)
     return _report(
         "analyze",
         classification=verdict.classification.value,
-        equivalent=equivalent,
+        equivalent=verdict.equivalent,
         det_nonzero=verdict.det_nonzero,
+        sigma_min=verdict.sigma_min,
+        sigma_max=verdict.sigma_max,
         tol=verdict.tol,
         eigenvalues=[{"re": v.real, "im": v.imag} for v in verdict.eigenvalues],
         critical_eigenvalues=[
@@ -248,8 +249,17 @@ def run_analyze(scn: Scenario | Pipeline) -> dict:
             "det_A11_nonzero": verdict.det_nonzero,
             "A11_lyapunov_stable": verdict.lyapunov_stable,
         },
-        passed=equivalent,
+        passed=verdict.equivalent,
     )
+
+
+def _gated(scn: Scenario | Pipeline, command: str) -> tuple:
+    """The pipeline on ``scn``, and stage ``command``'s refusal report when
+    analyze refuses the plant, else None."""
+    pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
+    analyze = run_analyze(pipe)
+    return pipe, None if analyze["equivalent"] else _report(
+        command, equivalent=False, analyze=analyze, passed=False)
 
 
 # --- synthesize -----------------------------------------------------------------
@@ -270,11 +280,9 @@ def _check_law_regression(closed_loop, regression, seed: int) -> dict:
 
 
 def run_synthesize(scn: Scenario | Pipeline) -> dict:
-    pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
-    analyze = run_analyze(pipe)
-    if not analyze["equivalent"]:
-        return _report("synthesize", equivalent=False, analyze=analyze,
-                       passed=False)
+    pipe, refused = _gated(scn, "synthesize")
+    if refused:
+        return refused
     scn, plant, spec = pipe.scn, pipe.plant, pipe.spec
     closed_loop, ver = pipe.closed_loop, scn.verification
     pipe.interconnection  # a malformed or misfit uncertainty is a usage error
@@ -309,7 +317,9 @@ def run_synthesize(scn: Scenario | Pipeline) -> dict:
 # --- simulate -------------------------------------------------------------------
 
 def run_simulate(scn: Scenario | Pipeline, out_dir: Path) -> dict:
-    pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
+    pipe, refused = _gated(scn, "simulate")
+    if refused:
+        return refused
     plant, closed_loop, unc = pipe.plant, pipe.closed_loop, pipe.uncertainty
     sim, ver = pipe.scn.simulation, pipe.scn.verification
     gform = pipe.general_form if unc is None else None
@@ -397,10 +407,9 @@ def _signal_checks(pipe: Pipeline, block: str, jobs: int) -> list:
 
 
 def run_verify(scn: Scenario | Pipeline, jobs: int = 1) -> dict:
-    pipe = scn if isinstance(scn, Pipeline) else Pipeline(scn)
-    analyze = run_analyze(pipe)
-    if not analyze["equivalent"]:
-        return _report("verify", equivalent=False, analyze=analyze, passed=False)
+    pipe, refused = _gated(scn, "verify")
+    if refused:
+        return refused
     scn, closed_loop, unc = pipe.scn, pipe.closed_loop, pipe.uncertainty
     # a malformed uncertainty or x0 is a usage error before any check runs
     ic, _ = pipe.interconnection, pipe.x0
@@ -547,18 +556,17 @@ def _print_summary(report: dict) -> None:
         verdict = "EQUIVALENT" if report["equivalent"] else "NOT EQUIVALENT"
         print(f"analyze: {verdict} (A11 is {report['classification']}, "
               f"det nonzero: {report['det_nonzero']})")
+    elif "analyze" in report:
+        print(f"{command}: plant is not state feedback equivalent; "
+              "see the analyze section of the report")
     elif command == "synthesize":
-        if report.get("equivalent"):
-            for i, law in enumerate(report["laws"]["u1"]):
-                print(f"u1[{i + 1}] = v{i + 1} + ({law})")
-            p1 = len(report["laws"]["u1"])
-            for i, law in enumerate(report["laws"]["u2"]):
-                print(f"u2[{i + 1}] = v{p1 + i + 1} + ({law})")
-            print(f"epsilon = {report['epsilon']}")
-        else:
-            print("synthesize: plant is not state feedback equivalent; "
-                  "see the analyze section of the report")
-    elif command == "verify" and "checks" in report:
+        for i, law in enumerate(report["laws"]["u1"]):
+            print(f"u1[{i + 1}] = v{i + 1} + ({law})")
+        p1 = len(report["laws"]["u1"])
+        for i, law in enumerate(report["laws"]["u2"]):
+            print(f"u2[{i + 1}] = v{p1 + i + 1} + ({law})")
+        print(f"epsilon = {report['epsilon']}")
+    elif command == "verify":
         for key, value in report["checks"].items():
             if isinstance(value, list):
                 for entry in value:

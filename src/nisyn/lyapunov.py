@@ -2,7 +2,8 @@
 
 classify_stability() sorts a real matrix into Hurwitz / marginally stable /
 unstable, deciding semisimplicity of imaginary-axis eigenvalues through the
-numerical rank of A - lambda*I rather than a Jordan form.
+numerical rank of A - lambda*I rather than a Jordan form, and is the one
+place that decides whether A is invertible (det_nonzero).
 lyapunov_certificate() then constructs P > 0 with A^T P + P A <= 0 from
 numpy alone, in one construction for every Lyapunov-stable A: Roberts'
 solve, through Newton's iteration for the matrix sign function, on the
@@ -27,7 +28,7 @@ __all__ = [
     "Classification", "CriticalEigenvalue", "StabilityVerdict",
     "StabilityError", "ConditioningError", "CertificateError",
     "default_tolerance", "classify_stability", "lyapunov_certificate",
-    "SamplingResult", "sampled_positive_definite",
+    "verify_certificate", "SamplingResult", "sampled_positive_definite",
 ]
 
 # residual bound for A^T P + P A, relative to ||P||
@@ -70,10 +71,16 @@ class StabilityVerdict:
     critical: tuple
     det_nonzero: bool
     tol: float
+    sigma_min: float
+    sigma_max: float
 
     @property
     def lyapunov_stable(self) -> bool:
         return self.classification is not Classification.UNSTABLE
+
+    @property
+    def equivalent(self) -> bool:  # state feedback equivalent to NI/OSNI
+        return self.det_nonzero and self.lyapunov_stable
 
 
 def default_tolerance(a: np.ndarray) -> float:
@@ -95,6 +102,8 @@ def classify_stability(a) -> StabilityVerdict:
     With tol = default_tolerance(a): real parts greater than tol mean
     unstable; all real parts below -tol mean Hurwitz; otherwise every
     near-axis eigenvalue must be semisimple for a marginally stable verdict.
+    ``det_nonzero`` needs every |lambda| > tol and sigma_min > 100 eps
+    max(1, sigma_max); either can fail alone (say [[-1, 1e8], [0, -1]]).
     """
     a = _as_square(a)
     tol = default_tolerance(a)
@@ -102,38 +111,31 @@ def classify_stability(a) -> StabilityVerdict:
         eigs = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as err:
         raise StabilityError(f"eigenvalue solver failed: {err}") from err
-    norm2 = np.linalg.norm(a, 2)
-    det_nonzero = bool(np.all(np.abs(eigs) > tol))
+    sigma = np.linalg.svd(a, compute_uv=False)  # descending
+    det_nonzero = bool(np.all(np.abs(eigs) > tol) and sigma[-1] >
+                       100 * np.finfo(float).eps * max(1.0, sigma[0]))
 
     re = eigs.real
-    critical_idx = np.where(np.abs(re) <= tol)[0]
-    if np.any(re > tol):
+    critical = _critical_multiplicities(a, eigs[np.abs(re) <= tol], tol, sigma[0])
+    # geometric >= algebraic guards against a numerically split cluster of a
+    # repeated semisimple eigenvalue; defective blocks give geo < alg
+    if np.any(re > tol) or any(c.geometric_multiplicity <
+                               c.algebraic_multiplicity for c in critical):
         classification = Classification.UNSTABLE
-        critical = _critical_multiplicities(a, eigs, critical_idx, tol, norm2)
-    elif critical_idx.size == 0:
-        classification = Classification.HURWITZ
-        critical = ()
     else:
-        critical = _critical_multiplicities(a, eigs, critical_idx, tol, norm2)
-        # geometric >= algebraic guards against a numerically split cluster
-        # of a repeated semisimple eigenvalue; defective blocks give geo < alg
-        semisimple = all(c.geometric_multiplicity >= c.algebraic_multiplicity
-                         for c in critical)
-        classification = (Classification.MARGINALLY_STABLE if semisimple
-                          else Classification.UNSTABLE)
+        classification = (Classification.MARGINALLY_STABLE if critical
+                          else Classification.HURWITZ)
     return StabilityVerdict(
         classification=classification,
         eigenvalues=tuple(complex(v) for v in eigs),
         critical=critical,
         det_nonzero=det_nonzero,
         tol=float(tol),
+        sigma_min=float(sigma[-1]), sigma_max=float(sigma[0]),
     )
 
 
-def _critical_multiplicities(a, eigs, idx, tol, norm2):
-    if idx.size == 0:
-        return ()
-    values = eigs[idx]
+def _critical_multiplicities(a, values, tol, norm2):
     # a defective 2x2 block splits its eigenvalue pair by ~sqrt(eps)*||A||,
     # possibly along the imaginary axis; the cluster radius must cover that
     radius = max(tol, 10 * np.sqrt(np.finfo(float).eps) * max(norm2, 1.0))
@@ -210,7 +212,7 @@ def lyapunov_certificate(a, verdict: StabilityVerdict) -> np.ndarray:
     x = np.linalg.solve(t_full, np.eye(n))
     p = (x.conj().T @ d @ x).real
     p = 0.5 * (p + p.T)
-    _verify_certificate(a, p)
+    verify_certificate(a, p)
     return p
 
 
@@ -255,17 +257,18 @@ def _lyapunov_solve(a):
     return 0.5 * (p + p.T)
 
 
-def _verify_certificate(a, p):
+def verify_certificate(a, p) -> None:
+    """CertificateError unless P > 0 and A^T P + P A <= 1e-8 ||P||_2 I."""
     lam_min = np.linalg.eigvalsh(p).min()
     g = a.T @ p + p @ a
     lam_max = np.linalg.eigvalsh(0.5 * (g + g.T)).max()
     bound = _CERT_RESIDUAL_RTOL * np.linalg.norm(p, 2)
     if lam_min <= 0:
-        raise CertificateError(f"certificate is not positive definite "
+        raise CertificateError(f"P is not positive definite "
                                f"(min eigenvalue {lam_min:.3e})")
     if lam_max > bound:
-        raise CertificateError(f"Lyapunov inequality residual {lam_max:.3e} "
-                               f"exceeds bound {bound:.3e}")
+        raise CertificateError(f"P fails the Lyapunov inequality: residual "
+                               f"{lam_max:.3e} exceeds bound {bound:.3e}")
 
 
 # --- sampled positive definiteness ------------------------------------------

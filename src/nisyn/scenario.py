@@ -38,12 +38,13 @@ import numpy as np
 
 from .expr import ExprError, parse_expr
 # classify_stability is unused here but kept for tracers that patch it by name
-from .lyapunov import classify_stability, lyapunov_certificate
+from .lyapunov import classify_stability, lyapunov_certificate, verify_certificate
 from .sim import bandlimited_signal, multisine_signal, step_signal, zero_signal
 from .synthesis import (
-    GeneralForm, NormalFormPlant, SynthesisSpec, block_names, default_v2,
+    GeneralForm, NormalFormPlant, SynthesisError, SynthesisSpec, block_names,
+    default_v2,
 )
-from .uncertainty import OsniUncertainty
+from .uncertainty import OsniUncertainty, UncertaintyError
 
 __all__ = [
     "ScenarioError", "Scenario", "PlantBlock", "SpecBlock",
@@ -442,7 +443,7 @@ def build_plant(scn: Scenario) -> NormalFormPlant:
         return NormalFormPlant(a11=a11, p=p_exprs, p1=block.p1, p2=block.p2)
     except ExprError as err:
         raise ScenarioError(f"invalid plant expression: {err}") from err
-    except Exception as err:
+    except SynthesisError as err:
         raise ScenarioError(f"invalid plant block: {err}") from err
 
 
@@ -467,9 +468,12 @@ def resolve_synthesis_spec(scn: Scenario, plant: NormalFormPlant) -> SynthesisSp
         except ExprError as err:
             raise ScenarioError(f"invalid V2 expression: {err}") from err
     try:
-        return SynthesisSpec(p_matrix=p_matrix, v2=v2, lam=lam)
-    except Exception as err:
+        spec = SynthesisSpec(p_matrix=p_matrix, v2=v2, lam=lam)
+    except SynthesisError as err:
         raise ScenarioError(f"invalid synthesis spec: {err}") from err
+    if not isinstance(block.p_matrix, str) and p_matrix.shape == plant.a11.shape:
+        verify_certificate(plant.a11, p_matrix)  # the bound "auto" meets
+    return spec
 
 
 def build_uncertainty(scn: Scenario) -> Optional[OsniUncertainty]:
@@ -488,7 +492,7 @@ def build_uncertainty(scn: Scenario) -> Optional[OsniUncertainty]:
         )
     except ExprError as err:
         raise ScenarioError(f"invalid uncertainty expression: {err}") from err
-    except Exception as err:
+    except UncertaintyError as err:
         raise ScenarioError(f"invalid uncertainty block: {err}") from err
     _numbers(block.x_sigma0, (block.n_sigma,), _field("x_sigma0", "uncertainty"))
     return unc

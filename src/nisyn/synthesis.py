@@ -21,8 +21,8 @@ supports the feedback laws
 which render the loop from the new input v to y negative imaginary with
 output strictness epsilon = min(1, lambda).  alpha is substituted into V
 symbolically before differentiation so the emitted laws are closed-form
-expressions.  A11^{-1} and, for P = "auto", the certificate P
-(lyapunov.py) come from numpy alone.
+expressions.  A11^{-1}, once the plant's verdict finds A11 invertible, and
+for P = "auto" the certificate P (lyapunov.py) come from numpy alone.
 """
 
 from __future__ import annotations
@@ -142,14 +142,12 @@ class NormalFormPlant:
 
     @cached_property
     def a11_inverse(self) -> np.ndarray:
-        """A11^-1.  SingularMatrixError when sigma_min <= 100 eps
-        max(1, sigma_max), that is when a change of A11 by 100 roundings of
-        max(1, ||A11||) (2-norm) makes it singular."""
-        sigma = np.linalg.svd(self.a11, compute_uv=False)
-        if sigma[-1] <= 100 * np.finfo(float).eps * max(1.0, sigma[0]):
+        """A11^-1; SingularMatrixError unless the verdict has det_nonzero."""
+        v = self.verdict
+        if not v.det_nonzero:
             raise SingularMatrixError(
                 f"A11 is singular or numerically singular: sigma_min = "
-                f"{sigma[-1]:.3e}, sigma_max = {sigma[0]:.3e}")
+                f"{v.sigma_min:.3e}, sigma_max = {v.sigma_max:.3e}")
         return np.linalg.solve(self.a11, np.eye(self.m))
 
     @cached_property
@@ -335,11 +333,13 @@ def _vanishes(e: Expr, origin: dict) -> bool:
 def _check_vanishes(e: Expr, origin: dict, label: str, where: str,
                     error: type) -> None:
     """Refuse with ``error`` a scenario entry, named ``label``, that is
-    singular at the origin ``where`` (say "y = 0") or does not vanish there."""
+    singular, beyond the float range or nonzero at ``where`` (say "y = 0")."""
     try:
         v = evaluate(e, origin)
     except ZeroDivisionError:
         raise error(f"{label} is singular at {where}") from None
+    except OverflowError:
+        raise error(f"{label} is beyond the float range at {where}") from None
     if abs(v) > _ORIGIN_TOL:
         raise error(f"{label} must vanish at {where}, got {v:.3e}")
 

@@ -23,8 +23,9 @@ through ``run_reproduce`` and prints the count of each outcome:
 
     PYTHONPATH=src python tests/random_plants.py
 
-It exits 1 only when a run ends in an exception that is not one of
-``cli._USAGE_ERRORS``.
+It exits 1 when a run ends in an exception, one of ``cli._USAGE_ERRORS``
+(a "usage error": a plant that analyze accepts but a later stage cannot
+build) or any other.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def main() -> int:
     for (_, outcome), seeds in outcomes.items():
         totals[outcome] += len(seeds)
     print("  total: " + ", ".join(f"{n} {o}" for o, n in sorted(totals.items())))
-    return 1 if totals["traceback"] else 0
+    return 1 if totals["traceback"] or totals["usage error"] else 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import pytest
 import nisyn.lyapunov
 from nisyn.lyapunov import (
     _CHUNK, Classification, ConditioningError, SamplingResult,
-    StabilityError, _lyapunov_solve, _uniform_chunks, _verify_certificate,
+    StabilityError, _lyapunov_solve, _uniform_chunks, verify_certificate,
     classify_stability, default_tolerance, lyapunov_certificate,
     sampled_positive_definite,
 )
@@ -43,6 +43,25 @@ def test_classify_truth_table():
     (c,) = v.critical
     assert c.algebraic_multiplicity == 2
     assert c.geometric_multiplicity == 1
+
+
+@pytest.mark.parametrize("a", [
+    [[-1.0, 0.0], [0.0, -1e-10]],  # |lambda| = 1e-10 <= tol, sigma fine
+    [[-1.0, 1e8], [0.0, -1.0]],  # |lambda| = 1, sigma_min/sigma_max 1e-16
+])
+def test_det_nonzero_needs_both_the_eigenvalues_and_the_singular_values(a):
+    v = classify_stability(a)
+    assert v.lyapunov_stable
+    assert not v.det_nonzero and not v.equivalent
+    sigma = np.linalg.svd(np.array(a), compute_uv=False)
+    assert (v.sigma_min, v.sigma_max) == (sigma[-1], sigma[0])
+
+
+def test_equivalent_is_det_nonzero_and_lyapunov_stable():
+    assert classify_stability([[-1.0]]).equivalent is True
+    assert classify_stability([[0.0, 1.0], [-1.0, 0.0]]).equivalent is True
+    assert classify_stability([[0.5]]).equivalent is False  # invertible
+    assert classify_stability([[0.0]]).equivalent is False  # stable
 
 
 def test_classify_positive_real_part():
@@ -307,7 +326,7 @@ def test_a_stable_eigenvalue_near_the_axis_is_split_or_refused(monkeypatch):
     except ConditioningError:
         pass
     else:
-        _verify_certificate(a, p)
+        verify_certificate(a, p)
     assert 0 < len(steps) <= 2 * nisyn.lyapunov._SIGN_MAX_STEPS
 
 

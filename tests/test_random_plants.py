@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import random_plants
 from random_plants import random_plant_scenario, run_seed
 
 
@@ -135,3 +136,13 @@ def test_a_random_plant_runs_end_to_end_and_analyze_agrees_with_the_oracle(
         pytest.skip("an eigenvalue of A11 lies on the imaginary axis, up to "
                     "1e-6 |A11|")
     assert report["stages"]["analyze"]["equivalent"] is hurwitz
+
+
+@pytest.mark.parametrize("outcome, status", [
+    ("pass", 0), ("refused", 0), ("FAIL", 0), ("usage error", 1)])
+def test_the_script_fails_on_a_usage_error(monkeypatch, capsys, outcome, status):
+    # a usage error means that a plant analyze accepts cannot be built
+    monkeypatch.setattr(random_plants, "run_seed",
+                        lambda seed, out_dir: (outcome, None))
+    assert random_plants.main() == status
+    assert capsys.readouterr().out.endswith(f"total: 150 {outcome}\n")

@@ -1763,21 +1763,141 @@ def test_main_verify_auto_certificate_in_a_fresh_interpreter(tmp_path, data):
 
 
 def test_main_synthesize_refuses_an_ill_conditioned_a11(tmp_path, capsys):
-    # analyze calls this plant equivalent (both eigenvalues are -1), but
-    # A11 is one rounding from singular, so synthesis refuses A11^-1
+    # both eigenvalues are -1, but A11 is one rounding from singular: the
+    # verdict that analyze reports is the one that synthesis reads, so both
+    # refuse the plant with exit 1 and neither reaches A11^-1
     data = {"plant": {"m": 2, "p1": 1, "p2": 1,
                       "A11": [[-1.0, 1e8], [0.0, -1.0]],
                       "p": ["xi1^2", "xi2^2"]},
             "spec": {"P": [[1.0, 0.0], [0.0, 1.0]]},
             "simulation": {"x0": [0.0, 0.0, 1.0, 0.0, 0.0]}}
     path = _write(tmp_path, data)
-    out = str(tmp_path / "o")
-    assert main(["analyze", "--scenario", path, "--out", out]) == 0
+    out = tmp_path / "o"
+    assert main(["analyze", "--scenario", path, "--out", str(out)]) == 1
+    analyze = json.loads((out / "analyze.json").read_text())
+    assert not analyze["det_nonzero"] and not analyze["equivalent"]
+    assert analyze["classification"] == "Hurwitz"
+    assert (f"{analyze['sigma_min']:.3e}", f"{analyze['sigma_max']:.3e}") == \
+        ("1.000e-08", "1.000e+08")
     capsys.readouterr()
-    assert main(["synthesize", "--scenario", path, "--out", out]) == 2
-    assert capsys.readouterr().err == (
-        "error: A11 is singular or numerically singular: sigma_min = "
-        "1.000e-08, sigma_max = 1.000e+08\n")
+    assert main(["synthesize", "--scenario", path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[0] == (
+        "synthesize: plant is not state feedback equivalent; "
+        "see the analyze section of the report")
+    assert json.loads((out / "synthesize.json").read_text())["analyze"] == analyze
+
+
+def _fast_plant(a11, p, p_matrix) -> dict:
+    """_fast_scenario with the plant's A11 and p, P, x0 and sampling box of
+    A11's order, and no law regression."""
+    m = len(a11)
+    data = _fast_scenario()
+    data["plant"].update({"m": m, "A11": a11, "p": p})
+    data["spec"]["P"] = p_matrix
+    data["simulation"]["x0"] = [3.0] * m + [1.0, -1.0, 2.0]
+    data["verification"]["sampling_box"] = [[-2.0, 2.0]] * (m + 5)
+    data["regression"] = None
+    return data
+
+
+# plants that the verdict refuses: A11 unstable, with an explicit and with
+# an automatic P, and A11 invertible by its eigenvalues but about one
+# rounding from singular by its singular values (sigma_min/sigma_max 1e-16)
+_REFUSED_PLANTS = {
+    "unstable": _fast_plant([[0.5]], ["xi1^2*xi2"], [[1.0]]),
+    "unstable-auto": _fast_plant([[0.5]], ["xi1^2*xi2"], "auto"),
+    "ill-conditioned": _fast_plant([[-1.0, 1e8], [0.0, -1.0]],
+                                   ["xi1^2*xi2", "0"], [[1.0, 0.0], [0.0, 1.0]]),
+    "ill-conditioned-auto": _fast_plant([[-0.01, 1e6], [0.0, -0.01]],
+                                        ["xi1^2*xi2", "0"], "auto"),
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("plant", sorted(_REFUSED_PLANTS))
+def test_every_stage_refuses_a_plant_that_the_verdict_refuses(
+        tmp_path, capsys, plant, command):
+    path = _write(tmp_path, _REFUSED_PLANTS[plant])
+    out = tmp_path / "o"
+    assert main([command, "--scenario", path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    name = "reproduce" if command == "reproduce-example" else command
+    report = json.loads((out / f"{name}.json").read_text())
+    if command == "reproduce-example":
+        assert list(report["stages"]) == ["analyze"]
+        report = report["stages"]["analyze"]
+    if command not in ("analyze", "reproduce-example"):
+        assert set(report) == {"schema_version", "command", "equivalent",
+                               "analyze", "passed"}
+        assert captured.out.splitlines()[0] == (
+            f"{command}: plant is not state feedback equivalent; "
+            "see the analyze section of the report")
+        report = report["analyze"]
+    assert report["equivalent"] is False and report["passed"] is False
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_an_explicit_p_is_held_to_the_certificate_bound(tmp_path, capsys):
+    # A11 is a rotation, so A11^T P + P A11 = [[0, 1], [1, 0]] for
+    # P = diag(1, 2): lambda_max 1, not a certificate; for P = I it is 0
+    data = _fast_plant([[0.0, 1.0], [-1.0, 0.0]], ["xi1^2*xi2", "0"],
+                       [[1.0, 0.0], [0.0, 2.0]])
+    path = _write(tmp_path, data)
+    out = tmp_path / "o"
+    for command in ("synthesize", "verify", "simulate"):
+        assert main([command, "--scenario", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: P fails the Lyapunov inequality: residual 1.000e+00 "
+            "exceeds bound 2.000e-08\n")
+    assert not out.exists()
+    data["spec"]["P"] = [[1.0, 0.0], [0.0, 1.0]]
+    spec = nisyn.cli.Pipeline(scenario_from_dict(data)).spec
+    assert np.array_equal(spec.p_matrix, np.eye(2))
+
+
+def test_a_p_of_the_wrong_order_keeps_its_message(tmp_path, capsys):
+    data = _fast_scenario()
+    data["spec"]["P"] = [[1.0, 0.0], [0.0, 1.0]]
+    path = _write(tmp_path, data)
+    assert main(["synthesize", "--scenario", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: P has order 2, expected 1\n"
+
+
+_HUGE = "1" + "0" * 400  # beyond the float range
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("plant", "p", [_HUGE + "*xi1^2*xi2"],
+     "invalid plant block: p[0] is beyond the float range at y = 0"),
+    ("uncertainty", "V_sigma", _HUGE + "*xs1^4+xs2^2",
+     "invalid uncertainty block: V_sigma is beyond the float range at the "
+     "origin"),
+], ids=["p", "V_sigma"])
+def test_main_names_an_entry_beyond_the_float_range_at_the_origin(
+        tmp_path, capsys, block, key, value, message):
+    data = _fast_scenario()
+    data[block][key] = value
+    path = _write(tmp_path, data)
+    assert main(["synthesize", "--scenario", path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("builder", ["NormalFormPlant", "OsniUncertainty",
+                                     "SynthesisSpec"])
+def test_a_programming_error_in_a_builder_is_not_a_usage_error(
+        tmp_path, monkeypatch, builder):
+    def broken(**kwargs):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(nisyn.scenario, builder, broken)
+    path = _write(tmp_path, _fast_scenario())
+    with pytest.raises(RuntimeError, match="^a bug$"):
+        main(["synthesize", "--scenario", path, "--out", str(tmp_path / "o")])
 
 
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "verify",

@@ -170,6 +170,21 @@ def test_a11_inverse_rejects_numerically_singular(a11, sigmas):
         _plant_with_a11(a11).a11_inverse
 
 
+@pytest.mark.parametrize("a11", [
+    [[0.0]], [[0.5]], [[-1.0]], [[1e-300]],
+    [[-1.0, 0.0], [0.0, -1e-10]], [[-1.0, 1e8], [0.0, -1.0]],
+    [[-0.01, 1e6], [0.0, -0.01]], [[-1.0, 1e3], [0.0, -1.0]],
+    [[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]],
+])
+def test_a11_inverse_refuses_exactly_when_the_verdict_finds_a11_singular(a11):
+    plant = _plant_with_a11(a11)
+    if plant.verdict.det_nonzero:
+        assert np.allclose(plant.a11_inverse @ plant.a11, np.eye(plant.m))
+    else:
+        with pytest.raises(SingularMatrixError):
+            plant.a11_inverse
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_a11_inverse_is_an_inverse(m):
     # singular values in [1, 10] between two random rotations
